@@ -8,7 +8,7 @@ Subcommands:
 
 Configs are flat "key = value" text with '#' comments.  Exit codes: 0 pass,
 1 usage/input error, 2 check failure.  Reports are deterministic: the same
-config yields byte-identical output regardless of thread count.
+config yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import ConfigError, InsufficientOrder, TrapscopeError
 from .landscape import CertificateConfig, differential, lie_rank, taylor_fit, trap_certificate
 from .model import ProblemInstance, build_instance, build_observable, build_system
 
-REPORT_SCHEMA = "trapscope/1"
+REPORT_SCHEMA = "trapscope/2"
 
 _REQUIRED_KEYS = ("N", "a", "b", "v", "T", "lambda")
 _ALL_KEYS = _REQUIRED_KEYS + (
@@ -50,7 +50,7 @@ class RunConfig:
     horizon: float
     eigenvalues: tuple[float, ...]
     segments: int = 64
-    substeps: int = 8
+    substeps: int = 8  # accepted and ignored: the forms are exact; bench/run.py reads it
     directions: int = 8
     seed: int = 20240901
     witness_budget: int = 500
@@ -139,28 +139,13 @@ def build_problem(cfg: RunConfig) -> ProblemInstance:
     return build_instance(system, observable)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TRAPSCOPE_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"TRAPSCOPE_THREADS must be a positive integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigError(f"TRAPSCOPE_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
 def _certificate_config(cfg: RunConfig) -> CertificateConfig:
     return CertificateConfig(
         directions=cfg.directions,
         seed=cfg.seed,
         segments=cfg.segments,
-        substeps=cfg.substeps,
         witness_budget=cfg.witness_budget,
         witness_horizons=cfg.witness_horizons,
-        threads=_thread_count(),
     )
 
 
@@ -218,7 +203,7 @@ def cmd_differential(config_path: str, control_path: str, order: int, csv_path: 
     n_top = 2 * cfg.levels - 2
     if order > n_top:
         raise InsufficientOrder(f"forms are computed to order {n_top}, requested {order}")
-    forms = dyson_forms(inst.system, f, n_max=n_top, substeps=cfg.substeps, verify=True)
+    forms = dyson_forms(inst.system, f, n_max=n_top)
     analytic = differential(inst, forms, order)
     fit = taylor_fit(inst, f, max_order=2 * cfg.levels, radius=0.05)
     fitted = fit.coefficient(order)

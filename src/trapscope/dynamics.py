@@ -15,10 +15,22 @@ interaction-picture Taylor data of the propagator:
 
     e^{i T H0} U_T = sum_n (-i)^n A^n(T).
 
+Because f is piecewise constant, the propagator of the scaled control x f is
+a product of segment steps S(x f_j), S(x) = exp(-i dt (H0 + x V)) =
+sum_k x^k C_k, so the forms are a finite computation:
+
+    A^n = i^n e^{i T H0} [S(x f_M) ... S(x f_1)]_n |N>,
+
+where [.]_n is the coefficient of x^n, taken by a truncated Cauchy product
+on the |N> column.  The C_k come once per (system, dt, n_max) from the
+block-triangular exponential of Van Loan (IEEE TAC 1978), in the
+auxiliary-matrix form of Goodwin & Kuprov (J. Chem. Phys. 143, 084113,
+2015), and are checked against the eigenvalue route of numerics.expm_mih.
+
 Three independent evaluation routes are provided for the distinguished form
 A^{N-1} at l = 1:
 
-  * dyson_forms        -- RK4 integration of dA^n/dt = f(t) V_t A^{n-1};
+  * dyson_forms        -- the exact truncated series above;
   * kernel_form_A1N    -- a 1-D reduction of the (N-1)-dimensional kernel
                           integral with kernel ~ e^{i omega max(t_1..t_{N-1})},
                           using that the integrand is symmetric:
@@ -37,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,8 +57,8 @@ from .controls import PiecewiseControl, integral
 from .errors import (
     DomainError,
     GridMismatch,
-    NonConvergence,
     NotUnitary,
+    SeriesCheckFailed,
     TooExpensive,
 )
 from .model import ProblemInstance, SystemSpec, energies, h0_matrix, v_matrix, v_power_element
@@ -99,10 +112,15 @@ class DysonForms:
     levels: int
     table: np.ndarray
     segments: int
-    substeps: int
     horizon: float
-    converged: bool
-    last_rel_change: float
+
+    @property
+    def substeps(self) -> int:
+        """Always 0: the forms come from an exact series, not time stepping.
+
+        Kept because the benchmark harness under bench/ still reads it.
+        """
+        return 0
 
     def value(self, n: int, l: int) -> complex:
         """A^n_l with 1-based level index l."""
@@ -113,100 +131,123 @@ class DysonForms:
         return complex(self.table[n, l - 1])
 
 
-def _dyson_matrices(sys: SystemSpec, f: PiecewiseControl, n_max: int, substeps: int) -> np.ndarray:
-    """Integrate dA^n/dt = f(t) V_t A^{n-1}, A^n(0) = 0, with classical RK4.
+def _exp_series(b0: np.ndarray, b1: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients X_0..X_order of exp(b0 + x b1) as a power series in x.
 
-    Returns the stack (A^1(T), ..., A^{n_max}(T)).  `substeps` RK4 steps per
-    control segment; the only discretization error is phase resolution of
-    V_t inside segments.
+    By Van Loan's block-triangular identity these are the first block row of
+    the exponential of the block-bidiagonal matrix with b0 on the diagonal
+    and b1 above it.  That matrix and its exponential are block Toeplitz, so
+    only the first block row is carried: matrix products become truncated
+    Cauchy products of coefficient sequences.  Scaling and squaring with a
+    Taylor polynomial; each coefficient X_k keeps roundoff relative to its
+    own natural size ||b1||^k / k!, which tiny high-order coefficients need.
+    """
+    n = b0.shape[0]
+    theta = float(np.linalg.norm(b0, 2) + np.linalg.norm(b1, 2))
+    squarings = max(0, math.ceil(math.log2(theta / 0.25)))
+    b0 = b0 / 2.0**squarings
+    b1 = b1 / 2.0**squarings
+    # Taylor terms beyond order + tail add less than 1e-18 of every coefficient.
+    theta0 = float(np.linalg.norm(b0, 2))
+    tail, bound = 0, 1.0
+    while bound > 1e-18:
+        tail += 1
+        bound *= theta0 / tail
+    term = np.zeros((order + 1, n, n), dtype=np.complex128)
+    term[0] = np.eye(n)
+    total = term.copy()
+    for m in range(1, order + tail + 1):
+        nxt = b0 @ term
+        nxt[1:] += b1 @ term[:-1]
+        term = nxt / m
+        total += term
+    for _ in range(squarings):
+        total = np.stack([sum(total[j] @ total[k - j] for j in range(k + 1)) for k in range(order + 1)])
+    return total
+
+
+# Frobenius tolerance of the series self-check; both sides are unitary to roundoff.
+_SERIES_CHECK_TOL = 1e-12
+
+
+@lru_cache(maxsize=16)
+def _segment_series(sys: SystemSpec, dt: float, n_max: int) -> np.ndarray:
+    """Block matrices G_0..G_{n_max} of the segment step in series form.
+
+    S(x) = exp(-i dt (H0 + x V)) = sum_k x^k C_k.  G_k has C_k on its k-th
+    block subdiagonal, so for a stacked series P = (P_0, ..., P_{n_max}),
+    sum_k x^k G_k P holds the coefficients of S(x) P(x) truncated at
+    x^{n_max}.  The coefficients are checked once against the eigenvalue
+    route: C_0 against exp(-i dt H0) and sum_k x^k C_k at one probe x.
     """
     n = sys.levels
+    h0 = h0_matrix(sys)
     v = v_matrix(sys)
-    e = energies(sys)
-    ident = np.eye(n, dtype=np.complex128)
+    coeffs = _exp_series(-1j * dt * h0, -1j * dt * v, n_max)
 
-    a = np.zeros((n_max, n, n), dtype=np.complex128)
-    stack = np.empty((n_max, n, n), dtype=np.complex128)
-
-    def rhs(t: float, fj: float, cur: np.ndarray) -> np.ndarray:
-        ph = np.exp(1j * t * e)
-        vt = ph[:, None] * v * ph.conj()[None, :]
-        stack[0] = ident
-        stack[1:] = cur[:-1]
-        return fj * np.matmul(vt, stack)
-
-    dt = f.dt
-    h = dt / substeps
-    for j, fj in enumerate(f.values):
-        t0 = j * dt
-        for s in range(substeps):
-            t = t0 + s * h
-            k1 = rhs(t, fj, a)
-            k2 = rhs(t + 0.5 * h, fj, a + (0.5 * h) * k1)
-            k3 = rhs(t + 0.5 * h, fj, a + (0.5 * h) * k2)
-            k4 = rhs(t + h, fj, a + h * k3)
-            a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return a
-
-
-def _forms_from_matrices(sys, f, n_max, substeps, mats, converged, rel_change) -> DysonForms:
-    n = sys.levels
-    table = np.zeros((n_max + 1, n), dtype=np.complex128)
-    table[0, n - 1] = 1.0
-    table[1:] = mats[:, :, n - 1]
-    table.setflags(write=False)
-    return DysonForms(
-        n_max=n_max,
-        levels=n,
-        table=table,
-        segments=f.segments,
-        substeps=substeps,
-        horizon=f.horizon,
-        converged=converged,
-        last_rel_change=rel_change,
+    # Probe at |x| ||dt V||_2 = r, where dropping the terms past x^n_max costs
+    # less than r^(n_max+1) e^r / (n_max+1)! <= 1e-15, as ||C_k|| <= ||dt V||^k / k!.
+    r = min(1.0, (1e-15 * math.factorial(n_max + 1) / math.e) ** (1.0 / (n_max + 1)))
+    x = r / (dt * float(np.linalg.norm(v, 2)))
+    resummed = sum(x**k * c for k, c in enumerate(coeffs))
+    defect = max(
+        float(np.linalg.norm(coeffs[0] - expm_mih(h0, dt), "fro")),
+        float(np.linalg.norm(resummed - expm_mih(h0 + x * v, dt), "fro")),
     )
+    if defect > _SERIES_CHECK_TOL:
+        raise SeriesCheckFailed(
+            f"series coefficients miss the direct exponential by {defect:.3e} "
+            f"(tolerance {_SERIES_CHECK_TOL:.0e})"
+        )
+
+    size = (n_max + 1) * n
+    blocks = np.zeros((n_max + 1, size, size), dtype=np.complex128)
+    for k in range(n_max + 1):
+        for row in range(k, n_max + 1):
+            col = row - k
+            blocks[k, row * n : (row + 1) * n, col * n : (col + 1) * n] = coeffs[k]
+    blocks.setflags(write=False)
+    return blocks
 
 
-def dyson_forms(
-    sys: SystemSpec,
-    f: PiecewiseControl,
-    n_max: int,
-    substeps: int = 8,
-    verify: bool = False,
-    rtol: float = 1e-9,
-    max_substeps: int = 1024,
-) -> DysonForms:
-    """Chronological forms of order 1..n_max at the final time.
+def _interaction_series(sys: SystemSpec, f: PiecewiseControl, n_max: int, start: np.ndarray) -> np.ndarray:
+    """A^0..A^{n_max} applied to start (N x c): A^n = i^n e^{i T H0} P_n.
 
-    With verify=True (certificate mode) the substep count is doubled until
-    the whole table changes by less than rtol relative to its magnitude;
-    NonConvergence is raised if max_substeps is exhausted.
+    P_n is the coefficient of x^n in U_T(x f) start.  As U_T(x f) =
+    S(x f_M) ... S(x f_1), each segment applies the truncated Cauchy product
+    P_n <- sum_k f_j^k C_k P_{n-k}.  Exact up to roundoff.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    if substeps < 1:
-        raise DomainError(f"substeps must be >= 1, got {substeps}")
     if f.horizon != sys.horizon:
         raise GridMismatch(
             f"control horizon {f.horizon!r} does not match system horizon {sys.horizon!r}"
         )
-    if not verify:
-        mats = _dyson_matrices(sys, f, n_max, substeps)
-        return _forms_from_matrices(sys, f, n_max, substeps, mats, False, float("nan"))
+    n = sys.levels
+    blocks = _segment_series(sys, f.dt, n_max)
+    stacked = np.zeros(((n_max + 1) * n, start.shape[1]), dtype=np.complex128)
+    stacked[:n] = start
+    for fpow in f.as_array()[:, None] ** np.arange(n_max + 1):
+        stacked = np.tensordot(fpow, blocks @ stacked, axes=1)
+    ipow = 1j ** (np.arange(n_max + 1) % 4)
+    phase = np.exp(1j * sys.horizon * energies(sys))
+    return ipow[:, None, None] * phase[None, :, None] * stacked.reshape(n_max + 1, n, -1)
 
-    cur = _dyson_matrices(sys, f, n_max, substeps)
-    s = substeps
-    while 2 * s <= max_substeps:
-        nxt = _dyson_matrices(sys, f, n_max, 2 * s)
-        scale = max(1.0, float(np.max(np.abs(nxt))))
-        rel = float(np.max(np.abs(nxt - cur))) / scale
-        if rel < rtol:
-            return _forms_from_matrices(sys, f, n_max, 2 * s, nxt, True, rel)
-        cur = nxt
-        s *= 2
-    raise NonConvergence(
-        f"substep doubling did not reach rtol={rtol:g} within {max_substeps} substeps/segment"
-    )
+
+def dyson_forms(sys: SystemSpec, f: PiecewiseControl, n_max: int) -> DysonForms:
+    """Chronological forms of order 0..n_max at the final time.
+
+    Exact for piecewise-constant f up to roundoff: the |N> column of the
+    propagator is expanded as a power series in the control amplitude.
+    """
+    n = sys.levels
+    start = np.zeros((n, 1), dtype=np.complex128)
+    start[n - 1, 0] = 1.0
+    table = _interaction_series(sys, f, n_max, start)[:, :, 0]
+    table[0] = 0.0  # A^0_l = delta_{lN} by definition, not up to roundoff
+    table[0, n - 1] = 1.0
+    table.setflags(write=False)
+    return DysonForms(n_max=n_max, levels=n, table=table, segments=f.segments, horizon=f.horizon)
 
 
 def closed_form_AlN(sys: SystemSpec, f: PiecewiseControl, l: int, n: int) -> float:
@@ -369,19 +410,19 @@ def _kernel_midpoint_A1N(sys: SystemSpec, f: PiecewiseControl, subdiv: int = 1) 
     return vprod * total * hh**m / math.factorial(m)
 
 
-def dyson_resum_defect(sys: SystemSpec, f: PiecewiseControl, n_max: int, substeps: int = 8) -> float:
+def dyson_resum_defect(sys: SystemSpec, f: PiecewiseControl, n_max: int) -> float:
     """Frobenius distance between the resummed forms and the true propagator.
 
-    Compares sum_{n<=n_max} (-i)^n A^n(T) with e^{i T H0} U_T.  Bounded by
-    the series remainder (||V||_2 int|f|)^{n_max+1}/(n_max+1)! plus
-    quadrature error, so it vanishes rapidly for small controls.
+    Compares sum_{n<=n_max} (-i)^n A^n(T), with the forms of every starting
+    level, against e^{i T H0} U_T.  The forms are exact, so up to roundoff
+    the distance is the truncation remainder of the series, whose leading
+    term is of size (||V||_2 int|f|)^{n_max+1}/(n_max+1)!; it vanishes
+    rapidly for small controls.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    mats = _dyson_matrices(sys, f, n_max, substeps)
     n = sys.levels
+    forms = _interaction_series(sys, f, n_max, np.eye(n, dtype=np.complex128))
     resum = np.eye(n, dtype=np.complex128)
     for k in range(1, n_max + 1):
-        resum = resum + (-1j) ** k * mats[k - 1]
+        resum = resum + (-1j) ** k * forms[k]
     u_int = expm_mih(h0_matrix(sys), -sys.horizon) @ propagate(sys, f)
     return float(np.linalg.norm(resum - u_int, "fro"))

@@ -33,8 +33,8 @@ class GridMismatch(TrapscopeError):
     """Two piecewise-constant objects live on different grids."""
 
 
-class NonConvergence(TrapscopeError):
-    """Substep doubling failed to converge within the allowed budget."""
+class SeriesCheckFailed(TrapscopeError):
+    """Power-series coefficients of a segment step disagree with its exponential."""
 
 
 class TooExpensive(TrapscopeError):

@@ -24,7 +24,6 @@ high-order coefficients under the roundoff floor of the objective.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -175,13 +174,15 @@ def _mat_from_vec(v: np.ndarray, n: int) -> np.ndarray:
     return v[: n * n].reshape(n, n) + 1j * v[n * n :].reshape(n, n)
 
 
-def lie_rank_matrices(gen_a, gen_b, tol: float = 1e-9, max_depth: int = 12) -> LieAlgebraResult:
+def lie_rank_matrices(gen_a, gen_b, tol: float = 1e-9, max_depth: int | None = None) -> LieAlgebraResult:
     """Real dimension of the Lie algebra generated by two skew-Hermitian matrices.
 
     Breadth-first closure under commutators with the generators, with
     Gram-Schmidt orthonormalization over the real vector space of dimension
     2 N^2.  Saturated means dimension >= N^2 - 1, full su(N) up to the
-    global phase quotiented out in the controllability definition.
+    global phase quotiented out in the controllability definition.  The
+    closure ends when a level adds nothing or the dimension reaches N^2, so
+    it needs no depth cap; `max_depth` stops it early (unsaturated) anyway.
     """
     if tol <= 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
@@ -216,7 +217,7 @@ def lie_rank_matrices(gen_a, gen_b, tol: float = 1e-9, max_depth: int = 12) -> L
             frontier.append(added)
     depth = 1
     # span of skew-Hermitian matrices can never exceed dim u(N) = N^2
-    while frontier and len(basis) < n * n and depth < max_depth:
+    while frontier and len(basis) < n * n and (max_depth is None or depth < max_depth):
         depth += 1
         fresh = []
         for g in gens:
@@ -233,7 +234,7 @@ def lie_rank_matrices(gen_a, gen_b, tol: float = 1e-9, max_depth: int = 12) -> L
     )
 
 
-def lie_rank(sys: SystemSpec, tol: float = 1e-9, max_depth: int = 12) -> LieAlgebraResult:
+def lie_rank(sys: SystemSpec, tol: float = 1e-9, max_depth: int | None = None) -> LieAlgebraResult:
     """Rank test for the controlled pair: algebra generated by iH0 and iV."""
     return lie_rank_matrices(1j * h0_matrix(sys), 1j * v_matrix(sys), tol=tol, max_depth=max_depth)
 
@@ -332,14 +333,12 @@ class CertificateConfig:
     amplitude: float = 0.5
     offset_fraction: float = 0.6
     segments: int = 64
-    substeps: int = 8
     fit_radius: float = 0.05
     fit_points: int | None = None
     witness_budget: int = 500
     witness_horizons: tuple[float, ...] | None = None  # default (T, 2T)
     witness_amplitude_range: tuple[float, float] = (0.1, 2.0)
     witness_seed_offset: int = 7_000_000
-    threads: int = 1
     tol_stationary_analytic: float = 1e-10
     tol_stationary_fit: float = 1e-8
     tol_descent_rel: float = 1e-3
@@ -347,9 +346,7 @@ class CertificateConfig:
     flat_fit_scale: float = 1e-6  # x max(1, ||f||)^n
     tol_order_match_rel: float = 5e-2
     tol_order_nonneg: float = -1e-8
-    dyson_rtol: float = 1e-9
     lie_tol: float = 1e-9
-    lie_max_depth: int = 12
 
 
 @dataclass(frozen=True)
@@ -424,7 +421,7 @@ def _certificate_direction(inst: ProblemInstance, cfg: CertificateConfig, index:
         offset = sign * cfg.offset_fraction * cfg.amplitude
         f = f.shifted(offset)
 
-    forms = dyson_forms(sys, f, n_max=n_top, substeps=cfg.substeps, verify=True, rtol=cfg.dyson_rtol)
+    forms = dyson_forms(sys, f, n_max=n_top)
     diffs = [differential(inst, forms, n) for n in range(1, n_top + 1)]
     fit = taylor_fit(inst, f, max_order=2 * nlev, radius=cfg.fit_radius, points=cfg.fit_points)
 
@@ -440,8 +437,7 @@ def _certificate_direction(inst: ProblemInstance, cfg: CertificateConfig, index:
         "offset": offset,
         "norm": norm(f),
         "integral": mean,
-        "substeps_used": forms.substeps,
-        "forms_rel_change": forms.last_rel_change,
+        "substeps_used": forms.substeps,  # always 0; bench/run.py still reads it
         "differentials": diffs,
         "d2_predicted": d2_predicted,
         "order_2N2_analytic": order_value,
@@ -591,7 +587,6 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
         "flat_fit_scale": cfg.flat_fit_scale,
         "order_match_rel": cfg.tol_order_match_rel,
         "order_nonneg": cfg.tol_order_nonneg,
-        "dyson_rtol": cfg.dyson_rtol,
         "lie_tol": cfg.lie_tol,
     }
     seeds = tuple(cfg.seed + i for i in range(cfg.directions))
@@ -602,12 +597,7 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
     witness_rows: list[dict] = []
     lie_row: dict = {}
     try:
-        indices = list(range(cfg.directions))
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                rows = list(pool.map(lambda i: _certificate_direction(inst, cfg, i), indices))
-        else:
-            rows = [_certificate_direction(inst, cfg, i) for i in indices]
+        rows = [_certificate_direction(inst, cfg, i) for i in range(cfg.directions)]
 
         stage = "checks"
         checks.append(_check_stationarity(cfg, rows))
@@ -617,7 +607,7 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
         checks.append(_check_order_nonneg(cfg, rows, nlev))
 
         stage = "lie_rank"
-        lie = lie_rank(sys, tol=cfg.lie_tol, max_depth=cfg.lie_max_depth)
+        lie = lie_rank(sys, tol=cfg.lie_tol)
         lie_row = {
             "dimension": lie.dimension,
             "saturated": lie.saturated,

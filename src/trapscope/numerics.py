@@ -1,11 +1,14 @@
 """Dense complex-matrix kernel: Hermitian eigendecomposition, unitary
 exponentials, norms and defect measures.
 
-Every matrix exponential in the toolkit is of the form exp(-i*s*H) with H
-Hermitian, so it is evaluated through the eigendecomposition of H rather
-than scaling-and-squaring.  That keeps the result unitary up to roundoff,
-which downstream invariants rely on.  The Frobenius norm is the canonical
-matrix norm throughout.
+Every unitary exponential exp(-i*s*H) with H Hermitian, the propagator's
+segment steps included, is evaluated through the eigendecomposition of H
+rather than scaling-and-squaring.  That keeps the result unitary up to
+roundoff, which downstream invariants rely on.  The one exception is the
+power-series coefficients of a segment step used for the chronological
+forms (dynamics._exp_series): they are not unitary, so they come from
+scaling and squaring, and are checked against expm_mih.  The Frobenius
+norm is the canonical matrix norm throughout.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from trapscope.controls import (
     sample_midpoints,
     zero,
 )
+from trapscope import dynamics
 from trapscope.dynamics import (
     _kernel_midpoint_A1N,
     closed_form_AlN,
@@ -23,12 +24,12 @@ from trapscope.dynamics import (
 from trapscope.errors import (
     DomainError,
     GridMismatch,
-    NonConvergence,
     NotUnitary,
+    SeriesCheckFailed,
     TooExpensive,
 )
 from trapscope.model import build_instance, build_observable, build_system, v_matrix
-from trapscope.numerics import spectral_norm_hermitian, unitarity_defect
+from trapscope.numerics import expm_mih, spectral_norm_hermitian, unitarity_defect
 
 TWO_PI = 2 * math.pi
 
@@ -108,7 +109,7 @@ def test_objective_within_kinematic_bounds():
 
 
 def test_dyson_zero_control_vanishes():
-    forms = dyson_forms(n3_system(), zero(TWO_PI, 32), n_max=4, substeps=4)
+    forms = dyson_forms(n3_system(), zero(TWO_PI, 32), n_max=4)
     assert np.max(np.abs(forms.table[1:])) == 0.0
     assert list(forms.table[0]) == [0.0, 0.0, 1.0]
 
@@ -117,7 +118,7 @@ def test_dyson_first_order_nearest_neighbour():
     sys = n3_system()
     for seed in (0, 5):
         f = random_direction(seed, 64, TWO_PI, amplitude=1.3)
-        forms = dyson_forms(sys, f, n_max=1, substeps=4)
+        forms = dyson_forms(sys, f, n_max=1)
         # <N-1|V_t|N> = v_{N-1} carries no phase, so A^1 = v_{N-1} int f
         assert abs(forms.value(1, 2) - integral(f)) <= 1e-12
 
@@ -127,16 +128,16 @@ def test_dyson_matches_kernel_value_for_cos():
     # midpoint-sampled control reproduces it to its own O(h^2) sampling error
     sys = build_system(3, 2.0, 0.0, (1.0, 1.0), TWO_PI)
     f = sample_midpoints(math.cos, TWO_PI, 256)
-    forms = dyson_forms(sys, f, n_max=2, substeps=8, verify=True)
+    forms = dyson_forms(sys, f, n_max=2)
     assert abs(forms.value(2, 1) - 1j * math.pi / 2) <= 1e-4
 
 
 def test_dyson_homogeneity():
     sys = n3_system()
     f = random_direction(21, 32, TWO_PI, amplitude=0.9)
-    base = dyson_forms(sys, f, n_max=4, substeps=16)
+    base = dyson_forms(sys, f, n_max=4)
     for t in (-1.0, 0.5, 2.0):
-        scaled = dyson_forms(sys, f.scaled(t), n_max=4, substeps=16)
+        scaled = dyson_forms(sys, f.scaled(t), n_max=4)
         for n in range(5):
             for l in range(1, 4):
                 want = t**n * base.value(n, l)
@@ -148,7 +149,7 @@ def test_dyson_top_row_vanishes_below_reach():
     # A^n at l = 1 requires at least N-1 interaction steps
     for sys, top in ((n3_system(), 2), (n4_system(), 3)):
         f = random_direction(33, 32, TWO_PI, amplitude=1.0)
-        forms = dyson_forms(sys, f, n_max=top, substeps=16)
+        forms = dyson_forms(sys, f, n_max=top)
         for n in range(0, top):
             assert abs(forms.value(n, 1)) <= 1e-10
 
@@ -158,7 +159,7 @@ def test_dyson_matches_closed_forms_below_threshold():
         nlev = sys.levels
         for seed in (2, 3):
             f = random_direction(seed, 32, TWO_PI, amplitude=0.8)
-            forms = dyson_forms(sys, f, n_max=nlev - 1, substeps=32)
+            forms = dyson_forms(sys, f, n_max=nlev - 1)
             for l in range(2, nlev + 1):
                 for n in range(1, nlev):
                     want = closed_form_AlN(sys, f, l, n)
@@ -170,26 +171,34 @@ def test_dyson_parameter_validation():
     f = zero(TWO_PI, 8)
     with pytest.raises(DomainError):
         dyson_forms(sys, f, n_max=0)
-    with pytest.raises(DomainError):
-        dyson_forms(sys, f, n_max=2, substeps=0)
     with pytest.raises(GridMismatch):
         dyson_forms(sys, zero(1.0, 8), n_max=2)
 
 
-def test_dyson_verify_raises_when_budget_exhausted():
-    sys = n3_system()
-    f = random_direction(3, 16, TWO_PI, amplitude=1.0)
-    with pytest.raises(NonConvergence):
-        dyson_forms(sys, f, n_max=2, substeps=8, verify=True, max_substeps=8)
+def test_dyson_matches_kernel_oracles_to_roundoff():
+    # the series is exact, so it meets both independent oracles at roundoff
+    for nlev in (3, 4, 5, 6):
+        sys = build_system(nlev, 1.0, 0.0, (1.0,) * (nlev - 1), TWO_PI)
+        for seed, offset in ((60, 0.0), (61, 0.3), (62, -0.3)):
+            f = random_direction(seed, 64, TWO_PI, mean_zero=True, amplitude=0.5).shifted(offset)
+            a_dyson = dyson_forms(sys, f, n_max=2 * nlev - 2).value(nlev - 1, 1)
+            a_kernel = kernel_form_A1N(sys, f)
+            assert abs(a_dyson - a_kernel) <= 1e-12 * abs(a_kernel)
+        if nlev <= 5:
+            f = random_direction(70 + nlev, 12, TWO_PI, mean_zero=False, amplitude=0.8)
+            a_dyson = dyson_forms(sys, f, n_max=nlev - 1).value(nlev - 1, 1)
+            a_brute = kernel_bruteforce_A1N(sys, f)
+            assert abs(a_dyson - a_brute) <= 1e-12 * abs(a_brute)
 
 
-def test_dyson_verify_records_convergence():
-    sys = n3_system()
-    f = random_direction(3, 32, TWO_PI, amplitude=0.5)
-    forms = dyson_forms(sys, f, n_max=3, substeps=8, verify=True)
-    assert forms.converged
-    assert forms.last_rel_change < 1e-9
-    assert forms.substeps >= 16
+def test_dyson_series_self_check_rejects_wrong_coefficients(monkeypatch):
+    def perturbed(h, s):
+        return expm_mih(h, s) * (1.0 + 1e-9)
+
+    dynamics._segment_series.cache_clear()
+    monkeypatch.setattr(dynamics, "expm_mih", perturbed)
+    with pytest.raises(SeriesCheckFailed):
+        dyson_forms(n3_system(), random_direction(1, 16, TWO_PI), n_max=4)
 
 
 # ---------------------------------------------------------------- closed form
@@ -278,7 +287,7 @@ def test_triple_consistency_dyson_kernel_bruteforce():
     for nlev in (3, 4):
         sys = build_system(nlev, 1.0, 0.0, (1.0,) * (nlev - 1), TWO_PI)
         f = random_direction(50 + nlev, 32, TWO_PI, mean_zero=True, amplitude=0.8)
-        forms = dyson_forms(sys, f, n_max=nlev - 1, substeps=8, verify=True)
+        forms = dyson_forms(sys, f, n_max=nlev - 1)
         a_dyson = forms.value(nlev - 1, 1)
         a_kernel = kernel_form_A1N(sys, f)
         a_brute = kernel_bruteforce_A1N(sys, f)
@@ -299,7 +308,7 @@ def test_resum_defect_small_control_under_remainder_bound():
     for seed in range(3):
         f = random_direction(seed, 64, TWO_PI, amplitude=0.1)
         int_abs = f.dt * float(np.sum(np.abs(f.as_array())))
-        defect = dyson_resum_defect(sys, f, n_max=8, substeps=16)
+        defect = dyson_resum_defect(sys, f, n_max=8)
         bound = (vnorm * int_abs) ** 9 / math.factorial(9) + 1e-10
         assert defect < 1e-10
         assert defect <= bound
@@ -308,6 +317,6 @@ def test_resum_defect_small_control_under_remainder_bound():
 def test_resum_defect_decreases_with_order():
     sys = n3_system()
     f = random_direction(12, 64, TWO_PI, amplitude=0.3)
-    defects = [dyson_resum_defect(sys, f, n_max=n, substeps=16) for n in (2, 4, 6, 8)]
+    defects = [dyson_resum_defect(sys, f, n_max=n) for n in (2, 4, 6, 8)]
     for lo, hi in zip(defects[1:], defects[:-1]):
         assert lo <= hi * 1.01 + 1e-13
