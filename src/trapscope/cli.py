@@ -3,7 +3,7 @@
 Subcommands:
     certify          run the full trap certificate and write the JSON report
     differential     analytic vs fitted Taylor coefficient for one control
-    scan             sample J(t*f) along seeded directions into a CSV
+    scan             sample J(t*f) along the certificate's probe directions into a CSV
     controllability  Lie-algebra rank test
 
 Configs are flat "key = value" text with '#' comments.  Exit codes: 0 pass,
@@ -19,10 +19,18 @@ import os
 import sys as _sys
 from dataclasses import dataclass
 
-from .controls import random_direction, read_control_file
+from .controls import read_control_file
 from .dynamics import dyson_forms, objective, propagate
 from .errors import ConfigError, InsufficientOrder, TrapscopeError
-from .landscape import CertificateConfig, differential, lie_rank, taylor_fit, trap_certificate
+from .landscape import (
+    FIT_RADIUS,
+    CertificateConfig,
+    differential,
+    lie_rank,
+    probe_direction,
+    taylor_fit,
+    trap_certificate,
+)
 from .model import ProblemInstance, build_instance, build_observable, build_system
 
 REPORT_SCHEMA = "trapscope/2"
@@ -205,7 +213,7 @@ def cmd_differential(config_path: str, control_path: str, order: int, csv_path: 
         raise InsufficientOrder(f"forms are computed to order {n_top}, requested {order}")
     forms = dyson_forms(inst.system, f, n_max=n_top)
     analytic = differential(inst, forms, order)
-    fit = taylor_fit(inst, f, max_order=2 * cfg.levels, radius=0.05)
+    fit = taylor_fit(inst, f, max_order=2 * cfg.levels, radius=FIT_RADIUS)
     fitted = fit.coefficient(order)
     discrepancy = abs(analytic - fitted)
     print(f"order {order} coefficient of J(t*f):")
@@ -237,7 +245,7 @@ def cmd_scan(config_path: str, out_csv: str, tmax: float = 1.0, points: int = 11
         for i in range(cfg.directions):
             seed = cfg.seed + i
             mean_zero = i % 2 == 0
-            f = random_direction(seed, cfg.segments, sys_.horizon, mean_zero=mean_zero, amplitude=0.5)
+            f = probe_direction(cfg.seed, i, cfg.segments, sys_.horizon)
             for t in ts:
                 j = objective(propagate(sys_, f.scaled(t)), inst)
                 fh.write(f"{seed},{int(mean_zero)},{_fmt(t)},{_fmt(j)}\n")
@@ -273,7 +281,7 @@ def main(argv=None) -> int:
     p.add_argument("--order", required=True, type=int)
     p.add_argument("--csv", default=None, help="append a CSV row to this file")
 
-    p = sub.add_parser("scan", help="sample J(t*f) along seeded directions")
+    p = sub.add_parser("scan", help="sample J(t*f) along the certificate's probe directions")
     p.add_argument("config")
     p.add_argument("--out", required=True)
     p.add_argument("--tmax", type=float, default=1.0)

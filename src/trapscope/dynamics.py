@@ -87,15 +87,19 @@ def propagate(sys: SystemSpec, f: PiecewiseControl) -> np.ndarray:
     return u
 
 
-def objective(u: np.ndarray, inst: ProblemInstance, unitarity_tol: float = 1e-8) -> float:
+# Largest unitarity defect objective accepts from a propagator.
+_UNITARITY_TOL = 1e-8
+
+
+def objective(u: np.ndarray, inst: ProblemInstance) -> float:
     """Mayer objective Tr(O U rho0 U^dagger) = sum_l lambda_l |<l|U|level>|^2.
 
     Uses the normalized observable (last eigenvalue 0), so the zero control
     scores exactly 0 when starting from level N.
     """
     defect = unitarity_defect(u)
-    if defect > unitarity_tol:
-        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {unitarity_tol:.3e}")
+    if defect > _UNITARITY_TOL:
+        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {_UNITARITY_TOL:.3e}")
     col = np.abs(u[:, inst.initial_level - 1]) ** 2
     lam = np.asarray(inst.observable.eigenvalues)
     return float(np.dot(lam, col))
@@ -294,13 +298,9 @@ def _phase_poly_integrals(omega: float, h: float, kmax: int) -> np.ndarray:
     return out
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def kernel_form_A1N(sys: SystemSpec, f: PiecewiseControl) -> complex:

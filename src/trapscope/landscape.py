@@ -19,12 +19,18 @@ Analytic values (from the forms) are the primary evidence; the polynomial
 fit of sampled objective values cross-validates them at the largest sample
 radius whose fit residual stays acceptable, since very small radii push the
 high-order coefficients under the roundoff floor of the objective.
+
+The recipe is fixed: probe amplitude and offset, fit radius, witness
+settings and every check threshold are the module constants below
+(PROBE_AMPLITUDE .. TOLERANCES).  Only the instance and the sampling budget
+(CertificateConfig) vary between runs, and every report records TOLERANCES.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,6 +44,29 @@ from .errors import (
     TrapscopeError,
 )
 from .model import ProblemInstance, SystemSpec, h0_matrix, v_matrix
+
+# Mean-zero probe directions have L2 norm PROBE_AMPLITUDE sqrt(T); odd-index
+# probes add a constant +-PROBE_OFFSET_FRACTION * PROBE_AMPLITUDE, so their
+# predicted second-order coefficient is bounded away from zero and its
+# relative check is well posed.
+PROBE_AMPLITUDE = 0.5
+PROBE_OFFSET_FRACTION = 0.6
+FIT_RADIUS = 0.05  # largest sample radius of the Taylor fit
+FIT_MAX_SHRINK = 6  # radius halvings before the fit settles for its best residual
+WITNESS_AMPLITUDE_RANGE = (0.1, 2.0)  # random witness controls draw their amplitude here
+WITNESS_REFINE_ROUNDS = 5
+WITNESS_SEED_OFFSET = 7_000_000  # witness seed = seed + offset + horizon index
+# Check thresholds; every report carries a copy under "tolerances".
+TOLERANCES = {
+    "stationary_analytic": 1e-10,
+    "stationary_fit": 1e-8,
+    "descent_rel": 1e-3,
+    "flat_analytic_scale": 1e-9,  # x (1 + ||f||)^n
+    "flat_fit_scale": 1e-6,  # x max(1, ||f||)^n
+    "order_match_rel": 5e-2,
+    "order_nonneg": -1e-8,
+    "lie_tol": 1e-9,
+}
 
 
 def differential(inst: ProblemInstance, forms: DysonForms, n: int) -> float:
@@ -109,26 +138,22 @@ def taylor_fit(
     f: PiecewiseControl,
     max_order: int,
     radius: float,
-    points: int | None = None,
-    max_shrink: int = 6,
 ) -> TaylorFit:
     """Fit sum_k c_k t^k to sampled objective values along the ray t*f.
 
-    Samples on the symmetric grid t = +-radius*{1/points, ..., 1}; even and
-    odd orders then decouple exactly.  The radius is halved up to
-    `max_shrink` times; the accepted radius is the largest one whose RMS
-    residual is below max(1e-3 |c_max| r^max, roundoff floor).  If none
-    qualifies the best ratio wins and `accepted` is False.
+    Samples on the symmetric grid t = +-radius*{1/points, ..., 1} with
+    points = 2 max_order + 8; even and odd orders then decouple exactly.
+    The radius is halved up to FIT_MAX_SHRINK times; the accepted radius is
+    the largest one whose RMS residual is below max(1e-3 |c_max| r^max,
+    roundoff floor).  If none qualifies the best ratio wins and `accepted`
+    is False.
     """
     if radius <= 0.0:
         raise DomainError(f"radius must be positive, got {radius!r}")
     if max_order < 1:
         raise DomainError(f"max_order must be >= 1, got {max_order}")
-    if points is None:
-        points = 2 * max_order + 8
-    if points < 2 * max_order + 4:
-        raise DomainError(f"need points >= {2 * max_order + 4}, got {points}")
 
+    points = 2 * max_order + 8
     sys = inst.system
     u = np.concatenate([-np.arange(points, 0, -1), np.arange(1, points + 1)]) / points
     design = np.column_stack([u**k for k in range(1, max_order + 1)])
@@ -143,7 +168,7 @@ def taylor_fit(
     best = None
     best_ratio = math.inf
     r = float(radius)
-    for _ in range(max_shrink + 1):
+    for _ in range(FIT_MAX_SHRINK + 1):
         g = np.array([objective(propagate(sys, f.scaled(r * ui)), inst) - j0 for ui in u])
         coef_u, *_ = np.linalg.lstsq(design, g, rcond=None)
         resid = float(np.sqrt(np.mean((design @ coef_u - g) ** 2)))
@@ -174,18 +199,18 @@ def _mat_from_vec(v: np.ndarray, n: int) -> np.ndarray:
     return v[: n * n].reshape(n, n) + 1j * v[n * n :].reshape(n, n)
 
 
-def lie_rank_matrices(gen_a, gen_b, tol: float = 1e-9, max_depth: int | None = None) -> LieAlgebraResult:
+def lie_rank_matrices(gen_a, gen_b, max_depth: int | None = None) -> LieAlgebraResult:
     """Real dimension of the Lie algebra generated by two skew-Hermitian matrices.
 
     Breadth-first closure under commutators with the generators, with
     Gram-Schmidt orthonormalization over the real vector space of dimension
-    2 N^2.  Saturated means dimension >= N^2 - 1, full su(N) up to the
+    2 N^2; a commutator whose residual norm is at most TOLERANCES["lie_tol"]
+    adds nothing.  Saturated means dimension >= N^2 - 1, full su(N) up to the
     global phase quotiented out in the controllability definition.  The
     closure ends when a level adds nothing or the dimension reaches N^2, so
     it needs no depth cap; `max_depth` stops it early (unsaturated) anyway.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    tol = TOLERANCES["lie_tol"]
     a = np.asarray(gen_a, dtype=np.complex128)
     b = np.asarray(gen_b, dtype=np.complex128)
     n = a.shape[0]
@@ -234,9 +259,9 @@ def lie_rank_matrices(gen_a, gen_b, tol: float = 1e-9, max_depth: int | None = N
     )
 
 
-def lie_rank(sys: SystemSpec, tol: float = 1e-9, max_depth: int | None = None) -> LieAlgebraResult:
+def lie_rank(sys: SystemSpec, max_depth: int | None = None) -> LieAlgebraResult:
     """Rank test for the controlled pair: algebra generated by iH0 and iV."""
-    return lie_rank_matrices(1j * h0_matrix(sys), 1j * v_matrix(sys), tol=tol, max_depth=max_depth)
+    return lie_rank_matrices(1j * h0_matrix(sys), 1j * v_matrix(sys), max_depth=max_depth)
 
 
 @dataclass(frozen=True)
@@ -254,24 +279,21 @@ def witness_search(
     inst: ProblemInstance,
     seed: int,
     budget: int,
-    amplitude_range: tuple[float, float] = (0.1, 2.0),
     segments: int = 64,
-    refine_rounds: int = 5,
 ) -> WitnessResult:
     """Search for a control scoring above the zero control.
 
-    `budget` seeded random controls, then coordinate-wise greedy refinement
-    of the best: first-improvement scan in fixed index order, step halved
-    after a fruitless full pass, `refine_rounds` passes.  Success means
+    `budget` seeded random controls with amplitudes drawn from
+    WITNESS_AMPLITUDE_RANGE, then coordinate-wise greedy refinement of the
+    best: first-improvement scan in fixed index order, step halved after a
+    fruitless full pass, WITNESS_REFINE_ROUNDS passes.  Success means
     J > J(0) + 0.01 (lambda_1 - lambda_N).  Failure is an outcome, not an
     error; existence of good controls is only guaranteed for long enough
     horizons, and the minimal such horizon is unknown.
     """
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
-    lo, hi = float(amplitude_range[0]), float(amplitude_range[1])
-    if not 0.0 < lo <= hi:
-        raise DomainError(f"bad amplitude range {amplitude_range!r}")
+    lo, hi = WITNESS_AMPLITUDE_RANGE
     sys = inst.system
     evals = 0
 
@@ -292,7 +314,7 @@ def witness_search(
             best_j, best_vals = j, vals
 
     step = 0.25 * hi
-    for _ in range(refine_rounds):
+    for _ in range(WITNESS_REFINE_ROUNDS):
         improved = False
         for idx in range(segments):
             for delta in (step, -step):
@@ -320,33 +342,19 @@ def witness_search(
 
 @dataclass(frozen=True)
 class CertificateConfig:
-    """Knobs and tolerances for trap_certificate.
+    """Sampling budget for trap_certificate: how many probe directions, from
+    which seed, on how many segments, and how hard the witness searches.
 
-    Directions alternate mean-zero / nonzero-mean; nonzero-mean ones are a
-    mean-zero draw plus a fixed constant offset so the predicted
-    second-order coefficient is bounded away from zero and its relative
-    check is well posed.
+    Everything else about the certificate is fixed by the module constants.
     """
+
+    amplitude: ClassVar[float] = PROBE_AMPLITUDE  # for callers that regenerate probe directions
 
     directions: int = 8
     seed: int = 20240901
-    amplitude: float = 0.5
-    offset_fraction: float = 0.6
     segments: int = 64
-    fit_radius: float = 0.05
-    fit_points: int | None = None
     witness_budget: int = 500
     witness_horizons: tuple[float, ...] | None = None  # default (T, 2T)
-    witness_amplitude_range: tuple[float, float] = (0.1, 2.0)
-    witness_seed_offset: int = 7_000_000
-    tol_stationary_analytic: float = 1e-10
-    tol_stationary_fit: float = 1e-8
-    tol_descent_rel: float = 1e-3
-    flat_analytic_scale: float = 1e-9  # x (1 + ||f||)^n
-    flat_fit_scale: float = 1e-6  # x max(1, ||f||)^n
-    tol_order_match_rel: float = 5e-2
-    tol_order_nonneg: float = -1e-8
-    lie_tol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -383,28 +391,28 @@ class TrapReport:
         raise KeyError(name)
 
     def as_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "claimed_order": self.claimed_order,
-            "passed": self.passed,
-            "failed_stage": self.failed_stage,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "measured": c.measured,
-                    "threshold": c.threshold,
-                    "description": c.description,
-                    "extras": c.extras,
-                }
-                for c in self.checks
-            ],
-            "directions": list(self.directions),
-            "witness": list(self.witness),
-            "lie": self.lie,
-            "tolerances": self.tolerances,
-            "seeds": list(self.seeds),
-        }
+        return asdict(self)
+
+
+def _probe_offset(index: int) -> float:
+    """Constant part of probe direction `index`: 0, +c, 0, -c, 0, +c, ..."""
+    if index % 2 == 0:
+        return 0.0
+    sign = 1.0 if (index // 2) % 2 == 0 else -1.0
+    return sign * PROBE_OFFSET_FRACTION * PROBE_AMPLITUDE
+
+
+def probe_direction(seed: int, index: int, segments: int, horizon: float) -> PiecewiseControl:
+    """Probe direction `index` of the family drawn from base seed `seed`.
+
+    A mean-zero draw from seed + index with L2 norm PROBE_AMPLITUDE sqrt(T);
+    on odd indices it is shifted by +-PROBE_OFFSET_FRACTION * PROBE_AMPLITUDE,
+    the sign alternating between consecutive odd indices.  The certificate
+    and `trapscope scan` both probe these directions.
+    """
+    f = random_direction(seed + index, segments, horizon, mean_zero=True, amplitude=PROBE_AMPLITUDE)
+    offset = _probe_offset(index)
+    return f.shifted(offset) if offset else f
 
 
 def _certificate_direction(inst: ProblemInstance, cfg: CertificateConfig, index: int) -> dict:
@@ -412,18 +420,12 @@ def _certificate_direction(inst: ProblemInstance, cfg: CertificateConfig, index:
     sys = inst.system
     nlev = sys.levels
     n_top = 2 * nlev - 2
-    seed = cfg.seed + index
     mean_zero = index % 2 == 0
-    f = random_direction(seed, cfg.segments, sys.horizon, mean_zero=True, amplitude=cfg.amplitude)
-    offset = 0.0
-    if not mean_zero:
-        sign = 1.0 if (index // 2) % 2 == 0 else -1.0
-        offset = sign * cfg.offset_fraction * cfg.amplitude
-        f = f.shifted(offset)
+    f = probe_direction(cfg.seed, index, cfg.segments, sys.horizon)
 
     forms = dyson_forms(sys, f, n_max=n_top)
     diffs = [differential(inst, forms, n) for n in range(1, n_top + 1)]
-    fit = taylor_fit(inst, f, max_order=2 * nlev, radius=cfg.fit_radius, points=cfg.fit_points)
+    fit = taylor_fit(inst, f, max_order=2 * nlev, radius=FIT_RADIUS)
 
     lam = inst.observable.eigenvalues
     v_last = sys.couplings[-1]
@@ -432,9 +434,9 @@ def _certificate_direction(inst: ProblemInstance, cfg: CertificateConfig, index:
     order_value = order_2N2_value(inst, forms) if mean_zero else None
     return {
         "index": index,
-        "seed": seed,
+        "seed": cfg.seed + index,
         "mean_zero": mean_zero,
-        "offset": offset,
+        "offset": _probe_offset(index),
         "norm": norm(f),
         "integral": mean,
         "substeps_used": forms.substeps,  # always 0; bench/run.py still reads it
@@ -448,24 +450,25 @@ def _certificate_direction(inst: ProblemInstance, cfg: CertificateConfig, index:
     }
 
 
-def _check_stationarity(cfg: CertificateConfig, rows: list[dict]) -> CheckResult:
+def _check_stationarity(rows: list[dict]) -> CheckResult:
     worst_d1 = max(abs(r["differentials"][0]) for r in rows)
     worst_c1 = max(abs(r["fit_coefficients"][0]) for r in rows)
-    passed = worst_d1 <= cfg.tol_stationary_analytic and worst_c1 <= cfg.tol_stationary_fit
+    tol_analytic = TOLERANCES["stationary_analytic"]
+    tol_fit = TOLERANCES["stationary_fit"]
     return CheckResult(
         name="stationarity",
-        passed=passed,
+        passed=worst_d1 <= tol_analytic and worst_c1 <= tol_fit,
         measured=worst_d1,
-        threshold=cfg.tol_stationary_analytic,
+        threshold=tol_analytic,
         description="first differential and fitted c_1 vanish for every direction",
         extras={
             "max_fitted_c1": worst_c1,
-            "fitted_c1_threshold": cfg.tol_stationary_fit,
+            "fitted_c1_threshold": tol_fit,
         },
     )
 
 
-def _check_mean_descent(cfg: CertificateConfig, rows: list[dict]) -> CheckResult:
+def _check_mean_descent(rows: list[dict]) -> CheckResult:
     sel = [r for r in rows if not r["mean_zero"]]
     worst_rel = 0.0
     max_c2 = -math.inf
@@ -474,19 +477,19 @@ def _check_mean_descent(cfg: CertificateConfig, rows: list[dict]) -> CheckResult
         pred = r["d2_predicted"]
         worst_rel = max(worst_rel, abs(c2 - pred) / max(abs(pred), 1e-12))
         max_c2 = max(max_c2, c2)
-    passed = worst_rel <= cfg.tol_descent_rel and max_c2 < 0.0
+    tol = TOLERANCES["descent_rel"]
     return CheckResult(
         name="mean_descent",
-        passed=passed,
+        passed=worst_rel <= tol and max_c2 < 0.0,
         measured=worst_rel,
-        threshold=cfg.tol_descent_rel,
+        threshold=tol,
         description="fitted c_2 matches lambda_{N-1} v_{N-1}^2 (int f)^2 and is negative "
         "off the mean-zero subspace",
         extras={"max_c2": max_c2},
     )
 
 
-def _check_flatness(cfg: CertificateConfig, rows: list[dict], nlev: int) -> CheckResult:
+def _check_flatness(rows: list[dict], nlev: int) -> CheckResult:
     sel = [r for r in rows if r["mean_zero"]]
     orders = range(3, 2 * nlev - 2)  # 3 .. 2N-3
     worst_analytic = 0.0
@@ -500,23 +503,24 @@ def _check_flatness(cfg: CertificateConfig, rows: list[dict], nlev: int) -> Chec
             worst_fit = max(
                 worst_fit, abs(r["fit_coefficients"][n - 1]) / max(1.0, fnorm) ** n
             )
-    passed = worst_analytic <= cfg.flat_analytic_scale and worst_fit <= cfg.flat_fit_scale
+    tol_analytic = TOLERANCES["flat_analytic_scale"]
+    tol_fit = TOLERANCES["flat_fit_scale"]
     return CheckResult(
         name="flatness_3_to_2N-3",
-        passed=passed,
+        passed=worst_analytic <= tol_analytic and worst_fit <= tol_fit,
         measured=worst_analytic,
-        threshold=cfg.flat_analytic_scale,
+        threshold=tol_analytic,
         description="differentials and fitted coefficients of orders 3..2N-3 vanish on "
         "mean-zero directions (norm-scaled)",
         extras={
             "max_scaled_fitted": worst_fit,
-            "fitted_threshold": cfg.flat_fit_scale,
+            "fitted_threshold": tol_fit,
             "orders": list(orders),
         },
     )
 
 
-def _check_order_match(cfg: CertificateConfig, rows: list[dict], nlev: int) -> CheckResult:
+def _check_order_match(rows: list[dict], nlev: int) -> CheckResult:
     sel = [r for r in rows if r["mean_zero"]]
     n_top = 2 * nlev - 2
     worst_rel = 0.0
@@ -524,27 +528,28 @@ def _check_order_match(cfg: CertificateConfig, rows: list[dict], nlev: int) -> C
         fitted = r["fit_coefficients"][n_top - 1]
         analytic = r["order_2N2_analytic"]
         worst_rel = max(worst_rel, abs(fitted - analytic) / max(abs(analytic), 1e-9))
+    tol = TOLERANCES["order_match_rel"]
     return CheckResult(
         name="order_2N2_match",
-        passed=worst_rel <= cfg.tol_order_match_rel,
+        passed=worst_rel <= tol,
         measured=worst_rel,
-        threshold=cfg.tol_order_match_rel,
+        threshold=tol,
         description=f"fitted c_{n_top} matches lambda_1 |A^{nlev - 1}_1|^2 on mean-zero "
         "directions",
     )
 
 
-def _check_order_nonneg(cfg: CertificateConfig, rows: list[dict], nlev: int) -> CheckResult:
+def _check_order_nonneg(rows: list[dict], nlev: int) -> CheckResult:
     sel = [r for r in rows if r["mean_zero"]]
     n_top = 2 * nlev - 2
     min_fitted = min(r["fit_coefficients"][n_top - 1] for r in sel)
     min_analytic = min(r["order_2N2_analytic"] for r in sel)
-    passed = min_fitted >= cfg.tol_order_nonneg and min_analytic >= 0.0
+    tol = TOLERANCES["order_nonneg"]
     return CheckResult(
         name="order_2N2_nonneg",
-        passed=passed,
+        passed=min_fitted >= tol and min_analytic >= 0.0,
         measured=min_fitted,
-        threshold=cfg.tol_order_nonneg,
+        threshold=tol,
         description=f"coefficient of order {n_top} is non-negative on mean-zero directions",
         extras={"min_analytic": min_analytic},
     )
@@ -556,7 +561,9 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
     The verdict is the conjunction of stationarity, mean descent, flatness,
     the order-(2N-2) match and non-negativity, and controllability; the
     witness outcome is recorded separately because it depends on the horizon
-    being long enough, which is not quantified.
+    being long enough, which is not quantified.  A TrapscopeError in any
+    stage fails the verdict and is recorded as `failed_stage`, with the
+    checks and rows gathered before it.
     """
     cfg = config if config is not None else CertificateConfig()
     if not inst.observable.theorem_mode:
@@ -579,35 +586,25 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
         "initial_level": inst.initial_level,
         "segments": cfg.segments,
     }
-    tolerances = {
-        "stationary_analytic": cfg.tol_stationary_analytic,
-        "stationary_fit": cfg.tol_stationary_fit,
-        "descent_rel": cfg.tol_descent_rel,
-        "flat_analytic_scale": cfg.flat_analytic_scale,
-        "flat_fit_scale": cfg.flat_fit_scale,
-        "order_match_rel": cfg.tol_order_match_rel,
-        "order_nonneg": cfg.tol_order_nonneg,
-        "lie_tol": cfg.lie_tol,
-    }
-    seeds = tuple(cfg.seed + i for i in range(cfg.directions))
 
     stage = "directions"
     rows: list[dict] = []
     checks: list[CheckResult] = []
     witness_rows: list[dict] = []
     lie_row: dict = {}
+    failed_stage = None
     try:
         rows = [_certificate_direction(inst, cfg, i) for i in range(cfg.directions)]
 
         stage = "checks"
-        checks.append(_check_stationarity(cfg, rows))
-        checks.append(_check_mean_descent(cfg, rows))
-        checks.append(_check_flatness(cfg, rows, nlev))
-        checks.append(_check_order_match(cfg, rows, nlev))
-        checks.append(_check_order_nonneg(cfg, rows, nlev))
+        checks.append(_check_stationarity(rows))
+        checks.append(_check_mean_descent(rows))
+        checks.append(_check_flatness(rows, nlev))
+        checks.append(_check_order_match(rows, nlev))
+        checks.append(_check_order_nonneg(rows, nlev))
 
         stage = "lie_rank"
-        lie = lie_rank(sys, tol=cfg.lie_tol)
+        lie = lie_rank(sys)
         lie_row = {
             "dimension": lie.dimension,
             "saturated": lie.saturated,
@@ -633,13 +630,8 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
         for k, horizon in enumerate(horizons):
             wsys = replace(sys, horizon=float(horizon))
             winst = ProblemInstance(wsys, inst.observable, inst.initial_level)
-            res = witness_search(
-                winst,
-                seed=cfg.seed + cfg.witness_seed_offset + k,
-                budget=cfg.witness_budget,
-                amplitude_range=cfg.witness_amplitude_range,
-                segments=cfg.segments,
-            )
+            wseed = cfg.seed + WITNESS_SEED_OFFSET + k
+            res = witness_search(winst, seed=wseed, budget=cfg.witness_budget, segments=cfg.segments)
             any_success = any_success or res.success
             best_overall = max(best_overall, res.j_value)
             witness_rows.append(
@@ -648,7 +640,7 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
                     "best_j": res.j_value,
                     "success": res.success,
                     "evaluations": res.evaluations,
-                    "seed": cfg.seed + cfg.witness_seed_offset + k,
+                    "seed": wseed,
                 }
             )
         lam = inst.observable.eigenvalues
@@ -664,20 +656,8 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
             )
         )
     except TrapscopeError as exc:
-        return TrapReport(
-            instance=instance_summary,
-            claimed_order=2 * nlev - 3,
-            checks=tuple(checks),
-            directions=tuple(rows),
-            witness=tuple(witness_rows),
-            lie=lie_row,
-            tolerances=tolerances,
-            seeds=seeds,
-            passed=False,
-            failed_stage=f"{stage}: {type(exc).__name__}: {exc}",
-        )
+        failed_stage = f"{stage}: {type(exc).__name__}: {exc}"
 
-    verdict = all(c.passed for c in checks if c.name != "witness_found")
     return TrapReport(
         instance=instance_summary,
         claimed_order=2 * nlev - 3,
@@ -685,7 +665,8 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
         directions=tuple(rows),
         witness=tuple(witness_rows),
         lie=lie_row,
-        tolerances=tolerances,
-        seeds=seeds,
-        passed=verdict,
+        tolerances=dict(TOLERANCES),
+        seeds=tuple(cfg.seed + i for i in range(cfg.directions)),
+        passed=failed_stage is None and all(c.passed for c in checks if c.name != "witness_found"),
+        failed_stage=failed_stage,
     )

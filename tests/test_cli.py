@@ -4,9 +4,11 @@ import os
 
 import pytest
 
-from trapscope.cli import main, parse_config
+from trapscope.cli import build_problem, main, parse_config
 from trapscope.controls import constant, write_control_file
+from trapscope.dynamics import objective, propagate
 from trapscope.errors import ConfigError
+from trapscope.landscape import probe_direction
 
 TWO_PI = 2 * math.pi
 
@@ -153,6 +155,22 @@ def test_scan_row_count_and_determinism(tmp_path):
     first = out.read_bytes()
     assert main(["scan", cfg, "--out", str(out), "--points", "11"]) == 0
     assert out.read_bytes() == first
+
+
+def test_scan_rows_probe_the_certificate_directions(tmp_path):
+    # both offset signs appear among the odd rows with four directions
+    cfg_path = write_config(tmp_path / "c.cfg", directions="4")
+    out = tmp_path / "scan.csv"
+    assert main(["scan", cfg_path, "--out", str(out), "--points", "5", "--tmax", "0.5"]) == 0
+    cfg = parse_config(cfg_path)
+    inst = build_problem(cfg)
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    assert len(rows) == 4 * 5
+    for seed, mz, t, j in rows:
+        index = int(seed) - cfg.seed
+        assert mz == str(int(index % 2 == 0))
+        f = probe_direction(cfg.seed, index, cfg.segments, cfg.horizon)
+        assert float(j) == objective(propagate(inst.system, f.scaled(float(t))), inst)
 
 
 def test_scan_nonzero_mean_rows_concave_near_zero(tmp_path):

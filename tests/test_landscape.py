@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from trapscope import landscape
 from trapscope.controls import constant, integral, norm, random_direction, sample_midpoints
 from trapscope.dynamics import dyson_forms, kernel_form_A1N
 from trapscope.errors import DomainError, InsufficientOrder
@@ -191,8 +192,6 @@ def test_taylor_fit_validation():
     f = constant(1.0, TWO_PI, 16)
     with pytest.raises(DomainError):
         taylor_fit(inst, f, max_order=4, radius=0.0)
-    with pytest.raises(DomainError):
-        taylor_fit(inst, f, max_order=4, radius=0.1, points=5)
 
 
 def test_taylor_fit_rejects_hopeless_conditioning():
@@ -327,6 +326,24 @@ def test_certificate_report_serializes():
         "controllable",
         "witness_found",
     }
+
+
+def test_certificate_failed_stage_keeps_earlier_checks(monkeypatch):
+    def broken_lie_rank(*args, **kwargs):
+        raise DomainError("injected")
+
+    monkeypatch.setattr(landscape, "lie_rank", broken_lie_rank)
+    report = trap_certificate(n3_instance(), quick_config())
+    assert not report.passed
+    assert report.failed_stage.startswith("lie_rank: DomainError")
+    assert [c.name for c in report.checks] == [
+        "stationarity",
+        "mean_descent",
+        "flatness_3_to_2N-3",
+        "order_2N2_match",
+        "order_2N2_nonneg",
+    ]
+    json.dumps(report.as_dict(), sort_keys=True)
 
 
 def test_certificate_witness_miss_does_not_fail_verdict():
