@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 from dataclasses import dataclass
@@ -99,43 +100,37 @@ def parse_config(path: str) -> RunConfig:
         if key not in seen:
             raise ConfigError(f"missing required key {key!r}")
 
-    def scalar(key: str, conv, default=None):
+    def scalar(key: str, conv, default=None, minimum=None):
         if key not in seen:
             return default
         value, lineno = seen[key]
         try:
-            return conv(value)
+            result = conv(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-
-    levels = scalar("N", int)
-    segments = scalar("M", int, 64)
-    directions = scalar("directions", int, 8)
-    if segments < 8:
-        raise ConfigError(f"M must be >= 8, got {segments}")
-    if directions < 2:
-        raise ConfigError(f"directions must be >= 2, got {directions}")
-    substeps = scalar("substeps", int, 8)
-    if substeps < 1:
-        raise ConfigError(f"substeps must be >= 1, got {substeps}")
+        if minimum is not None and result < minimum:
+            raise ConfigError(f"line {lineno}: {key} must be >= {minimum}, got {result}")
+        return result
 
     horizons = None
     if "witness_horizons" in seen:
         value, lineno = seen["witness_horizons"]
         horizons = _parse_float_list(value, "witness_horizons", lineno)
+        if not horizons or not all(0.0 < h < math.inf for h in horizons):
+            raise ConfigError(f"line {lineno}: witness_horizons must list positive horizons")
 
     return RunConfig(
-        levels=levels,
+        levels=scalar("N", int),
         a=scalar("a", float),
         b=scalar("b", float),
         couplings=_parse_float_list(seen["v"][0], "v", seen["v"][1]),
         horizon=scalar("T", float),
         eigenvalues=_parse_float_list(seen["lambda"][0], "lambda", seen["lambda"][1]),
-        segments=segments,
-        substeps=substeps,
-        directions=directions,
-        seed=scalar("seed", int, 20240901),
-        witness_budget=scalar("witness_budget", int, 500),
+        segments=scalar("M", int, 64, minimum=8),
+        substeps=scalar("substeps", int, 8, minimum=1),
+        directions=scalar("directions", int, 8, minimum=2),
+        seed=scalar("seed", int, 20240901, minimum=0),
+        witness_budget=scalar("witness_budget", int, 500, minimum=1),
         witness_horizons=horizons,
         out=seen["out"][0] if "out" in seen else "report.json",
     )
@@ -207,7 +202,10 @@ def cmd_differential(config_path: str, control_path: str, order: int, csv_path: 
         raise ConfigError(f"order must be >= 1, got {order}")
     cfg = parse_config(config_path)
     inst = build_problem(cfg)
-    f = read_control_file(control_path)
+    try:
+        f = read_control_file(control_path)
+    except ValueError as exc:
+        raise ConfigError(f"bad control file: {exc}") from exc
     n_top = 2 * cfg.levels - 2
     if order > n_top:
         raise InsufficientOrder(f"forms are computed to order {n_top}, requested {order}")

@@ -22,10 +22,10 @@ sum_k x^k C_k, so the forms are a finite computation:
     A^n = i^n e^{i T H0} [S(x f_M) ... S(x f_1)]_n |N>,
 
 where [.]_n is the coefficient of x^n, taken by a truncated Cauchy product
-on the |N> column.  The C_k come once per (system, dt, n_max) from the
-block-triangular exponential of Van Loan (IEEE TAC 1978), in the
-auxiliary-matrix form of Goodwin & Kuprov (J. Chem. Phys. 143, 084113,
-2015), and are checked against the eigenvalue route of numerics.expm_mih.
+of the stack (C_0, ..., C_{n_max}) with the |N> column.  The C_k come once
+per (system, dt, n_max) from the block-triangular exponential of Van Loan
+(IEEE TAC 1978), in the auxiliary-matrix form of Goodwin & Kuprov (J. Chem.
+Phys. 143, 084113, 2015), and are checked against numerics.expm_mih.
 
 Three independent evaluation routes are provided for the distinguished form
 A^{N-1} at l = 1:
@@ -115,8 +115,6 @@ class DysonForms:
     n_max: int
     levels: int
     table: np.ndarray
-    segments: int
-    horizon: float
 
     @property
     def substeps(self) -> int:
@@ -176,15 +174,13 @@ _SERIES_CHECK_TOL = 1e-12
 
 @lru_cache(maxsize=16)
 def _segment_series(sys: SystemSpec, dt: float, n_max: int) -> np.ndarray:
-    """Block matrices G_0..G_{n_max} of the segment step in series form.
+    """Coefficients C_0..C_{n_max} of the segment step, as a read-only stack.
 
-    S(x) = exp(-i dt (H0 + x V)) = sum_k x^k C_k.  G_k has C_k on its k-th
-    block subdiagonal, so for a stacked series P = (P_0, ..., P_{n_max}),
-    sum_k x^k G_k P holds the coefficients of S(x) P(x) truncated at
-    x^{n_max}.  The coefficients are checked once against the eigenvalue
-    route: C_0 against exp(-i dt H0) and sum_k x^k C_k at one probe x.
+    S(x) = exp(-i dt (H0 + x V)) = sum_k x^k C_k, and the result has shape
+    (n_max+1, N, N) with C_k in slot k.  The coefficients are checked once
+    against the eigenvalue route: C_0 against exp(-i dt H0) and
+    sum_k x^k C_k at one probe x.
     """
-    n = sys.levels
     h0 = h0_matrix(sys)
     v = v_matrix(sys)
     coeffs = _exp_series(-1j * dt * h0, -1j * dt * v, n_max)
@@ -203,15 +199,8 @@ def _segment_series(sys: SystemSpec, dt: float, n_max: int) -> np.ndarray:
             f"series coefficients miss the direct exponential by {defect:.3e} "
             f"(tolerance {_SERIES_CHECK_TOL:.0e})"
         )
-
-    size = (n_max + 1) * n
-    blocks = np.zeros((n_max + 1, size, size), dtype=np.complex128)
-    for k in range(n_max + 1):
-        for row in range(k, n_max + 1):
-            col = row - k
-            blocks[k, row * n : (row + 1) * n, col * n : (col + 1) * n] = coeffs[k]
-    blocks.setflags(write=False)
-    return blocks
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def _interaction_series(sys: SystemSpec, f: PiecewiseControl, n_max: int, start: np.ndarray) -> np.ndarray:
@@ -219,7 +208,9 @@ def _interaction_series(sys: SystemSpec, f: PiecewiseControl, n_max: int, start:
 
     P_n is the coefficient of x^n in U_T(x f) start.  As U_T(x f) =
     S(x f_M) ... S(x f_1), each segment applies the truncated Cauchy product
-    P_n <- sum_k f_j^k C_k P_{n-k}.  Exact up to roundoff.
+    P_m <- sum_k f_j^k C_k P_{m-k}: a Toeplitz gather Q[m, k] = f_j^k P_{m-k}
+    (zero for k > m), then one batched product of [C_0 ... C_{n_max}] with
+    every Q[m].  Exact up to roundoff.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
@@ -228,14 +219,18 @@ def _interaction_series(sys: SystemSpec, f: PiecewiseControl, n_max: int, start:
             f"control horizon {f.horizon!r} does not match system horizon {sys.horizon!r}"
         )
     n = sys.levels
-    blocks = _segment_series(sys, f.dt, n_max)
-    stacked = np.zeros(((n_max + 1) * n, start.shape[1]), dtype=np.complex128)
-    stacked[:n] = start
-    for fpow in f.as_array()[:, None] ** np.arange(n_max + 1):
-        stacked = np.tensordot(fpow, blocks @ stacked, axes=1)
-    ipow = 1j ** (np.arange(n_max + 1) % 4)
+    order = np.arange(n_max + 1)
+    coeff_row = _segment_series(sys, f.dt, n_max).transpose(1, 0, 2).reshape(n, -1)
+    lag = order[:, None] - order[None, :]
+    lag[lag < 0] = n_max + 1  # the all-zero slot below
+    series = np.zeros((n_max + 2, n, start.shape[1]), dtype=np.complex128)
+    series[0] = start
+    for fpow in f.as_array()[:, None] ** order:
+        gathered = fpow[None, :, None, None] * series[lag]
+        series[:-1] = coeff_row @ gathered.reshape(n_max + 1, (n_max + 1) * n, -1)
+    ipow = 1j ** (order % 4)
     phase = np.exp(1j * sys.horizon * energies(sys))
-    return ipow[:, None, None] * phase[None, :, None] * stacked.reshape(n_max + 1, n, -1)
+    return ipow[:, None, None] * phase[None, :, None] * series[:-1]
 
 
 def dyson_forms(sys: SystemSpec, f: PiecewiseControl, n_max: int) -> DysonForms:
@@ -251,7 +246,7 @@ def dyson_forms(sys: SystemSpec, f: PiecewiseControl, n_max: int) -> DysonForms:
     table[0] = 0.0  # A^0_l = delta_{lN} by definition, not up to roundoff
     table[0, n - 1] = 1.0
     table.setflags(write=False)
-    return DysonForms(n_max=n_max, levels=n, table=table, segments=f.segments, horizon=f.horizon)
+    return DysonForms(n_max=n_max, levels=n, table=table)
 
 
 def closed_form_AlN(sys: SystemSpec, f: PiecewiseControl, l: int, n: int) -> float:

@@ -56,6 +56,7 @@ FIT_MAX_SHRINK = 6  # radius halvings before the fit settles for its best residu
 WITNESS_AMPLITUDE_RANGE = (0.1, 2.0)  # random witness controls draw their amplitude here
 WITNESS_REFINE_ROUNDS = 5
 WITNESS_SEED_OFFSET = 7_000_000  # witness seed = seed + offset + horizon index
+ORDER_MATCH_FLOOR = 1e-9  # smallest denominator of order_2N2_match's relative error
 # Check thresholds; every report carries a copy under "tolerances".
 TOLERANCES = {
     "stationary_analytic": 1e-10,
@@ -80,17 +81,12 @@ def differential(inst: ProblemInstance, forms: DysonForms, n: int) -> float:
         raise DomainError(f"order must be >= 1, got {n}")
     if n > forms.n_max:
         raise InsufficientOrder(f"forms extend to order {forms.n_max}, requested {n}")
-    lam = inst.observable.eigenvalues
-    nlev = forms.levels
-    ipow = 1j ** (n % 4)
-    total = 0j
-    scale = 0.0
-    for j in range(n + 1):
-        sign = (-1.0) ** (n - j)
-        for l in range(1, nlev):  # lambda_N = 0 removes l = N
-            term = sign * ipow * lam[l - 1] * forms.value(j, l) * np.conj(forms.value(n - j, l))
-            total += term
-            scale += abs(term)
+    lam = np.asarray(inst.observable.eigenvalues[:-1])  # lambda_N = 0 removes l = N
+    a = forms.table[: n + 1, :-1]
+    sign = (-1.0) ** (n - np.arange(n + 1))
+    terms = (1j ** (n % 4)) * sign[:, None] * lam[None, :] * a * np.conj(a[::-1])
+    total = complex(terms.sum())
+    scale = float(np.abs(terms).sum())
     if abs(total.imag) > 1e-10 * max(1.0, scale):
         raise NonRealResult(
             f"imaginary residue {total.imag:.3e} too large for scale {scale:.3e} at order {n}"
@@ -199,7 +195,7 @@ def _mat_from_vec(v: np.ndarray, n: int) -> np.ndarray:
     return v[: n * n].reshape(n, n) + 1j * v[n * n :].reshape(n, n)
 
 
-def lie_rank_matrices(gen_a, gen_b, max_depth: int | None = None) -> LieAlgebraResult:
+def lie_rank_matrices(gen_a, gen_b) -> LieAlgebraResult:
     """Real dimension of the Lie algebra generated by two skew-Hermitian matrices.
 
     Breadth-first closure under commutators with the generators, with
@@ -208,7 +204,7 @@ def lie_rank_matrices(gen_a, gen_b, max_depth: int | None = None) -> LieAlgebraR
     adds nothing.  Saturated means dimension >= N^2 - 1, full su(N) up to the
     global phase quotiented out in the controllability definition.  The
     closure ends when a level adds nothing or the dimension reaches N^2, so
-    it needs no depth cap; `max_depth` stops it early (unsaturated) anyway.
+    it needs no depth cap.
     """
     tol = TOLERANCES["lie_tol"]
     a = np.asarray(gen_a, dtype=np.complex128)
@@ -242,7 +238,7 @@ def lie_rank_matrices(gen_a, gen_b, max_depth: int | None = None) -> LieAlgebraR
             frontier.append(added)
     depth = 1
     # span of skew-Hermitian matrices can never exceed dim u(N) = N^2
-    while frontier and len(basis) < n * n and (max_depth is None or depth < max_depth):
+    while frontier and len(basis) < n * n:
         depth += 1
         fresh = []
         for g in gens:
@@ -259,9 +255,9 @@ def lie_rank_matrices(gen_a, gen_b, max_depth: int | None = None) -> LieAlgebraR
     )
 
 
-def lie_rank(sys: SystemSpec, max_depth: int | None = None) -> LieAlgebraResult:
+def lie_rank(sys: SystemSpec) -> LieAlgebraResult:
     """Rank test for the controlled pair: algebra generated by iH0 and iV."""
-    return lie_rank_matrices(1j * h0_matrix(sys), 1j * v_matrix(sys), max_depth=max_depth)
+    return lie_rank_matrices(1j * h0_matrix(sys), 1j * v_matrix(sys))
 
 
 @dataclass(frozen=True)
@@ -520,6 +516,17 @@ def _check_flatness(rows: list[dict], nlev: int) -> CheckResult:
     )
 
 
+def _order_floor_extras(sel: list[dict]) -> dict:
+    """Report how many analytic order-(2N-2) coefficients lie under the
+    floor: on those directions neither order-(2N-2) check can fail."""
+    analytic = [abs(r["order_2N2_analytic"]) for r in sel]
+    return {
+        "relative_floor": ORDER_MATCH_FLOOR,
+        "min_abs_analytic": min(analytic),
+        "directions_under_floor": sum(a < ORDER_MATCH_FLOOR for a in analytic),
+    }
+
+
 def _check_order_match(rows: list[dict], nlev: int) -> CheckResult:
     sel = [r for r in rows if r["mean_zero"]]
     n_top = 2 * nlev - 2
@@ -527,7 +534,7 @@ def _check_order_match(rows: list[dict], nlev: int) -> CheckResult:
     for r in sel:
         fitted = r["fit_coefficients"][n_top - 1]
         analytic = r["order_2N2_analytic"]
-        worst_rel = max(worst_rel, abs(fitted - analytic) / max(abs(analytic), 1e-9))
+        worst_rel = max(worst_rel, abs(fitted - analytic) / max(abs(analytic), ORDER_MATCH_FLOOR))
     tol = TOLERANCES["order_match_rel"]
     return CheckResult(
         name="order_2N2_match",
@@ -536,6 +543,7 @@ def _check_order_match(rows: list[dict], nlev: int) -> CheckResult:
         threshold=tol,
         description=f"fitted c_{n_top} matches lambda_1 |A^{nlev - 1}_1|^2 on mean-zero "
         "directions",
+        extras=_order_floor_extras(sel),
     )
 
 
@@ -551,7 +559,7 @@ def _check_order_nonneg(rows: list[dict], nlev: int) -> CheckResult:
         measured=min_fitted,
         threshold=tol,
         description=f"coefficient of order {n_top} is non-negative on mean-zero directions",
-        extras={"min_analytic": min_analytic},
+        extras={"min_analytic": min_analytic, **_order_floor_extras(sel)},
     )
 
 
@@ -605,12 +613,7 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
 
         stage = "lie_rank"
         lie = lie_rank(sys)
-        lie_row = {
-            "dimension": lie.dimension,
-            "saturated": lie.saturated,
-            "depth_reached": lie.depth_reached,
-            "tolerance": lie.tolerance,
-        }
+        lie_row = asdict(lie)
         checks.append(
             CheckResult(
                 name="controllable",

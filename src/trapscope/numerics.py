@@ -38,27 +38,27 @@ def hermiticity_defect(h) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def hermitian_eig(h, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition H = Q diag(w) Q^dagger of a Hermitian matrix.
 
     Returns eigenvalues in ascending order and the unitary eigenvector
     matrix Q (columns are eigenvectors).  Raises NotHermitian if the input
-    deviates from Hermiticity by more than `tol` in any entry.
+    deviates from Hermiticity by more than TOL_HERM in any entry.
     """
     m = as_complex_matrix(h)
     defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > tol:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.3e}")
+    if defect > TOL_HERM:
+        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {TOL_HERM:.3e}")
     w, q = np.linalg.eigh(m)
     return w, q
 
 
-def expm_mih(h, s: float, tol: float = TOL_HERM) -> np.ndarray:
+def expm_mih(h, s: float) -> np.ndarray:
     """exp(-i*s*H) for Hermitian H, via eigendecomposition.
 
     The result is unitary up to roundoff for any real s.
     """
-    w, q = hermitian_eig(h, tol=tol)
+    w, q = hermitian_eig(h)
     phases = np.exp(-1j * float(s) * w)
     return (q * phases) @ q.conj().T
 
@@ -70,7 +70,7 @@ def unitarity_defect(u) -> float:
     return float(np.linalg.norm(g - np.eye(m.shape[0]), "fro"))
 
 
-def spectral_norm_hermitian(h, tol: float = TOL_HERM) -> float:
+def spectral_norm_hermitian(h) -> float:
     """Operator 2-norm of a Hermitian matrix (largest |eigenvalue|)."""
-    w, _ = hermitian_eig(h, tol=tol)
+    w, _ = hermitian_eig(h)
     return float(np.max(np.abs(w)))

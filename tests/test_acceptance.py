@@ -207,7 +207,7 @@ def test_criterion_7_controllability_rank():
     dims = []
     for nlev in (3, 4, 5, 6):
         sys_ = build_system(nlev, 1.0, 0.0, (1.0,) * (nlev - 1), TWO_PI)
-        res = lie_rank(sys_, max_depth=12)
+        res = lie_rank(sys_)
         assert res.saturated, f"N={nlev} did not saturate"
         assert res.dimension >= nlev * nlev - 1
         dims.append(res.dimension)

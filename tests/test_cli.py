@@ -63,6 +63,23 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
         parse_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", "-5"),
+        ("witness_horizons", ""),
+        ("witness_horizons", "0"),
+        ("witness_budget", "0"),
+    ],
+)
+def test_parse_config_rejects_out_of_range_values_by_line(tmp_path, key, value):
+    path = write_config(tmp_path / "bad.cfg", **{key: value})
+    keys = [ln.split("=")[0].strip() for ln in (tmp_path / "bad.cfg").read_text().splitlines()]
+    lineno = 1 + keys.index(key)
+    with pytest.raises(ConfigError, match=f"line {lineno}: .*{key}"):
+        parse_config(path)
+
+
 def test_certify_reference_instance(tmp_path, capsys):
     cfg = write_config(tmp_path / "n3.cfg", directions="4", witness_budget="25")
     out = tmp_path / "report.json"
@@ -131,6 +148,16 @@ def test_differential_command_order_too_high(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "InsufficientOrder" in captured.err
+
+
+def test_differential_command_malformed_control_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", T="1")
+    control = tmp_path / "f.txt"
+    control.write_text("T 1\nM 2\n0.5\nnot-a-number\n")
+    code = main(["differential", cfg, "--control", str(control), "--order", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ConfigError")
 
 
 def test_differential_command_appends_csv(tmp_path):

@@ -177,7 +177,7 @@ def test_dyson_parameter_validation():
 
 def test_dyson_matches_kernel_oracles_to_roundoff():
     # the series is exact, so it meets both independent oracles at roundoff
-    for nlev in (3, 4, 5, 6):
+    for nlev in (3, 4, 5, 6, 7, 8):
         sys = build_system(nlev, 1.0, 0.0, (1.0,) * (nlev - 1), TWO_PI)
         for seed, offset in ((60, 0.0), (61, 0.3), (62, -0.3)):
             f = random_direction(seed, 64, TWO_PI, mean_zero=True, amplitude=0.5).shifted(offset)

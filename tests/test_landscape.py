@@ -92,6 +92,24 @@ def test_differential_homogeneity_transfer():
         assert abs(have - want) <= 1e-9 * max(1.0, abs(want))
 
 
+def test_differential_matches_term_by_term_sum():
+    # reference: the double sum over (j, l) accumulated one term at a time
+    inst = n4_instance()
+    lam = inst.observable.eigenvalues
+    f = random_direction(5, 32, TWO_PI, amplitude=0.7)
+    forms = forms_for(inst, f)
+    for n in range(1, forms.n_max + 1):
+        total, scale = 0j, 0.0
+        for j in range(n + 1):
+            for l in range(1, forms.levels):
+                term = (-1.0) ** (n - j) * 1j**n * lam[l - 1] * forms.value(j, l)
+                term *= np.conj(forms.value(n - j, l))
+                total += term
+                scale += abs(term)
+        terms = (n + 1) * (forms.levels - 1)
+        assert abs(differential(inst, forms, n) - total.real) <= terms * np.finfo(float).eps * scale
+
+
 def test_differential_requires_enough_orders():
     inst = n3_instance()
     f = random_direction(1, 32, TWO_PI)
@@ -235,12 +253,6 @@ def test_lie_rank_invariant_under_coupling_rescale():
     assert base.dimension == scaled.dimension
 
 
-def test_lie_rank_depth_exhaustion_reports_unsaturated():
-    res = lie_rank(build_system(4, 1.0, 0.0, (1.0, 1.0, 1.0), TWO_PI), max_depth=1)
-    assert not res.saturated
-    assert res.dimension == 2
-
-
 # ---------------------------------------------------------------- witness
 
 
@@ -326,6 +338,36 @@ def test_certificate_report_serializes():
         "controllable",
         "witness_found",
     }
+
+
+def test_order_2N2_checks_report_directions_under_the_floor():
+    # N=3, so the order-(2N-2) coefficient is the 4th; the first and third
+    # mean-zero rows lie under the floor, where a 5x misfit and a negative
+    # fit both still pass
+    def row(mean_zero, fitted, analytic):
+        return {
+            "mean_zero": mean_zero,
+            "fit_coefficients": [0.0, 0.0, 0.0, fitted, 0.0, 0.0],
+            "order_2N2_analytic": analytic,
+        }
+
+    rows = [
+        row(True, 5e-12, 1e-12),
+        row(False, 0.7, None),
+        row(True, 0.2, 0.2),
+        row(True, -1e-11, 1e-11),
+    ]
+    match = landscape._check_order_match(rows, 3)
+    nonneg = landscape._check_order_nonneg(rows, 3)
+    assert match.passed and nonneg.passed
+    assert match.threshold == landscape.TOLERANCES["order_match_rel"]
+    assert nonneg.threshold == landscape.TOLERANCES["order_nonneg"]
+    assert match.measured == pytest.approx(2e-11 / 1e-9)
+    for check in (match, nonneg):
+        assert check.extras["relative_floor"] == 1e-9
+        assert check.extras["min_abs_analytic"] == 1e-12
+        assert check.extras["directions_under_floor"] == 2
+    assert nonneg.extras["min_analytic"] == 1e-12
 
 
 def test_certificate_failed_stage_keeps_earlier_checks(monkeypatch):
