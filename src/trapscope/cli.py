@@ -18,13 +18,12 @@ import json
 import math
 import os
 import sys as _sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .controls import read_control_file
 from .dynamics import dyson_forms, objective, propagate
 from .errors import ConfigError, InsufficientOrder, TrapscopeError
 from .landscape import (
-    FIT_RADIUS,
     CertificateConfig,
     differential,
     lie_rank,
@@ -37,20 +36,21 @@ from .model import ProblemInstance, build_instance, build_observable, build_syst
 REPORT_SCHEMA = "trapscope/2"
 
 _REQUIRED_KEYS = ("N", "a", "b", "v", "T", "lambda")
-_ALL_KEYS = _REQUIRED_KEYS + (
-    "M",
-    "substeps",
-    "directions",
-    "seed",
-    "witness_budget",
-    "witness_horizons",
-    "out",
-)
+# Config key -> CertificateConfig field of the sampling budget.
+_BUDGET_KEYS = {
+    "M": "segments",
+    "directions": "directions",
+    "seed": "seed",
+    "witness_budget": "witness_budget",
+    "witness_horizons": "witness_horizons",
+}
+_ALL_KEYS = _REQUIRED_KEYS + tuple(_BUDGET_KEYS) + ("substeps", "out")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed run configuration (instance plus pipeline knobs)."""
+    """Parsed run configuration: the instance, the certificate's sampling
+    budget and the report path."""
 
     levels: int
     a: float
@@ -58,12 +58,8 @@ class RunConfig:
     couplings: tuple[float, ...]
     horizon: float
     eigenvalues: tuple[float, ...]
-    segments: int = 64
+    certificate: CertificateConfig = field(default_factory=CertificateConfig)
     substeps: int = 8  # accepted and ignored: the forms are exact; bench/run.py reads it
-    directions: int = 8
-    seed: int = 20240901
-    witness_budget: int = 500
-    witness_horizons: tuple[float, ...] | None = None
     out: str = "report.json"
 
 
@@ -100,24 +96,32 @@ def parse_config(path: str) -> RunConfig:
         if key not in seen:
             raise ConfigError(f"missing required key {key!r}")
 
-    def scalar(key: str, conv, default=None, minimum=None):
+    def scalar(key: str, conv, default=None):
         if key not in seen:
             return default
         value, lineno = seen[key]
         try:
-            result = conv(value)
+            return conv(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-        if minimum is not None and result < minimum:
-            raise ConfigError(f"line {lineno}: {key} must be >= {minimum}, got {result}")
-        return result
 
-    horizons = None
-    if "witness_horizons" in seen:
-        value, lineno = seen["witness_horizons"]
-        horizons = _parse_float_list(value, "witness_horizons", lineno)
-        if not horizons or not all(0.0 < h < math.inf for h in horizons):
-            raise ConfigError(f"line {lineno}: witness_horizons must list positive horizons")
+    budget = {}
+    for key, name in _BUDGET_KEYS.items():
+        if key not in seen:
+            continue
+        value, lineno = seen[key]
+        if key == "witness_horizons":
+            budget[name] = _parse_float_list(value, key, lineno)
+        else:
+            budget[name] = scalar(key, int)
+        try:
+            CertificateConfig(**{name: budget[name]})
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
+
+    substeps = scalar("substeps", int, RunConfig.substeps)
+    if substeps < 1:
+        raise ConfigError(f"line {seen['substeps'][1]}: substeps must be >= 1, got {substeps}")
 
     return RunConfig(
         levels=scalar("N", int),
@@ -126,30 +130,16 @@ def parse_config(path: str) -> RunConfig:
         couplings=_parse_float_list(seen["v"][0], "v", seen["v"][1]),
         horizon=scalar("T", float),
         eigenvalues=_parse_float_list(seen["lambda"][0], "lambda", seen["lambda"][1]),
-        segments=scalar("M", int, 64, minimum=8),
-        substeps=scalar("substeps", int, 8, minimum=1),
-        directions=scalar("directions", int, 8, minimum=2),
-        seed=scalar("seed", int, 20240901, minimum=0),
-        witness_budget=scalar("witness_budget", int, 500, minimum=1),
-        witness_horizons=horizons,
-        out=seen["out"][0] if "out" in seen else "report.json",
+        certificate=CertificateConfig(**budget),
+        substeps=substeps,
+        out=seen["out"][0] if "out" in seen else RunConfig.out,
     )
 
 
 def build_problem(cfg: RunConfig) -> ProblemInstance:
     system = build_system(cfg.levels, cfg.a, cfg.b, cfg.couplings, cfg.horizon)
-    observable = build_observable(cfg.eigenvalues, theorem_mode=True)
+    observable = build_observable(cfg.eigenvalues)
     return build_instance(system, observable)
-
-
-def _certificate_config(cfg: RunConfig) -> CertificateConfig:
-    return CertificateConfig(
-        directions=cfg.directions,
-        seed=cfg.seed,
-        segments=cfg.segments,
-        witness_budget=cfg.witness_budget,
-        witness_horizons=cfg.witness_horizons,
-    )
 
 
 def _fmt(x: float) -> str:
@@ -188,7 +178,7 @@ def _summary_text(report) -> str:
 def cmd_certify(config_path: str, out_override: str | None = None) -> int:
     cfg = parse_config(config_path)
     inst = build_problem(cfg)
-    report = trap_certificate(inst, _certificate_config(cfg))
+    report = trap_certificate(inst, cfg.certificate)
     payload = {"schema": REPORT_SCHEMA, **report.as_dict()}
     out_path = out_override if out_override is not None else cfg.out
     _write_json_report(out_path, payload)
@@ -211,7 +201,7 @@ def cmd_differential(config_path: str, control_path: str, order: int, csv_path: 
         raise InsufficientOrder(f"forms are computed to order {n_top}, requested {order}")
     forms = dyson_forms(inst.system, f, n_max=n_top)
     analytic = differential(inst, forms, order)
-    fit = taylor_fit(inst, f, max_order=2 * cfg.levels, radius=FIT_RADIUS)
+    fit = taylor_fit(inst, f)
     fitted = fit.coefficient(order)
     discrepancy = abs(analytic - fitted)
     print(f"order {order} coefficient of J(t*f):")
@@ -232,22 +222,23 @@ def cmd_differential(config_path: str, control_path: str, order: int, csv_path: 
 def cmd_scan(config_path: str, out_csv: str, tmax: float = 1.0, points: int = 11) -> int:
     if points < 2:
         raise ConfigError(f"points must be >= 2, got {points}")
-    if tmax <= 0:
-        raise ConfigError(f"tmax must be positive, got {tmax}")
+    if not 0.0 < tmax < math.inf:
+        raise ConfigError(f"tmax must be positive and finite, got {tmax}")
     cfg = parse_config(config_path)
     inst = build_problem(cfg)
     sys_ = inst.system
+    budget = cfg.certificate
     ts = [-tmax + 2.0 * tmax * k / (points - 1) for k in range(points)]
     with open(out_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("seed,mean_zero,t,J\n")
-        for i in range(cfg.directions):
-            seed = cfg.seed + i
+        for i in range(budget.directions):
+            seed = budget.seed + i
             mean_zero = i % 2 == 0
-            f = probe_direction(cfg.seed, i, cfg.segments, sys_.horizon)
+            f = probe_direction(budget.seed, i, budget.segments, sys_.horizon)
             for t in ts:
                 j = objective(propagate(sys_, f.scaled(t)), inst)
                 fh.write(f"{seed},{int(mean_zero)},{_fmt(t)},{_fmt(j)}\n")
-    print(f"scan written to {out_csv} ({cfg.directions * points} rows)")
+    print(f"scan written to {out_csv} ({budget.directions * points} rows)")
     return 0
 
 

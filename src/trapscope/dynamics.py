@@ -92,15 +92,15 @@ _UNITARITY_TOL = 1e-8
 
 
 def objective(u: np.ndarray, inst: ProblemInstance) -> float:
-    """Mayer objective Tr(O U rho0 U^dagger) = sum_l lambda_l |<l|U|level>|^2.
+    """Mayer objective Tr(O U |N><N| U^dagger) = sum_l lambda_l |<l|U|N>|^2.
 
     Uses the normalized observable (last eigenvalue 0), so the zero control
-    scores exactly 0 when starting from level N.
+    scores exactly 0.
     """
     defect = unitarity_defect(u)
     if defect > _UNITARITY_TOL:
         raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {_UNITARITY_TOL:.3e}")
-    col = np.abs(u[:, inst.initial_level - 1]) ** 2
+    col = np.abs(u[:, -1]) ** 2
     lam = np.asarray(inst.observable.eigenvalues)
     return float(np.dot(lam, col))
 

@@ -42,7 +42,7 @@ class TooExpensive(TrapscopeError):
 
 
 class DomainError(TrapscopeError):
-    """Arguments outside the domain of a closed-form expression."""
+    """Arguments outside the domain of a closed-form expression or of the model."""
 
 
 class InsufficientOrder(TrapscopeError):

@@ -23,7 +23,8 @@ high-order coefficients under the roundoff floor of the objective.
 The recipe is fixed: probe amplitude and offset, fit radius, witness
 settings and every check threshold are the module constants below
 (PROBE_AMPLITUDE .. TOLERANCES).  Only the instance and the sampling budget
-(CertificateConfig) vary between runs, and every report records TOLERANCES.
+(CertificateConfig, which owns its range checks) vary between runs, and
+every report records TOLERANCES.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 from .controls import PiecewiseControl, integral, norm, random_direction
 from .dynamics import DysonForms, dyson_forms, objective, propagate
 from .errors import (
+    ConfigError,
     DomainError,
     IllConditioned,
     InsufficientOrder,
@@ -129,28 +131,19 @@ class TaylorFit:
         return self.coefficients[k - 1]
 
 
-def taylor_fit(
-    inst: ProblemInstance,
-    f: PiecewiseControl,
-    max_order: int,
-    radius: float,
-) -> TaylorFit:
-    """Fit sum_k c_k t^k to sampled objective values along the ray t*f.
+def taylor_fit(inst: ProblemInstance, f: PiecewiseControl) -> TaylorFit:
+    """Fit sum_k c_k t^k, k = 1..2N, to sampled objective values along t*f.
 
-    Samples on the symmetric grid t = +-radius*{1/points, ..., 1} with
-    points = 2 max_order + 8; even and odd orders then decouple exactly.
-    The radius is halved up to FIT_MAX_SHRINK times; the accepted radius is
-    the largest one whose RMS residual is below max(1e-3 |c_max| r^max,
-    roundoff floor).  If none qualifies the best ratio wins and `accepted`
-    is False.
+    Samples on the symmetric grid t = +-r*{1/points, ..., 1} with
+    points = 2 max_order + 8 and max_order = 2N; even and odd orders then
+    decouple exactly.  The radius r starts at FIT_RADIUS and is halved up to
+    FIT_MAX_SHRINK times; the accepted radius is the largest one whose RMS
+    residual is below max(1e-3 |c_max| r^max, roundoff floor).  If none
+    qualifies the best ratio wins and `accepted` is False.
     """
-    if radius <= 0.0:
-        raise DomainError(f"radius must be positive, got {radius!r}")
-    if max_order < 1:
-        raise DomainError(f"max_order must be >= 1, got {max_order}")
-
-    points = 2 * max_order + 8
     sys = inst.system
+    max_order = 2 * sys.levels
+    points = 2 * max_order + 8
     u = np.concatenate([-np.arange(points, 0, -1), np.arange(1, points + 1)]) / points
     design = np.column_stack([u**k for k in range(1, max_order + 1)])
     condition = float(np.linalg.cond(design))
@@ -163,7 +156,7 @@ def taylor_fit(
 
     best = None
     best_ratio = math.inf
-    r = float(radius)
+    r = FIT_RADIUS
     for _ in range(FIT_MAX_SHRINK + 1):
         g = np.array([objective(propagate(sys, f.scaled(r * ui)), inst) - j0 for ui in u])
         coef_u, *_ = np.linalg.lstsq(design, g, rcond=None)
@@ -275,7 +268,7 @@ def witness_search(
     inst: ProblemInstance,
     seed: int,
     budget: int,
-    segments: int = 64,
+    segments: int,
 ) -> WitnessResult:
     """Search for a control scoring above the zero control.
 
@@ -341,7 +334,9 @@ class CertificateConfig:
     """Sampling budget for trap_certificate: how many probe directions, from
     which seed, on how many segments, and how hard the witness searches.
 
-    Everything else about the certificate is fixed by the module constants.
+    The defaults and range checks here are the only ones; an out-of-range
+    field raises ConfigError naming it.  Everything else about the
+    certificate is fixed by the module constants.
     """
 
     amplitude: ClassVar[float] = PROBE_AMPLITUDE  # for callers that regenerate probe directions
@@ -351,6 +346,17 @@ class CertificateConfig:
     segments: int = 64
     witness_budget: int = 500
     witness_horizons: tuple[float, ...] | None = None  # default (T, 2T)
+
+    def __post_init__(self):
+        for name, minimum in (("directions", 2), ("seed", 0), ("segments", 8), ("witness_budget", 1)):
+            value = getattr(self, name)
+            if value < minimum:
+                raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+        horizons = self.witness_horizons
+        if horizons is not None and not (horizons and all(0.0 < h < math.inf for h in horizons)):
+            raise ConfigError(
+                f"witness_horizons must list positive finite horizons, got {horizons!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -421,7 +427,7 @@ def _certificate_direction(inst: ProblemInstance, cfg: CertificateConfig, index:
 
     forms = dyson_forms(sys, f, n_max=n_top)
     diffs = [differential(inst, forms, n) for n in range(1, n_top + 1)]
-    fit = taylor_fit(inst, f, max_order=2 * nlev, radius=FIT_RADIUS)
+    fit = taylor_fit(inst, f)
 
     lam = inst.observable.eigenvalues
     v_last = sys.couplings[-1]
@@ -574,12 +580,6 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
     checks and rows gathered before it.
     """
     cfg = config if config is not None else CertificateConfig()
-    if not inst.observable.theorem_mode:
-        raise DomainError("certificate requires a theorem-mode observable")
-    if inst.initial_level != inst.system.levels:
-        raise DomainError("certificate requires the initial state |N><N|")
-    if cfg.directions < 2:
-        raise DomainError(f"need at least 2 directions, got {cfg.directions}")
 
     sys = inst.system
     nlev = sys.levels
@@ -591,7 +591,7 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
         "horizon": sys.horizon,
         "eigenvalues": list(inst.observable.eigenvalues),
         "eigenvalue_shift": inst.observable.shift,
-        "initial_level": inst.initial_level,
+        "initial_level": nlev,  # always |N>
         "segments": cfg.segments,
     }
 
@@ -632,7 +632,7 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
         best_overall = -math.inf
         for k, horizon in enumerate(horizons):
             wsys = replace(sys, horizon=float(horizon))
-            winst = ProblemInstance(wsys, inst.observable, inst.initial_level)
+            winst = ProblemInstance(wsys, inst.observable)
             wseed = cfg.seed + WITNESS_SEED_OFFSET + k
             res = witness_search(winst, seed=wseed, budget=cfg.witness_budget, segments=cfg.segments)
             any_success = any_success or res.success

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimension, DegenerateSpectrum, OrderingViolation, ZeroCoupling
+from .errors import BadDimension, DegenerateSpectrum, DomainError, OrderingViolation, ZeroCoupling
 
 # Relative floor below which a and b count as degenerate.
 TOL_GAP = 1e-12
@@ -31,7 +31,7 @@ class SystemSpec:
     levels : number of levels N (>= 3)
     a, b : free energies of level 1 and of levels 2..N
     couplings : nearest-neighbour couplings (v_1, ..., v_{N-1}), all nonzero
-    horizon : target time T > 0
+    horizon : target time T, positive and finite
     """
 
     levels: int
@@ -49,7 +49,8 @@ class SystemSpec:
 def build_system(levels: int, a: float, b: float, couplings, horizon: float) -> SystemSpec:
     """Validate and construct a SystemSpec.
 
-    Raises BadDimension, DegenerateSpectrum or ZeroCoupling on invalid input.
+    Raises BadDimension, DegenerateSpectrum, DomainError or ZeroCoupling on
+    invalid input.
     """
     levels = int(levels)
     v = tuple(float(x) for x in couplings)
@@ -59,14 +60,16 @@ def build_system(levels: int, a: float, b: float, couplings, horizon: float) -> 
         raise BadDimension(f"need {levels - 1} couplings for {levels} levels, got {len(v)}")
     a = float(a)
     b = float(b)
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise DomainError(f"energies must be finite, got a={a!r}, b={b!r}")
     if abs(a - b) <= TOL_GAP * (1.0 + abs(a) + abs(b)):
         raise DegenerateSpectrum(f"a={a!r} and b={b!r} must differ")
     for k, vk in enumerate(v, start=1):
         if vk == 0.0 or not np.isfinite(vk):
             raise ZeroCoupling(f"coupling v_{k} must be finite and nonzero, got {vk!r}")
     horizon = float(horizon)
-    if not horizon > 0.0:
-        raise BadDimension(f"horizon must be positive, got {horizon!r}")
+    if not 0.0 < horizon < np.inf:
+        raise BadDimension(f"horizon must be positive and finite, got {horizon!r}")
     return SystemSpec(levels=levels, a=a, b=b, couplings=v, horizon=horizon)
 
 
@@ -148,50 +151,47 @@ class Observable:
 
     eigenvalues: tuple[float, ...]
     shift: float
-    theorem_mode: bool
 
     @property
     def raw_eigenvalues(self) -> tuple[float, ...]:
         return tuple(x + self.shift for x in self.eigenvalues)
 
 
-def build_observable(eigenvalues, theorem_mode: bool = True) -> Observable:
+def build_observable(eigenvalues) -> Observable:
     """Validate ordering and normalize the observable spectrum.
 
-    With theorem_mode set the spectrum must satisfy
-    lambda_1 > lambda_N > lambda_{N-1}; the returned eigenvalues are shifted
-    so lambda_N = 0 exactly.
+    The spectrum must be finite and satisfy lambda_1 > lambda_N >
+    lambda_{N-1}; the returned eigenvalues are shifted so lambda_N = 0
+    exactly.
     """
     lam = tuple(float(x) for x in eigenvalues)
     if len(lam) < 3:
         raise BadDimension(f"need at least 3 eigenvalues, got {len(lam)}")
-    if theorem_mode and not (lam[0] > lam[-1] > lam[-2]):
+    if not all(np.isfinite(lam)):
+        raise DomainError(f"eigenvalues must be finite, got {lam!r}")
+    if not lam[0] > lam[-1] > lam[-2]:
         raise OrderingViolation(
-            "theorem mode requires lambda_1 > lambda_N > lambda_{N-1}, "
+            "need lambda_1 > lambda_N > lambda_{N-1}, "
             f"got lambda_1={lam[0]!r}, lambda_N={lam[-1]!r}, lambda_{{N-1}}={lam[-2]!r}"
         )
     shift = lam[-1]
     normalized = tuple(x - shift for x in lam)
-    return Observable(eigenvalues=normalized, shift=shift, theorem_mode=theorem_mode)
+    return Observable(eigenvalues=normalized, shift=shift)
 
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """System, observable and initial basis level (rho_0 = |level><level|)."""
+    """System and observable; the initial state is always the top level, |N><N|."""
 
     system: SystemSpec
     observable: Observable
-    initial_level: int
 
 
-def build_instance(system: SystemSpec, observable: Observable, initial_level: int | None = None) -> ProblemInstance:
-    """Bundle system and observable; defaults to starting in the top level N."""
+def build_instance(system: SystemSpec, observable: Observable) -> ProblemInstance:
+    """Bundle system and observable after checking their dimensions agree."""
     n = system.levels
     if len(observable.eigenvalues) != n:
         raise BadDimension(
             f"observable has {len(observable.eigenvalues)} eigenvalues for {n} levels"
         )
-    lvl = n if initial_level is None else int(initial_level)
-    if not 1 <= lvl <= n:
-        raise BadDimension(f"initial level must be in 1..{n}, got {lvl}")
-    return ProblemInstance(system=system, observable=observable, initial_level=lvl)
+    return ProblemInstance(system=system, observable=observable)

@@ -76,7 +76,7 @@ def test_criterion_1_stationarity():
     for f in mixed_directions(20):
         forms = dyson_forms(inst.system, f, n_max=1)
         worst_d1 = max(worst_d1, abs(differential(inst, forms, 1)))
-        fit = taylor_fit(inst, f, max_order=6, radius=0.05)
+        fit = taylor_fit(inst, f)
         worst_c1 = max(worst_c1, abs(fit.coefficient(1)))
     elapsed = time.time() - start
     assert worst_d1 <= 1e-10
@@ -94,7 +94,7 @@ def test_criterion_2_second_order_descent():
     max_c2 = -math.inf
     for f in offset_directions(10):
         predicted = lam[1] * v2**2 * integral(f) ** 2
-        fit = taylor_fit(inst, f, max_order=6, radius=0.05)
+        fit = taylor_fit(inst, f)
         c2 = fit.coefficient(2)
         worst_rel = max(worst_rel, abs(c2 - predicted) / abs(predicted))
         max_c2 = max(max_c2, c2)
@@ -132,7 +132,7 @@ def test_criterion_4_leading_positive_order():
     target = math.pi**2 / 4
     rel3 = abs(val3 - target) / target
     assert rel3 <= 1e-3
-    fit3 = taylor_fit(inst3, f3, max_order=6, radius=0.05)
+    fit3 = taylor_fit(inst3, f3)
     rel3_fit = abs(fit3.coefficient(4) - target) / target
     assert rel3_fit <= 1e-2
 
@@ -144,7 +144,7 @@ def test_criterion_4_leading_positive_order():
         f4 = random_direction(seed, 64, TWO_PI, mean_zero=True, amplitude=0.5)
         forms4 = dyson_forms(inst4.system, f4, n_max=3)
         analytic = order_2N2_value(inst4, forms4)
-        fit4 = taylor_fit(inst4, f4, max_order=8, radius=0.05)
+        fit4 = taylor_fit(inst4, f4)
         c6 = fit4.coefficient(6)
         min_c6 = min(min_c6, c6)
         worst4 = max(worst4, abs(c6 - analytic) / abs(analytic))

@@ -38,13 +38,13 @@ def test_parse_config_round_trip(tmp_path):
     assert cfg.levels == 3
     assert cfg.couplings == (1.0, 1.0)
     assert cfg.eigenvalues == (1.0, -1.0, 0.0)
-    assert cfg.segments == 16
-    assert cfg.witness_horizons is None
+    assert cfg.certificate.segments == 16
+    assert cfg.certificate.witness_horizons is None
 
 
 def test_parse_config_horizons_list(tmp_path):
     cfg = parse_config(write_config(tmp_path / "h.cfg", witness_horizons="6.28, 12.56"))
-    assert cfg.witness_horizons == (6.28, 12.56)
+    assert cfg.certificate.witness_horizons == (6.28, 12.56)
 
 
 def test_parse_config_errors_carry_line_numbers(tmp_path):
@@ -107,6 +107,24 @@ def test_certify_ordering_violation_is_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "OrderingViolation" in captured.err
+
+
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        ({"a": "nan"}, "DomainError"),
+        ({"b": "nan"}, "DomainError"),
+        ({"T": "inf"}, "BadDimension"),
+        ({"lambda": "1, nan, -1, 0"}, "DomainError"),
+        ({"lambda": "1, inf, -1, 0"}, "DomainError"),
+    ],
+)
+def test_certify_non_finite_instance_value_is_usage_error(tmp_path, capsys, overrides, error):
+    cfg = write_config(tmp_path / "bad.cfg", N="4", v="1, 1, 1", **{"lambda": "1, 0.3, -1, 0", **overrides})
+    code = main(["certify", cfg, "--out", str(tmp_path / "r.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: {error}")
 
 
 def test_certify_reports_are_deterministic(tmp_path):
@@ -184,6 +202,15 @@ def test_scan_row_count_and_determinism(tmp_path):
     assert out.read_bytes() == first
 
 
+@pytest.mark.parametrize("tmax", ["nan", "inf", "0"])
+def test_scan_rejects_bad_tmax_before_writing(tmp_path, capsys, tmax):
+    cfg = write_config(tmp_path / "c.cfg")
+    out = tmp_path / "scan.csv"
+    assert main(["scan", cfg, "--out", str(out), "--tmax", tmax]) == 1
+    assert capsys.readouterr().err.startswith("error: ConfigError")
+    assert not out.exists()
+
+
 def test_scan_rows_probe_the_certificate_directions(tmp_path):
     # both offset signs appear among the odd rows with four directions
     cfg_path = write_config(tmp_path / "c.cfg", directions="4")
@@ -194,9 +221,9 @@ def test_scan_rows_probe_the_certificate_directions(tmp_path):
     rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
     assert len(rows) == 4 * 5
     for seed, mz, t, j in rows:
-        index = int(seed) - cfg.seed
+        index = int(seed) - cfg.certificate.seed
         assert mz == str(int(index % 2 == 0))
-        f = probe_direction(cfg.seed, index, cfg.segments, cfg.horizon)
+        f = probe_direction(cfg.certificate.seed, index, cfg.certificate.segments, cfg.horizon)
         assert float(j) == objective(propagate(inst.system, f.scaled(float(t))), inst)
 
 
@@ -255,5 +282,5 @@ def test_bundled_configs_parse():
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     for name in ("n3.cfg", "n4.cfg"):
         cfg = parse_config(os.path.join(here, "examples", name))
-        assert cfg.segments == 64
-        assert cfg.directions == 8
+        assert cfg.certificate.segments == 64
+        assert cfg.certificate.directions == 8
