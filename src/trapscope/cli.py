@@ -20,8 +20,11 @@ import os
 import sys as _sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .controls import read_control_file
-from .dynamics import dyson_forms, objective, propagate
+# propagate is not called here; bench/launch.py rebinds cli.propagate by name.
+from .dynamics import block_controls, dyson_forms, objective, propagate, propagate_batch  # noqa: F401
 from .errors import ConfigError, InsufficientOrder, TrapscopeError
 from .landscape import (
     CertificateConfig,
@@ -229,15 +232,18 @@ def cmd_scan(config_path: str, out_csv: str, tmax: float = 1.0, points: int = 11
     sys_ = inst.system
     budget = cfg.certificate
     ts = [-tmax + 2.0 * tmax * k / (points - 1) for k in range(points)]
+    rows = block_controls(budget.segments)
     with open(out_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("seed,mean_zero,t,J\n")
         for i in range(budget.directions):
             seed = budget.seed + i
             mean_zero = i % 2 == 0
-            f = probe_direction(budget.seed, i, budget.segments, sys_.horizon)
-            for t in ts:
-                j = objective(propagate(sys_, f.scaled(t)), inst)
-                fh.write(f"{seed},{int(mean_zero)},{_fmt(t)},{_fmt(j)}\n")
+            vals = probe_direction(budget.seed, i, budget.segments, sys_.horizon).as_array()
+            for start in range(0, points, rows):
+                block = ts[start : start + rows]
+                js = objective(propagate_batch(sys_, np.outer(block, vals)), inst)
+                for t, j in zip(block, js):
+                    fh.write(f"{seed},{int(mean_zero)},{_fmt(t)},{_fmt(j)}\n")
     print(f"scan written to {out_csv} ({budget.directions * points} rows)")
     return 0
 

@@ -1,9 +1,15 @@
 """Controlled dynamics, the objective, and chronological iterated-integral forms.
 
 The propagator solves i dU/dt = (H0 + f(t) V) U with U(0) = I.  Because f is
-piecewise constant, each segment is advanced by one exact Hermitian
-exponential, so propagation carries no time-discretization error beyond
-roundoff.
+piecewise constant, each segment is advanced by one exact exponential, so
+propagation carries no time-discretization error beyond roundoff.  One core,
+propagate_batch, serves every sampled objective value (scan, the Taylor
+fit, the witness search): H0 + x V is real symmetric, so the steps of a whole
+stack of controls come from one float64 eigendecomposition, and each
+U_T = S_M ... S_1 is a pairwise tree product.  Controls pass through in
+blocks of BLOCK_MATRICES segment matrices, which keeps peak memory flat in
+the number of controls.  propagate is its B = 1 case, so a batched row and a
+single call agree bit for bit.
 
 The chronological forms of order n are
 
@@ -65,44 +71,98 @@ from .model import ProblemInstance, SystemSpec, energies, h0_matrix, v_matrix, v
 from .numerics import expm_mih, unitarity_defect
 
 
-def propagate(sys: SystemSpec, f: PiecewiseControl) -> np.ndarray:
-    """Final-time propagator U_T for the control f.
+# Segment matrices per block of propagate_batch.  The working set (the
+# stacked H0 + x V, its eigenvectors, the steps and the tree levels) is a few
+# times this many N x N matrices however many controls come in, so peak RSS
+# does not grow with the batch; one unblocked scan direction (401 controls of
+# 64 segments) raised it by a third.
+BLOCK_MATRICES = 256
 
-    One exact Hermitian exponential per segment (eigendecompositions are
-    batched over segments); exact for piecewise-constant f.
+
+def block_controls(segments: int) -> int:
+    """How many controls of `segments` segments fill one propagation block."""
+    return max(1, BLOCK_MATRICES // segments)
+
+
+def _tree_product(steps: np.ndarray) -> np.ndarray:
+    """S_M ... S_1 for steps[:, k] = S_{k+1}, by pairwise levels.
+
+    Each level multiplies every later step onto its earlier neighbour in one
+    batched matmul; a level of odd length carries its last factor up
+    unchanged.  log2(M) levels in all.
     """
+    while steps.shape[1] > 1:
+        m = steps.shape[1]
+        paired = steps[:, 1::2] @ steps[:, 0 : m - 1 : 2]
+        if m % 2:
+            paired = np.concatenate([paired, steps[:, m - 1 :]], axis=1)
+        steps = paired
+    return steps[:, 0]
+
+
+def propagate_batch(sys: SystemSpec, values) -> np.ndarray:
+    """Final-time propagators U_T[b] for the B controls values[b] (shape (B, M)).
+
+    Each control is piecewise constant on M equal segments of [0, T], T the
+    system horizon.  H0 + x V is real symmetric, so every segment step is
+    Q diag(e^{-i dt w}) Q^T from one float64 eigendecomposition over the
+    stack, and U_T = S_M ... S_1 is a pairwise tree product.  Controls go
+    through in blocks of BLOCK_MATRICES segment matrices, and every row is
+    computed the same way whatever its block, so a row equals the B = 1
+    result for that control bit for bit.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] < 1:
+        raise DomainError(f"expected control values of shape (B, M) with M >= 1, got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise DomainError("control values must be finite")
+    batch, segments = values.shape
+    n = sys.levels
+    dt = sys.horizon / segments
+    h0 = h0_matrix(sys).real
+    v = v_matrix(sys).real
+    out = np.empty((batch, n, n), dtype=np.complex128)
+    rows = block_controls(segments)
+    for lo in range(0, batch, rows):
+        x = values[lo : lo + rows, :, None, None]
+        w, q = np.linalg.eigh(h0 + x * v)
+        steps = (q * np.exp(-1j * dt * w)[..., None, :]) @ q.swapaxes(-1, -2)
+        out[lo : lo + rows] = _tree_product(steps)
+    return out
+
+
+def propagate(sys: SystemSpec, f: PiecewiseControl) -> np.ndarray:
+    """Final-time propagator U_T for the control f: the B = 1 case of
+    propagate_batch, after checking that f lives on the system horizon."""
     if f.horizon != sys.horizon:
         raise GridMismatch(
             f"control horizon {f.horizon!r} does not match system horizon {sys.horizon!r}"
         )
-    h0 = h0_matrix(sys)
-    v = v_matrix(sys)
-    dt = f.dt
-    stack = h0[None, :, :] + f.as_array()[:, None, None] * v[None, :, :]
-    w, q = np.linalg.eigh(stack)
-    steps = np.matmul(q * np.exp(-1j * dt * w)[:, None, :], q.conj().swapaxes(1, 2))
-    u = np.eye(sys.levels, dtype=np.complex128)
-    for k in range(f.segments):
-        u = steps[k] @ u
-    return u
+    return propagate_batch(sys, f.as_array()[None])[0]
 
 
 # Largest unitarity defect objective accepts from a propagator.
 _UNITARITY_TOL = 1e-8
 
 
-def objective(u: np.ndarray, inst: ProblemInstance) -> float:
+def objective(u: np.ndarray, inst: ProblemInstance) -> float | np.ndarray:
     """Mayer objective Tr(O U |N><N| U^dagger) = sum_l lambda_l |<l|U|N>|^2.
 
-    Uses the normalized observable (last eigenvalue 0), so the zero control
-    scores exactly 0.
+    u is one propagator (N, N), giving a float, or a stack (B, N, N), giving
+    an array of B values.  Each matrix must pass the unitarity check on its
+    own.  Uses the normalized observable (last eigenvalue 0), so the zero
+    control scores exactly 0.
     """
-    defect = unitarity_defect(u)
-    if defect > _UNITARITY_TOL:
-        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {_UNITARITY_TOL:.3e}")
-    col = np.abs(u[:, -1]) ** 2
+    defect = np.atleast_1d(unitarity_defect(u))
+    worst = int(np.argmax(defect))
+    if defect[worst] > _UNITARITY_TOL:
+        raise NotUnitary(
+            f"unitarity defect {defect[worst]:.3e} of matrix {worst} exceeds {_UNITARITY_TOL:.3e}"
+        )
     lam = np.asarray(inst.observable.eigenvalues)
-    return float(np.dot(lam, col))
+    stack = np.asarray(u)
+    values = np.sum(lam * np.abs(stack[..., :, -1]) ** 2, axis=-1)
+    return float(values) if stack.ndim == 2 else values
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,14 @@ from typing import ClassVar
 import numpy as np
 
 from .controls import PiecewiseControl, integral, norm, random_direction
-from .dynamics import DysonForms, dyson_forms, objective, propagate
+from .dynamics import (
+    DysonForms,
+    block_controls,
+    dyson_forms,
+    objective,
+    propagate,
+    propagate_batch,
+)
 from .errors import (
     ConfigError,
     DomainError,
@@ -156,9 +163,10 @@ def taylor_fit(inst: ProblemInstance, f: PiecewiseControl) -> TaylorFit:
 
     best = None
     best_ratio = math.inf
+    vals = f.as_array()
     r = FIT_RADIUS
     for _ in range(FIT_MAX_SHRINK + 1):
-        g = np.array([objective(propagate(sys, f.scaled(r * ui)), inst) - j0 for ui in u])
+        g = objective(propagate_batch(sys, (r * u)[:, None] * vals), inst) - j0
         coef_u, *_ = np.linalg.lstsq(design, g, rcond=None)
         resid = float(np.sqrt(np.mean((design @ coef_u - g) ** 2)))
         coeffs = tuple(float(coef_u[k - 1] / r**k) for k in range(1, max_order + 1))
@@ -284,23 +292,31 @@ def witness_search(
         raise DomainError(f"budget must be >= 1, got {budget}")
     lo, hi = WITNESS_AMPLITUDE_RANGE
     sys = inst.system
+
+    # Each control draws its amplitude, then its values, so the stream is the
+    # one a control-at-a-time loop reads; argmax keeps the first maximum,
+    # the control a strict-> loop over the draws would keep.
+    rng = np.random.default_rng(int(seed))
+    best_vals = np.zeros(segments)
+    best_j = -math.inf
     evals = 0
+    rows = block_controls(segments)
+    for start in range(0, budget, rows):
+        block = np.empty((min(rows, budget - start), segments))
+        for draw in block:
+            amp = rng.uniform(lo, hi)
+            draw[:] = rng.uniform(-amp, amp, segments)
+        js = objective(propagate_batch(sys, block), inst)
+        evals += len(js)
+        k = int(np.argmax(js))
+        if js[k] > best_j:
+            best_j, best_vals = float(js[k]), block[k].copy()
 
     def score(vals: np.ndarray) -> float:
         nonlocal evals
         evals += 1
         f = PiecewiseControl(sys.horizon, tuple(float(x) for x in vals))
         return objective(propagate(sys, f), inst)
-
-    rng = np.random.default_rng(int(seed))
-    best_vals = np.zeros(segments)
-    best_j = -math.inf
-    for _ in range(budget):
-        amp = rng.uniform(lo, hi)
-        vals = rng.uniform(-amp, amp, segments)
-        j = score(vals)
-        if j > best_j:
-            best_j, best_vals = j, vals
 
     step = 0.25 * hi
     for _ in range(WITNESS_REFINE_ROUNDS):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trapscope.controls import (
+    PiecewiseControl,
     constant,
     integral,
     random_direction,
@@ -13,6 +14,7 @@ from trapscope.controls import (
 from trapscope import dynamics
 from trapscope.dynamics import (
     _kernel_midpoint_A1N,
+    block_controls,
     closed_form_AlN,
     dyson_forms,
     dyson_resum_defect,
@@ -20,6 +22,7 @@ from trapscope.dynamics import (
     kernel_form_A1N,
     objective,
     propagate,
+    propagate_batch,
 )
 from trapscope.errors import (
     DomainError,
@@ -80,6 +83,56 @@ def test_propagate_unitarity_random_controls():
         assert unitarity_defect(propagate(sys, f)) <= 1e-10 * 3 * 64
 
 
+@pytest.mark.parametrize("segments", [9, 63, 64])
+def test_propagate_batch_rows_equal_single_control_propagation(segments):
+    # Odd segment counts leave a carried factor at some tree level; B is not a
+    # multiple of the per-block count, so the last block is partial.
+    sys = n4_system()
+    batch = 2 * block_controls(segments) + 1
+    values = np.random.default_rng(segments).uniform(-2.0, 2.0, (batch, segments))
+    stack = propagate_batch(sys, values)
+    assert stack.shape == (batch, 4, 4)
+    for row, u in zip(values, stack):
+        assert np.array_equal(u, propagate(sys, PiecewiseControl(TWO_PI, tuple(row))))
+
+
+def test_propagate_batch_matches_sequential_product():
+    sys = n3_system()
+    values = np.random.default_rng(3).uniform(-1.5, 1.5, (5, 9))
+    dt = TWO_PI / 9
+    h0 = np.diag([1.0, 0.0, 0.0])
+    for row, u in zip(values, propagate_batch(sys, values)):
+        ref = np.eye(3, dtype=complex)
+        for x in row:
+            ref = expm_mih(h0 + x * v_matrix(sys), dt) @ ref
+        assert np.max(np.abs(u - ref)) <= 1e-13
+
+
+def test_propagate_batch_zero_row_scores_exactly_zero():
+    inst = n3_instance()
+    values = np.zeros((3, 16))
+    values[1] = np.linspace(-1.0, 1.0, 16)
+    js = objective(propagate_batch(inst.system, values), inst)
+    assert js[0] == 0.0 and js[2] == 0.0
+    assert js[1] != 0.0
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([[0.1, np.nan, 0.2]]),
+        np.array([[0.1, np.inf, 0.2]]),
+        np.array([[-np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        np.zeros(8),
+        np.zeros((2, 2, 8)),
+        np.zeros((2, 0)),
+    ],
+)
+def test_propagate_batch_rejects_bad_values(values):
+    with pytest.raises(DomainError):
+        propagate_batch(n3_system(), values)
+
+
 # ---------------------------------------------------------------- objective
 
 
@@ -93,6 +146,27 @@ def test_objective_rejects_non_unitary():
     inst = n3_instance()
     with pytest.raises(NotUnitary):
         objective(2 * np.eye(3, dtype=complex), inst)
+
+
+def test_objective_and_defect_of_a_stack_match_per_matrix_calls():
+    inst = n3_instance()
+    values = np.random.default_rng(8).uniform(-2.0, 2.0, (7, 16))
+    stack = propagate_batch(inst.system, values)
+    js = objective(stack, inst)
+    defects = unitarity_defect(stack)
+    assert js.shape == defects.shape == (7,)
+    for u, j, d in zip(stack, js, defects):
+        assert objective(u, inst) == j
+        assert unitarity_defect(u) == d
+
+
+def test_objective_checks_each_matrix_of_a_stack():
+    inst = n3_instance()
+    stack = propagate_batch(inst.system, np.random.default_rng(9).uniform(-1.0, 1.0, (6, 16)))
+    stack[4] *= 1.0 + 1e-6  # defect about 3.5e-6, far above the tolerance
+    with pytest.raises(NotUnitary, match="matrix 4"):
+        objective(stack, inst)
+    objective(np.delete(stack, 4, axis=0), inst)
 
 
 def test_objective_within_kinematic_bounds():

@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from trapscope import landscape
-from trapscope.controls import constant, integral, norm, random_direction, sample_midpoints
-from trapscope.dynamics import dyson_forms, kernel_form_A1N
+from trapscope.controls import (
+    PiecewiseControl,
+    constant,
+    integral,
+    norm,
+    random_direction,
+    sample_midpoints,
+)
+from trapscope.dynamics import block_controls, dyson_forms, kernel_form_A1N, objective, propagate
 from trapscope.errors import ConfigError, DomainError, InsufficientOrder
 from trapscope.landscape import (
     CertificateConfig,
@@ -280,6 +287,57 @@ def test_witness_deterministic():
     b = witness_search(inst, seed=11, budget=25, segments=16)
     assert a.j_value == b.j_value
     assert a.control.values == b.control.values
+
+
+def serial_witness_search(inst, seed, budget, segments):
+    """The witness search as one propagate per control and a strict-> loop."""
+    lo, hi = landscape.WITNESS_AMPLITUDE_RANGE
+    sys = inst.system
+    evals = 0
+
+    def score(vals):
+        nonlocal evals
+        evals += 1
+        return objective(propagate(sys, PiecewiseControl(sys.horizon, tuple(float(x) for x in vals))), inst)
+
+    rng = np.random.default_rng(seed)
+    best_vals, best_j = np.zeros(segments), -math.inf
+    for _ in range(budget):
+        amp = rng.uniform(lo, hi)
+        vals = rng.uniform(-amp, amp, segments)
+        j = score(vals)
+        if j > best_j:
+            best_j, best_vals = j, vals
+    step = 0.25 * hi
+    for _ in range(landscape.WITNESS_REFINE_ROUNDS):
+        improved = False
+        for idx in range(segments):
+            for delta in (step, -step):
+                cand = best_vals.copy()
+                cand[idx] += delta
+                j = score(cand)
+                if j > best_j:
+                    best_j, best_vals = j, cand
+                    improved = True
+                    break
+        if not improved:
+            step *= 0.5
+    lam = inst.observable.eigenvalues
+    j_zero = objective(propagate(sys, PiecewiseControl(sys.horizon, (0.0,) * segments)), inst)
+    return best_vals, best_j, best_j > j_zero + 0.01 * (lam[0] - lam[-1]), evals
+
+
+@pytest.mark.parametrize("seed", [3, 611, 20240901])
+def test_witness_batched_draws_match_serial_search(seed):
+    inst = n4_instance()
+    segments = 16
+    budget = 3 * block_controls(segments) + 5
+    res = witness_search(inst, seed=seed, budget=budget, segments=segments)
+    vals, j, success, evals = serial_witness_search(inst, seed, budget, segments)
+    assert res.control.values == tuple(float(x) for x in vals)
+    assert res.j_value == j
+    assert res.success == success
+    assert res.evaluations == evals
 
 
 def test_witness_budget_validation():

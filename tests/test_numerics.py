@@ -92,6 +92,20 @@ def test_unitarity_defect_identity_and_scaled_identity():
     assert unitarity_defect(2 * np.eye(2, dtype=complex)) == pytest.approx(3 * np.sqrt(2))
 
 
+def test_unitarity_defect_of_a_stack_is_per_matrix():
+    stack = np.stack([np.eye(2), 2 * np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]).astype(complex)
+    assert unitarity_defect(stack).tolist() == [0.0, unitarity_defect(stack[1]), 0.0]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.zeros(3), np.zeros((2, 3)), np.zeros((2, 2, 3)), np.zeros((1, 2, 2, 2)), np.full((2, 2), np.nan)],
+)
+def test_unitarity_defect_rejects_malformed_input(bad):
+    with pytest.raises(ValueError):
+        unitarity_defect(bad)
+
+
 def test_hermiticity_defect_and_spectral_norm():
     assert hermiticity_defect(np.diag([1.0, 2.0]).astype(complex)) == 0.0
     v = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
