@@ -9,7 +9,10 @@ stack of controls come from one float64 eigendecomposition, and each
 U_T = S_M ... S_1 is a pairwise tree product.  Controls pass through in
 blocks of BLOCK_MATRICES segment matrices, which keeps peak memory flat in
 the number of controls.  propagate is its B = 1 case, so a batched row and a
-single call agree bit for bit.
+single call agree bit for bit.  The witness refinement keeps the tree levels
+of one control and recomputes only the path above a changed segment
+(_tree_path), with the same operands in the same order, so its propagators
+agree with propagate bit for bit too.
 
 The chronological forms of order n are
 
@@ -81,35 +84,70 @@ BLOCK_MATRICES = 256
 
 def block_controls(segments: int) -> int:
     """How many controls of `segments` segments fill one propagation block."""
+    if segments < 1:
+        raise DomainError(f"segments must be >= 1, got {segments}")
     return max(1, BLOCK_MATRICES // segments)
 
 
-def _tree_product(steps: np.ndarray) -> np.ndarray:
-    """S_M ... S_1 for steps[:, k] = S_{k+1}, by pairwise levels.
+def _segment_steps(sys: SystemSpec, values: np.ndarray) -> np.ndarray:
+    """Segment steps S(x) = exp(-i dt (H0 + x V)) for finite values of shape (..., M).
 
-    Each level multiplies every later step onto its earlier neighbour in one
-    batched matmul; a level of odd length carries its last factor up
-    unchanged.  log2(M) levels in all.
+    H0 + x V is real symmetric, so each step is Q diag(e^{-i dt w}) Q^T from
+    one float64 eigendecomposition over the stack; the result has shape
+    (..., M, N, N), dt = T / M.
     """
-    while steps.shape[1] > 1:
-        m = steps.shape[1]
-        paired = steps[:, 1::2] @ steps[:, 0 : m - 1 : 2]
+    dt = sys.horizon / values.shape[-1]
+    w, q = np.linalg.eigh(h0_matrix(sys).real + values[..., None, None] * v_matrix(sys).real)
+    return (q * np.exp(-1j * dt * w)[..., None, :]) @ q.swapaxes(-1, -2)
+
+
+def _tree_levels(steps: np.ndarray) -> list[np.ndarray]:
+    """Every level of the pairwise product S_M ... S_1 of steps[..., k, :, :] = S_{k+1}.
+
+    levels[0] is the steps themselves.  Each next level multiplies every
+    later node onto its earlier neighbour in one batched matmul; a level of
+    odd length carries its last node up unchanged.  The last level holds the
+    single product, after ceil(log2 M) levels.
+    """
+    levels = [steps]
+    while steps.shape[-3] > 1:
+        m = steps.shape[-3]
+        paired = steps[..., 1::2, :, :] @ steps[..., 0 : m - 1 : 2, :, :]
         if m % 2:
-            paired = np.concatenate([paired, steps[:, m - 1 :]], axis=1)
+            paired = np.concatenate([paired, steps[..., m - 1 :, :, :]], axis=-3)
         steps = paired
-    return steps[:, 0]
+        levels.append(steps)
+    return levels
+
+
+def _tree_path(levels: list[np.ndarray], leaf: int, step: np.ndarray) -> list[np.ndarray]:
+    """The nodes from leaf to root of the tree `levels` with leaf `leaf` replaced by step.
+
+    path[l] is the new node at index leaf >> l of levels[l], computed with the
+    operands and order _tree_levels uses (later @ earlier, a carried node
+    passed up unchanged), so path[-1] is bit for bit the product a fresh
+    tree over the changed steps would give.  `levels` is not modified.
+    """
+    path = [step]
+    for level in levels[:-1]:
+        if leaf % 2:
+            step = step @ level[..., leaf - 1, :, :]
+        elif leaf + 1 < level.shape[-3]:
+            step = level[..., leaf + 1, :, :] @ step
+        path.append(step)
+        leaf //= 2
+    return path
 
 
 def propagate_batch(sys: SystemSpec, values) -> np.ndarray:
     """Final-time propagators U_T[b] for the B controls values[b] (shape (B, M)).
 
     Each control is piecewise constant on M equal segments of [0, T], T the
-    system horizon.  H0 + x V is real symmetric, so every segment step is
-    Q diag(e^{-i dt w}) Q^T from one float64 eigendecomposition over the
-    stack, and U_T = S_M ... S_1 is a pairwise tree product.  Controls go
-    through in blocks of BLOCK_MATRICES segment matrices, and every row is
-    computed the same way whatever its block, so a row equals the B = 1
-    result for that control bit for bit.
+    system horizon.  Every segment step comes from _segment_steps and
+    U_T = S_M ... S_1 is the root of _tree_levels.  Controls go through in
+    blocks of BLOCK_MATRICES segment matrices, and every row is computed the
+    same way whatever its block, so a row equals the B = 1 result for that
+    control bit for bit.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] < 1:
@@ -118,16 +156,10 @@ def propagate_batch(sys: SystemSpec, values) -> np.ndarray:
         raise DomainError("control values must be finite")
     batch, segments = values.shape
     n = sys.levels
-    dt = sys.horizon / segments
-    h0 = h0_matrix(sys).real
-    v = v_matrix(sys).real
     out = np.empty((batch, n, n), dtype=np.complex128)
     rows = block_controls(segments)
     for lo in range(0, batch, rows):
-        x = values[lo : lo + rows, :, None, None]
-        w, q = np.linalg.eigh(h0 + x * v)
-        steps = (q * np.exp(-1j * dt * w)[..., None, :]) @ q.swapaxes(-1, -2)
-        out[lo : lo + rows] = _tree_product(steps)
+        out[lo : lo + rows] = _tree_levels(_segment_steps(sys, values[lo : lo + rows]))[-1][:, 0]
     return out
 
 

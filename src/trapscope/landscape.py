@@ -38,6 +38,9 @@ import numpy as np
 from .controls import PiecewiseControl, integral, norm, random_direction
 from .dynamics import (
     DysonForms,
+    _segment_steps,
+    _tree_levels,
+    _tree_path,
     block_controls,
     dyson_forms,
     objective,
@@ -287,9 +290,19 @@ def witness_search(
     J > J(0) + 0.01 (lambda_1 - lambda_N).  Failure is an outcome, not an
     error; existence of good controls is only guaranteed for long enough
     horizons, and the minimal such horizon is unknown.
+
+    Refinement keeps the product tree of the current best control (the
+    levels propagate_batch builds) between candidates.  A candidate changes
+    one segment, so it recomputes only the ceil(log2 M) nodes on that leaf's
+    path, and an accepted candidate writes its path into the tree.  The
+    steps of every best +- step value come from one batched call per pass.
+    Each candidate is still scored on its full propagator, which is bit for
+    bit the one propagate gives.
     """
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
+    if segments < 1:
+        raise DomainError(f"segments must be >= 1, got {segments}")
     lo, hi = WITNESS_AMPLITUDE_RANGE
     sys = inst.system
 
@@ -312,22 +325,24 @@ def witness_search(
         if js[k] > best_j:
             best_j, best_vals = float(js[k]), block[k].copy()
 
-    def score(vals: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        f = PiecewiseControl(sys.horizon, tuple(float(x) for x in vals))
-        return objective(propagate(sys, f), inst)
-
+    levels = _tree_levels(_segment_steps(sys, best_vals))
     step = 0.25 * hi
     for _ in range(WITNESS_REFINE_ROUNDS):
         improved = False
+        # A pass changes best_vals only at indices it has already visited,
+        # so the trial steps built at its start stay current.
+        deltas = (step, -step)
+        trial = _segment_steps(sys, best_vals + np.array(deltas)[:, None])
         for idx in range(segments):
-            for delta in (step, -step):
-                cand = best_vals.copy()
-                cand[idx] += delta
-                j = score(cand)
+            for delta, steps in zip(deltas, trial):
+                path = _tree_path(levels, idx, steps[idx])
+                evals += 1
+                j = objective(path[-1], inst)
                 if j > best_j:
-                    best_j, best_vals = j, cand
+                    best_j = j
+                    best_vals[idx] += delta
+                    for level, node in enumerate(path):
+                        levels[level][idx >> level] = node
                     improved = True
                     break
         if not improved:

@@ -108,6 +108,26 @@ def test_propagate_batch_matches_sequential_product():
         assert np.max(np.abs(u - ref)) <= 1e-13
 
 
+@pytest.mark.parametrize("segments", [1, 2, 3, 7, 9, 64])
+def test_tree_path_equals_fresh_tree_of_the_changed_control(segments):
+    # Odd lengths carry a node up some level; every leaf is replaced in turn.
+    sys = n4_system()
+    rng = np.random.default_rng(segments)
+    values = rng.uniform(-2.0, 2.0, segments)
+    changed = values + rng.uniform(-0.5, 0.5, segments)
+    levels = dynamics._tree_levels(dynamics._segment_steps(sys, values))
+    new_steps = dynamics._segment_steps(sys, changed)
+    for k in range(segments):
+        control = values.copy()
+        control[k] = changed[k]
+        path = dynamics._tree_path(levels, k, new_steps[k])
+        fresh = dynamics._tree_levels(dynamics._segment_steps(sys, control))
+        assert len(path) == len(fresh) == len(levels)
+        for level, node in enumerate(path):
+            assert np.array_equal(node, fresh[level][k >> level])
+        assert np.array_equal(path[-1], propagate_batch(sys, control[None])[0])
+
+
 def test_propagate_batch_zero_row_scores_exactly_zero():
     inst = n3_instance()
     values = np.zeros((3, 16))
@@ -131,6 +151,12 @@ def test_propagate_batch_zero_row_scores_exactly_zero():
 def test_propagate_batch_rejects_bad_values(values):
     with pytest.raises(DomainError):
         propagate_batch(n3_system(), values)
+
+
+@pytest.mark.parametrize("segments", [0, -1])
+def test_block_controls_rejects_nonpositive_segments(segments):
+    with pytest.raises(DomainError):
+        block_controls(segments)
 
 
 # ---------------------------------------------------------------- objective

@@ -340,9 +340,26 @@ def test_witness_batched_draws_match_serial_search(seed):
     assert res.evaluations == evals
 
 
+@pytest.mark.parametrize("levels, segments", [(3, 8), (3, 9), (4, 63), (5, 17), (6, 64), (8, 31)])
+@pytest.mark.parametrize("periods", [1, 2])
+def test_witness_refinement_on_cached_tree_matches_serial_search(levels, segments, periods):
+    # Odd segment counts carry a node up some tree level; 2T is the second
+    # default witness horizon.
+    sys = build_system(levels, 1.0, 0.0, (1.0,) * (levels - 1), periods * TWO_PI)
+    lam = (1.0, *np.linspace(-1.0, 0.5, levels - 2)[::-1], 0.0)
+    inst = build_instance(sys, build_observable(lam))
+    res = witness_search(inst, seed=5, budget=20, segments=segments)
+    vals, j, success, evals = serial_witness_search(inst, 5, 20, segments)
+    assert res.control.values == tuple(float(x) for x in vals)
+    assert res.j_value == j
+    assert res.success == success
+    assert res.evaluations == evals
+
+
 def test_witness_budget_validation():
-    with pytest.raises(DomainError):
-        witness_search(n3_instance(), seed=1, budget=0, segments=16)
+    for budget, segments in ((0, 16), (1, 0), (1, -3)):
+        with pytest.raises(DomainError):
+            witness_search(n3_instance(), seed=1, budget=budget, segments=segments)
 
 
 # ---------------------------------------------------------------- certificate
