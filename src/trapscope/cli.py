@@ -36,7 +36,7 @@ from .landscape import (
 )
 from .model import ProblemInstance, build_instance, build_observable, build_system
 
-REPORT_SCHEMA = "trapscope/2"
+REPORT_SCHEMA = "trapscope/3"
 
 _REQUIRED_KEYS = ("N", "a", "b", "v", "T", "lambda")
 # Config key -> CertificateConfig field of the sampling budget.
@@ -209,7 +209,7 @@ def cmd_differential(config_path: str, control_path: str, order: int, csv_path: 
     discrepancy = abs(analytic - fitted)
     print(f"order {order} coefficient of J(t*f):")
     print(f"  analytic  {_fmt(analytic)}")
-    print(f"  fitted    {_fmt(fitted)}   (radius {_fmt(fit.t_grid_radius)}, residual {_fmt(fit.residual)})")
+    print(f"  fitted    {_fmt(fitted)}   (contour radius {_fmt(fit.radius)})")
     print(f"  |analytic - fitted| = {_fmt(discrepancy)}")
     if csv_path is not None:
         fresh = not os.path.exists(csv_path)

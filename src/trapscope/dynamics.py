@@ -3,8 +3,8 @@
 The propagator solves i dU/dt = (H0 + f(t) V) U with U(0) = I.  Because f is
 piecewise constant, each segment is advanced by one exact exponential, so
 propagation carries no time-discretization error beyond roundoff.  One core,
-propagate_batch, serves every sampled objective value (scan, the Taylor
-fit, the witness search): H0 + x V is real symmetric, so the steps of a whole
+propagate_batch, serves every sampled objective value at real amplitude
+(scan, the witness search): H0 + x V is real symmetric, so the steps of a whole
 stack of controls come from one float64 eigendecomposition, and each
 U_T = S_M ... S_1 is a pairwise tree product.  Controls pass through in
 blocks of BLOCK_MATRICES segment matrices, which keeps peak memory flat in
@@ -12,7 +12,9 @@ the number of controls.  propagate is its B = 1 case, so a batched row and a
 single call agree bit for bit.  The witness refinement keeps the tree levels
 of one control and recomputes only the path above a changed segment
 (_tree_path), with the same operands in the same order, so its propagators
-agree with propagate bit for bit too.
+agree with propagate bit for bit too.  The Taylor cross-check samples the
+|N> column at complex amplitudes, where the step is not Hermitian, with an
+exponential of its own (_column_at) that shares nothing with the forms.
 
 The chronological forms of order n are
 
@@ -163,13 +165,17 @@ def propagate_batch(sys: SystemSpec, values) -> np.ndarray:
     return out
 
 
-def propagate(sys: SystemSpec, f: PiecewiseControl) -> np.ndarray:
-    """Final-time propagator U_T for the control f: the B = 1 case of
-    propagate_batch, after checking that f lives on the system horizon."""
+def _check_horizon(sys: SystemSpec, f: PiecewiseControl):
     if f.horizon != sys.horizon:
         raise GridMismatch(
             f"control horizon {f.horizon!r} does not match system horizon {sys.horizon!r}"
         )
+
+
+def propagate(sys: SystemSpec, f: PiecewiseControl) -> np.ndarray:
+    """Final-time propagator U_T for the control f: the B = 1 case of
+    propagate_batch, after checking that f lives on the system horizon."""
+    _check_horizon(sys, f)
     return propagate_batch(sys, f.as_array()[None])[0]
 
 
@@ -225,6 +231,15 @@ class DysonForms:
         return complex(self.table[n, l - 1])
 
 
+def _taylor_terms(theta: float) -> int:
+    """Taylor terms of exp(A), ||A|| <= theta, past which it adds < 1e-18."""
+    terms, bound = 0, 1.0
+    while bound > 1e-18:
+        terms += 1
+        bound *= theta / terms
+    return terms
+
+
 def _exp_series(b0: np.ndarray, b1: np.ndarray, order: int) -> np.ndarray:
     """Coefficients X_0..X_order of exp(b0 + x b1) as a power series in x.
 
@@ -242,11 +257,7 @@ def _exp_series(b0: np.ndarray, b1: np.ndarray, order: int) -> np.ndarray:
     b0 = b0 / 2.0**squarings
     b1 = b1 / 2.0**squarings
     # Taylor terms beyond order + tail add less than 1e-18 of every coefficient.
-    theta0 = float(np.linalg.norm(b0, 2))
-    tail, bound = 0, 1.0
-    while bound > 1e-18:
-        tail += 1
-        bound *= theta0 / tail
+    tail = _taylor_terms(float(np.linalg.norm(b0, 2)))
     term = np.zeros((order + 1, n, n), dtype=np.complex128)
     term[0] = np.eye(n)
     total = term.copy()
@@ -306,10 +317,7 @@ def _interaction_series(sys: SystemSpec, f: PiecewiseControl, n_max: int, start:
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    if f.horizon != sys.horizon:
-        raise GridMismatch(
-            f"control horizon {f.horizon!r} does not match system horizon {sys.horizon!r}"
-        )
+    _check_horizon(sys, f)
     n = sys.levels
     order = np.arange(n_max + 1)
     coeff_row = _segment_series(sys, f.dt, n_max).transpose(1, 0, 2).reshape(n, -1)
@@ -323,6 +331,35 @@ def _interaction_series(sys: SystemSpec, f: PiecewiseControl, n_max: int, start:
     ipow = 1j ** (order % 4)
     phase = np.exp(1j * sys.horizon * energies(sys))
     return ipow[:, None, None] * phase[None, :, None] * series[:-1]
+
+
+def _column_at(sys: SystemSpec, f: PiecewiseControl, z: np.ndarray) -> np.ndarray:
+    """e^{i b T} U_T(z f)|N> for every complex amplitude z[k], shape (K, N).
+
+    Applies each step exp(-i dt (H0 - b I + z f_j V)) to psi by its Taylor
+    series on the vector (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011),
+    in substeps of norm <= 0.5.  The shift -b I is a global phase.  Neither
+    eigh (the step is not Hermitian) nor the forms' C_k are used, so the
+    sampled objective checks the forms independently.
+    """
+    _check_horizon(sys, f)
+    z = np.asarray(z, dtype=np.complex128)
+    h0 = np.diag(energies(sys) - sys.b).astype(np.complex128)
+    v = v_matrix(sys)
+    zv_norm = float(np.max(np.abs(z))) * float(np.linalg.norm(v, 2))  # bounds ||z V||
+    psi = np.zeros((z.size, sys.levels, 1), dtype=np.complex128)
+    psi[:, -1] = 1.0
+    for fj in f.as_array():
+        theta = f.dt * (abs(sys.omega) + abs(fj) * zv_norm)
+        substeps = max(1, math.ceil(2.0 * theta))
+        gen = (-1j * f.dt / substeps) * (h0 + (fj * z)[:, None, None] * v)
+        terms = _taylor_terms(theta / substeps)
+        for _ in range(substeps):
+            term = psi
+            for m in range(1, terms + 1):
+                term = (gen @ term) / m
+                psi = psi + term
+    return psi[:, :, 0]
 
 
 def dyson_forms(sys: SystemSpec, f: PiecewiseControl, n_max: int) -> DysonForms:

@@ -53,9 +53,5 @@ class NonRealResult(TrapscopeError):
     """A value that must be real came out with a large imaginary part."""
 
 
-class IllConditioned(TrapscopeError):
-    """A least-squares design matrix is too ill-conditioned to trust."""
-
-
 class ConfigError(TrapscopeError):
     """A run configuration file failed to parse or validate."""

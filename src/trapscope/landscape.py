@@ -1,5 +1,5 @@
 """Landscape analysis at the zero control: arbitrary-order directional
-differentials of the objective, numerically fitted Taylor coefficients,
+differentials of the objective, sampled Taylor coefficients,
 Lie-algebra controllability rank, a non-optimality witness search, and the
 assembled trap certificate.
 
@@ -15,12 +15,12 @@ subspace, flatness of orders 3..2N-3 on it, and the non-negative matching
 coefficient at order 2N-2; plus the Lie-rank controllability proxy and a
 best-effort witness that the zero control is not a global maximum.
 
-Analytic values (from the forms) are the primary evidence; the polynomial
-fit of sampled objective values cross-validates them at the largest sample
-radius whose fit residual stays acceptable, since very small radii push the
-high-order coefficients under the roundoff floor of the objective.
+Analytic values (from the forms) are the primary evidence; a Cauchy
+contour of the objective itself, continued to complex amplitudes,
+cross-validates every order at once (taylor_fit).  Its samples come from an
+exponential of their own, so they share no code with the forms.
 
-The recipe is fixed: probe amplitude and offset, fit radius, witness
+The recipe is fixed: probe amplitude and offset, contour points, witness
 settings and every check threshold are the module constants below
 (PROBE_AMPLITUDE .. TOLERANCES).  Only the instance and the sampling budget
 (CertificateConfig, which owns its range checks) vary between runs, and
@@ -38,6 +38,7 @@ import numpy as np
 from .controls import PiecewiseControl, integral, norm, random_direction
 from .dynamics import (
     DysonForms,
+    _column_at,
     _segment_steps,
     _tree_levels,
     _tree_path,
@@ -50,7 +51,6 @@ from .dynamics import (
 from .errors import (
     ConfigError,
     DomainError,
-    IllConditioned,
     InsufficientOrder,
     NonRealResult,
     TrapscopeError,
@@ -63,12 +63,10 @@ from .model import ProblemInstance, SystemSpec, h0_matrix, v_matrix
 # relative check is well posed.
 PROBE_AMPLITUDE = 0.5
 PROBE_OFFSET_FRACTION = 0.6
-FIT_RADIUS = 0.05  # largest sample radius of the Taylor fit
-FIT_MAX_SHRINK = 6  # radius halvings before the fit settles for its best residual
+CONTOUR_EXTRA_POINTS = 16  # contour points beyond the 2N sampled orders
 WITNESS_AMPLITUDE_RANGE = (0.1, 2.0)  # random witness controls draw their amplitude here
 WITNESS_REFINE_ROUNDS = 5
 WITNESS_SEED_OFFSET = 7_000_000  # witness seed = seed + offset + horizon index
-ORDER_MATCH_FLOOR = 1e-9  # smallest denominator of order_2N2_match's relative error
 # Check thresholds; every report carries a copy under "tolerances".
 TOLERANCES = {
     "stationary_analytic": 1e-10,
@@ -121,19 +119,20 @@ def order_2N2_value(inst: ProblemInstance, forms: DysonForms) -> float:
 
 @dataclass(frozen=True)
 class TaylorFit:
-    """Least-squares Taylor coefficients of t -> J(t*f) - J(0).
-
-    coefficients[k-1] is the fitted coefficient of t^k.  `accepted` records
-    whether the residual criterion was met at `t_grid_radius` (the probe
-    scale also used as the per-direction epsilon in certificates).
-    """
+    """Sampled Taylor coefficients of t -> J(t*f): coefficients[k-1] is that
+    of t^k, read off a Cauchy contour of radius `radius` (inf for f = 0)."""
 
     max_order: int
     coefficients: tuple[float, ...]
-    residual: float
-    t_grid_radius: float
-    condition: float
-    accepted: bool
+    radius: float
+
+    @property
+    def accepted(self) -> bool:
+        """Always True: the contour has no acceptance test.
+
+        Kept because the benchmark harness under bench/ still reads it.
+        """
+        return True
 
     def coefficient(self, k: int) -> float:
         if not 1 <= k <= self.max_order:
@@ -142,47 +141,28 @@ class TaylorFit:
 
 
 def taylor_fit(inst: ProblemInstance, f: PiecewiseControl) -> TaylorFit:
-    """Fit sum_k c_k t^k, k = 1..2N, to sampled objective values along t*f.
+    """Coefficients c_k, k = 1..2N, of J(t*f) from one Cauchy contour.
 
-    Samples on the symmetric grid t = +-r*{1/points, ..., 1} with
-    points = 2 max_order + 8 and max_order = 2N; even and odd orders then
-    decouple exactly.  The radius r starts at FIT_RADIUS and is halved up to
-    FIT_MAX_SHRINK times; the accepted radius is the largest one whose RMS
-    residual is below max(1e-3 |c_max| r^max, roundoff floor).  If none
-    qualifies the best ratio wins and `accepted` is False.
+    J(z) = sum_l lambda_l psi_l(z) conj(psi_l(conj z)), psi = U_T(z f)|N>,
+    continues the objective to complex z.  It is sampled at the
+    K = 2N + CONTOUR_EXTRA_POINTS points z_k = r e^{2 pi i (k + 1/2) / K},
+    where conj z_k = z_{K-1-k}, and c_n = Re mean_k J(z_k) z_k^{-n}.  On the
+    radius r = 2 / (||V||_2 int|f|) J stays of order one (Bornemann, Found.
+    Comput. Math. 11, 2011), so one radius serves every order.
     """
     sys = inst.system
     max_order = 2 * sys.levels
-    points = 2 * max_order + 8
-    u = np.concatenate([-np.arange(points, 0, -1), np.arange(1, points + 1)]) / points
-    design = np.column_stack([u**k for k in range(1, max_order + 1)])
-    condition = float(np.linalg.cond(design))
-    if condition > 1e12:
-        raise IllConditioned(f"design matrix condition {condition:.3e} exceeds 1e12")
-
-    j0 = objective(propagate(sys, f.scaled(0.0)), inst)
-    lam_scale = max(1.0, max(abs(x) for x in inst.observable.eigenvalues))
-    noise_floor = 3e-15 * lam_scale
-
-    best = None
-    best_ratio = math.inf
-    vals = f.as_array()
-    r = FIT_RADIUS
-    for _ in range(FIT_MAX_SHRINK + 1):
-        g = objective(propagate_batch(sys, (r * u)[:, None] * vals), inst) - j0
-        coef_u, *_ = np.linalg.lstsq(design, g, rcond=None)
-        resid = float(np.sqrt(np.mean((design @ coef_u - g) ** 2)))
-        coeffs = tuple(float(coef_u[k - 1] / r**k) for k in range(1, max_order + 1))
-        threshold = max(1e-3 * abs(coeffs[-1]) * r**max_order, noise_floor)
-        ratio = resid / threshold
-        if ratio <= 1.0:
-            return TaylorFit(max_order, coeffs, resid, r, condition, True)
-        if ratio < best_ratio:
-            best_ratio = ratio
-            best = (coeffs, resid, r)
-        r *= 0.5
-    coeffs, resid, r = best
-    return TaylorFit(max_order, coeffs, resid, r, condition, False)
+    mass = float(np.abs(f.as_array()).sum()) * f.dt
+    if mass == 0.0:
+        return TaylorFit(max_order, (0.0,) * max_order, math.inf)
+    radius = 2.0 / (float(np.linalg.norm(v_matrix(sys), 2)) * mass)
+    points = max_order + CONTOUR_EXTRA_POINTS
+    z = radius * np.exp(2j * np.pi * (np.arange(points) + 0.5) / points)
+    psi = _column_at(sys, f, z)
+    j = np.sum(np.asarray(inst.observable.eigenvalues) * psi * np.conj(psi[::-1]), axis=1)
+    orders = np.arange(1, max_order + 1)
+    coeffs = np.mean(j * z ** -orders[:, None], axis=1).real
+    return TaylorFit(max_order, tuple(float(c) for c in coeffs), radius)
 
 
 @dataclass(frozen=True)
@@ -477,9 +457,7 @@ def _certificate_direction(inst: ProblemInstance, cfg: CertificateConfig, index:
         "d2_predicted": d2_predicted,
         "order_2N2_analytic": order_value,
         "fit_coefficients": list(fit.coefficients),
-        "fit_residual": fit.residual,
-        "fit_radius": fit.t_grid_radius,
-        "fit_accepted": fit.accepted,
+        "fit_radius": fit.radius,
     }
 
 
@@ -553,17 +531,6 @@ def _check_flatness(rows: list[dict], nlev: int) -> CheckResult:
     )
 
 
-def _order_floor_extras(sel: list[dict]) -> dict:
-    """Report how many analytic order-(2N-2) coefficients lie under the
-    floor: on those directions neither order-(2N-2) check can fail."""
-    analytic = [abs(r["order_2N2_analytic"]) for r in sel]
-    return {
-        "relative_floor": ORDER_MATCH_FLOOR,
-        "min_abs_analytic": min(analytic),
-        "directions_under_floor": sum(a < ORDER_MATCH_FLOOR for a in analytic),
-    }
-
-
 def _check_order_match(rows: list[dict], nlev: int) -> CheckResult:
     sel = [r for r in rows if r["mean_zero"]]
     n_top = 2 * nlev - 2
@@ -571,7 +538,7 @@ def _check_order_match(rows: list[dict], nlev: int) -> CheckResult:
     for r in sel:
         fitted = r["fit_coefficients"][n_top - 1]
         analytic = r["order_2N2_analytic"]
-        worst_rel = max(worst_rel, abs(fitted - analytic) / max(abs(analytic), ORDER_MATCH_FLOOR))
+        worst_rel = max(worst_rel, abs(fitted - analytic) / abs(analytic))
     tol = TOLERANCES["order_match_rel"]
     return CheckResult(
         name="order_2N2_match",
@@ -580,7 +547,6 @@ def _check_order_match(rows: list[dict], nlev: int) -> CheckResult:
         threshold=tol,
         description=f"fitted c_{n_top} matches lambda_1 |A^{nlev - 1}_1|^2 on mean-zero "
         "directions",
-        extras=_order_floor_extras(sel),
     )
 
 
@@ -596,7 +562,7 @@ def _check_order_nonneg(rows: list[dict], nlev: int) -> CheckResult:
         measured=min_fitted,
         threshold=tol,
         description=f"coefficient of order {n_top} is non-negative on mean-zero directions",
-        extras={"min_analytic": min_analytic, **_order_floor_extras(sel)},
+        extras={"min_analytic": min_analytic},
     )
 
 

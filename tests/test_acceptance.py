@@ -19,10 +19,12 @@ from trapscope.dynamics import (
     kernel_form_A1N,
 )
 from trapscope.landscape import (
+    CertificateConfig,
     differential,
     lie_rank,
     order_2N2_value,
     taylor_fit,
+    trap_certificate,
     witness_search,
 )
 from trapscope.model import build_instance, build_observable, build_system, v_matrix
@@ -265,3 +267,28 @@ def test_criterion_9_witness_soft():
         # soft criterion: a miss is reported, not failed, because the minimal
         # sufficient horizon is unknown
         print(f"ACCEPTANCE 9 non-optimality witness: SOFT-MISS (best J={best:.4f}, {elapsed:.1f}s)")
+
+
+def test_criterion_10_certificate_sweep_n5_to_n8():
+    # the sampled order-(2N-2) coefficient resolves lambda_1 |A^{N-1}_1|^2
+    # through N=8, where it is as small as 1e-19; budget 10 s (0.5 s on a
+    # 2-vCPU host)
+    start = time.time()
+    worst = 0.0
+    config = CertificateConfig(directions=4, seed=1000, segments=32, witness_budget=1)
+    for nlev in range(5, 9):
+        sys_ = build_system(nlev, 1.0, 0.0, (1.0,) * (nlev - 1), TWO_PI)
+        lam = (1.0, *np.linspace(0.5, 0.1, nlev - 3), -1.0, 0.0)
+        doc = trap_certificate(build_instance(sys_, build_observable(lam)), config)
+        assert doc.failed_stage is None
+        failing = [c.name for c in doc.checks if not c.passed and c.name != "witness_found"]
+        assert not failing, f"N={nlev}: {failing}"
+        for row in doc.directions:
+            if row["mean_zero"]:
+                analytic = row["order_2N2_analytic"]
+                sampled = row["fit_coefficients"][2 * nlev - 3]
+                worst = max(worst, abs(sampled - analytic) / abs(analytic))
+    elapsed = time.time() - start
+    assert worst <= 1e-8
+    assert elapsed < 10.0
+    report(10, "certificate sweep N=5..8", f"worst c_(2N-2) rel={worst:.2e}, {elapsed:.1f}s")

@@ -32,7 +32,16 @@ witness_budget = 2
 @pytest.mark.parametrize(
     "command, spans",
     [
-        (["certify"], {"dynamics.propagate", "dynamics.objective", "landscape.trap_certificate"}),
+        (
+            ["certify"],
+            {
+                "dynamics.propagate",
+                "dynamics.objective",
+                "dynamics.dyson_forms",
+                "landscape.taylor_fit",
+                "landscape.trap_certificate",
+            },
+        ),
         (["scan", "--points", "5"], {"dynamics.objective", "numerics.unitarity_defect"}),
     ],
 )

@@ -88,7 +88,7 @@ def test_certify_reference_instance(tmp_path, capsys):
     assert code == 0
     assert "overall: PASS" in captured.out
     payload = json.loads(out.read_text())
-    assert payload["schema"] == "trapscope/2"
+    assert payload["schema"] == "trapscope/3"
     assert payload["claimed_order"] == 3
     assert payload["passed"] is True
 

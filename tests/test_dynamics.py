@@ -159,6 +159,18 @@ def test_block_controls_rejects_nonpositive_segments(segments):
         block_controls(segments)
 
 
+def test_column_at_real_points_equals_propagated_column():
+    # the contour's own Taylor-action route, at real amplitudes (up to its
+    # global phase e^{i b T}); x = 3 needs several substeps per segment
+    sys = build_system(4, 1.3, 0.4, (1.0, 0.7, 1.5), TWO_PI)
+    f = random_direction(17, 16, TWO_PI, amplitude=1.0)
+    xs = np.array([-1.5, 0.0, 0.3, 3.0])
+    column = dynamics._column_at(sys, f, xs)
+    for x, psi in zip(xs, column):
+        u = propagate(sys, f.scaled(x))
+        assert np.max(np.abs(np.exp(-1j * sys.b * TWO_PI) * psi - u[:, -1])) <= 1e-13
+
+
 # ---------------------------------------------------------------- objective
 
 

@@ -189,17 +189,32 @@ def test_taylor_fit_resonant_cos_leading_order():
     assert fit.coefficient(4) == pytest.approx(math.pi**2 / 4, rel=1e-3)
 
 
+def ladder_instance(nlev):
+    """Unit couplings, lambda = 1, 0.5 .. 0.1, -1, 0."""
+    sys = build_system(nlev, 1.0, 0.0, (1.0,) * (nlev - 1), TWO_PI)
+    lam = (1.0, *np.linspace(0.5, 0.1, nlev - 3), -1.0, 0.0)
+    return build_instance(sys, build_observable(lam))
+
+
 def test_taylor_fit_cross_validates_differentials():
-    # analytic and fitted coefficients agree within max(1e-6, 1e-3 |c_n|)
-    for inst in (n3_instance(), n4_instance()):
-        nlev = inst.system.levels
-        for seed in (5, 6):
+    # The checked orders, c_2 off the mean-zero subspace (seed 5) and
+    # c_{2N-2} on it (seed 6), agree with the forms to 1e-10 relative; every
+    # other order to 1e-15 absolute.  At N=8, c_14 = 1.9e-20 on seed 6 and
+    # the contour's roundoff there is about 4e-29 (the |N-1> component's
+    # cancellation at complex amplitude), 2e-9 of it.
+    for nlev in range(3, 9):
+        inst = ladder_instance(nlev)
+        for seed, checked in ((5, 2), (6, 2 * nlev - 2)):
             f = random_direction(seed, 64, TWO_PI, mean_zero=seed % 2 == 0, amplitude=0.5)
             forms = forms_for(inst, f)
             fit = taylor_fit(inst, f)
             for n in range(1, 2 * nlev - 1):
                 c = differential(inst, forms, n)
-                assert abs(fit.coefficient(n) - c) <= max(1e-6, 1e-3 * abs(c))
+                if n == checked:
+                    rel = 1e-10 if nlev < 8 else 1e-8
+                    assert abs(fit.coefficient(n) - c) <= rel * abs(c), (nlev, seed, n)
+                else:
+                    assert abs(fit.coefficient(n) - c) <= 1e-15, (nlev, seed, n)
 
 
 def test_taylor_fit_restated_trap_property():
@@ -208,35 +223,22 @@ def test_taylor_fit_restated_trap_property():
     for seed in range(4):
         f = random_direction(seed, 64, TWO_PI, mean_zero=seed % 2 == 0, amplitude=0.5)
         fit = taylor_fit(inst, f)
-        ts = np.linspace(-fit.t_grid_radius, fit.t_grid_radius, 33)
+        ts = np.linspace(-fit.radius, fit.radius, 33)
         r = sum(fit.coefficient(k) * ts**k for k in range(2, 4))
         assert np.max(r) <= 1e-8
 
 
-def test_taylor_fit_halves_radius_until_residual_accepted():
-    # strong couplings on a long horizon: radius 0.05 leaves too large a
-    # residual, one halving is accepted and still resolves c_2
+def test_taylor_fit_resolves_strong_coupling_c2():
+    # strong couplings on a long horizon, where a real-line fit at radius
+    # 0.05 misses c_2; the contour resolves it to roundoff
     horizon = 4 * TWO_PI
     sys = build_system(3, 1.0, 0.0, (4.0, 4.0), horizon)
     inst = build_instance(sys, build_observable((1.0, -1.0, 0.0)))
     f = probe_direction(611, 1, 64, horizon)
     fit = taylor_fit(inst, f)
-    assert fit.accepted
-    assert fit.t_grid_radius == landscape.FIT_RADIUS / 2
     c2 = differential(inst, forms_for(inst, f), 2)
     assert c2 == pytest.approx(-909.58, abs=0.01)
-    assert abs(fit.coefficient(2) - c2) <= landscape.TOLERANCES["descent_rel"] * abs(c2)
-
-
-def test_taylor_fit_rejects_hopeless_conditioning():
-    from trapscope.errors import IllConditioned
-
-    # N=17 fits orders 1..34, whose design matrix has condition 2.99e12
-    sys = build_system(17, 1.0, 0.0, (1.0,) * 16, TWO_PI)
-    inst = build_instance(sys, build_observable((1.0,) + (-1.0,) * 15 + (0.0,)))
-    f = constant(1.0, TWO_PI, 16)
-    with pytest.raises(IllConditioned):
-        taylor_fit(inst, f)
+    assert abs(fit.coefficient(2) - c2) <= 1e-10 * abs(c2)
 
 
 # ---------------------------------------------------------------- lie rank
@@ -412,6 +414,16 @@ def test_certificate_n4_claims_order_five():
     assert report.check("flatness_3_to_2N-3").extras["orders"] == [3, 4, 5]
 
 
+def test_certificate_strong_coupling_n4_passes():
+    # v = 4 on T = 8 pi: a sampled c_2 that misses -909.58 by 0.3% failed
+    # mean_descent, and its c_3..c_5 failed the fitted flatness bound
+    sys = build_system(4, 1.0, 0.0, (4.0, 4.0, 4.0), 4 * TWO_PI)
+    inst = build_instance(sys, build_observable((1.0, 0.3, -1.0, 0.0)))
+    report = trap_certificate(inst, CertificateConfig(segments=64, witness_budget=1))
+    assert report.check("mean_descent").passed
+    assert report.check("flatness_3_to_2N-3").passed
+
+
 def test_certificate_report_serializes():
     report = trap_certificate(n3_instance(), quick_config())
     payload = json.dumps(report.as_dict(), sort_keys=True)
@@ -429,10 +441,11 @@ def test_certificate_report_serializes():
     }
 
 
-def test_order_2N2_checks_report_directions_under_the_floor():
-    # N=3, so the order-(2N-2) coefficient is the 4th; the first and third
-    # mean-zero rows lie under the floor, where a 5x misfit and a negative
-    # fit both still pass
+def test_order_2N2_match_is_relative_without_floor():
+    # N=3, so the order-(2N-2) coefficient is the 4th; a 5x misfit on a
+    # 1e-12 coefficient fails the match however small the coefficient, while
+    # the non-negativity check keeps its absolute bound, which a negative
+    # fit of -1e-11 still passes
     def row(mean_zero, fitted, analytic):
         return {
             "mean_zero": mean_zero,
@@ -448,15 +461,13 @@ def test_order_2N2_checks_report_directions_under_the_floor():
     ]
     match = landscape._check_order_match(rows, 3)
     nonneg = landscape._check_order_nonneg(rows, 3)
-    assert match.passed and nonneg.passed
+    assert not match.passed and nonneg.passed
     assert match.threshold == landscape.TOLERANCES["order_match_rel"]
     assert nonneg.threshold == landscape.TOLERANCES["order_nonneg"]
-    assert match.measured == pytest.approx(2e-11 / 1e-9)
-    for check in (match, nonneg):
-        assert check.extras["relative_floor"] == 1e-9
-        assert check.extras["min_abs_analytic"] == 1e-12
-        assert check.extras["directions_under_floor"] == 2
-    assert nonneg.extras["min_analytic"] == 1e-12
+    assert match.measured == pytest.approx(4.0)
+    assert match.extras == {}
+    assert nonneg.extras == {"min_analytic": 1e-12}
+    assert landscape._check_order_match(rows[1:3], 3).passed
 
 
 def test_certificate_failed_stage_keeps_earlier_checks(monkeypatch):
