@@ -1,28 +1,14 @@
 """trapscope: numerical certification of higher-order trap behaviour of the
 zero control for strongly degenerate ladder quantum control systems."""
 
-from .controls import (
-    PiecewiseControl,
-    constant,
-    inner,
-    integral,
-    norm,
-    project_mean_zero,
-    random_direction,
-    read_control_file,
-    sample_midpoints,
-    write_control_file,
-    zero,
-)
+from .controls import PiecewiseControl, random_direction, read_control_file
 from .dynamics import (
     DysonForms,
-    closed_form_AlN,
     dyson_forms,
-    dyson_resum_defect,
-    kernel_bruteforce_A1N,
     kernel_form_A1N,
     objective,
     propagate,
+    unitarity_defect,
 )
 from .errors import TrapscopeError
 from .landscape import (
@@ -32,7 +18,6 @@ from .landscape import (
     TrapReport,
     differential,
     lie_rank,
-    order_2N2_value,
     probe_direction,
     taylor_fit,
     trap_certificate,
@@ -45,13 +30,12 @@ from .model import (
     build_instance,
     build_observable,
     build_system,
-    interaction_element,
-    v_power_element,
 )
-from .numerics import expm_mih, hermitian_eig, unitarity_defect
 
 __version__ = "0.1.0"
 
+# What the certify, differential, scan and controllability commands and the
+# benchmark harness call, and the types those calls return.
 __all__ = [
     "CertificateConfig",
     "DysonForms",
@@ -66,33 +50,17 @@ __all__ = [
     "build_instance",
     "build_observable",
     "build_system",
-    "closed_form_AlN",
-    "constant",
     "differential",
     "dyson_forms",
-    "dyson_resum_defect",
-    "expm_mih",
-    "hermitian_eig",
-    "inner",
-    "integral",
-    "interaction_element",
-    "kernel_bruteforce_A1N",
     "kernel_form_A1N",
     "lie_rank",
-    "norm",
     "objective",
-    "order_2N2_value",
     "probe_direction",
-    "project_mean_zero",
     "propagate",
     "random_direction",
     "read_control_file",
-    "sample_midpoints",
     "taylor_fit",
     "trap_certificate",
     "unitarity_defect",
-    "v_power_element",
     "witness_search",
-    "write_control_file",
-    "zero",
 ]

@@ -60,18 +60,6 @@ def zero(horizon: float, segments: int = 64) -> PiecewiseControl:
     return constant(0.0, horizon, segments)
 
 
-def sample_midpoints(func, horizon: float, segments: int) -> PiecewiseControl:
-    """Sample a closed-form function at segment midpoints.
-
-    Midpoint sampling is second-order accurate and cancels exactly over full
-    periods of trigonometric test functions.
-    """
-    m = int(segments)
-    dt = horizon / m
-    mids = (np.arange(m) + 0.5) * dt
-    return PiecewiseControl(horizon, tuple(float(func(t)) for t in mids))
-
-
 def _check_grid(f: PiecewiseControl, g: PiecewiseControl):
     if f.horizon != g.horizon or f.segments != g.segments:
         raise GridMismatch(

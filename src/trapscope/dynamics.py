@@ -36,23 +36,22 @@ where [.]_n is the coefficient of x^n, taken by a truncated Cauchy product
 of the stack (C_0, ..., C_{n_max}) with the |N> column.  The C_k come once
 per (system, dt, n_max) from the block-triangular exponential of Van Loan
 (IEEE TAC 1978), in the auxiliary-matrix form of Goodwin & Kuprov (J. Chem.
-Phys. 143, 084113, 2015), and are checked against numerics.expm_mih.
+Phys. 143, 084113, 2015), and are checked against the propagation core's own
+segment steps, so the package carries one unitary exponential.
 
-Three independent evaluation routes are provided for the distinguished form
-A^{N-1} at l = 1:
+Two evaluation routes for the distinguished form A^{N-1} at l = 1 live here:
 
-  * dyson_forms        -- the exact truncated series above;
-  * kernel_form_A1N    -- a 1-D reduction of the (N-1)-dimensional kernel
-                          integral with kernel ~ e^{i omega max(t_1..t_{N-1})},
-                          using that the integrand is symmetric:
-                          int_{[0,T]^m} e^{i w max} prod f
-                              = m int_0^T e^{i w s} f(s) F(s)^{m-1} ds,
-                          F(s) = int_0^s f;
-  * kernel_bruteforce_A1N -- direct enumeration of every cell of the
-                          m-dimensional grid with the phase factor integrated
-                          exactly inside each cell.
+  * dyson_forms     -- the exact truncated series above;
+  * kernel_form_A1N -- a 1-D reduction of the (N-1)-dimensional kernel
+                       integral with kernel ~ e^{i omega max(t_1..t_{N-1})},
+                       using that the integrand is symmetric:
+                       int_{[0,T]^m} e^{i w max} prod f
+                           = m int_0^T e^{i w s} f(s) F(s)^{m-1} ds,
+                       F(s) = int_0^s f.
 
-The reduction identity is not taken on faith: the test suite checks the three
+The reduction identity is not taken on faith: the test oracles
+(tests/oracles.py) enumerate every cell of the m-dimensional grid with the
+phase integrated exactly inside each cell, and the test suite checks the
 routes against each other and against a plain midpoint tensor quadrature.
 """
 
@@ -64,16 +63,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .controls import PiecewiseControl, integral
-from .errors import (
-    DomainError,
-    GridMismatch,
-    NotUnitary,
-    SeriesCheckFailed,
-    TooExpensive,
-)
-from .model import ProblemInstance, SystemSpec, energies, h0_matrix, v_matrix, v_power_element
-from .numerics import expm_mih, unitarity_defect
+from .controls import PiecewiseControl
+from .errors import DomainError, GridMismatch, NotUnitary, SeriesCheckFailed
+from .model import ProblemInstance, SystemSpec, energies, h0_matrix, v_matrix
 
 
 # Segment matrices per block of propagate_batch.  The working set (the
@@ -91,14 +83,13 @@ def block_controls(segments: int) -> int:
     return max(1, BLOCK_MATRICES // segments)
 
 
-def _segment_steps(sys: SystemSpec, values: np.ndarray) -> np.ndarray:
+def _segment_steps(sys: SystemSpec, values: np.ndarray, dt: float) -> np.ndarray:
     """Segment steps S(x) = exp(-i dt (H0 + x V)) for finite values of shape (..., M).
 
     H0 + x V is real symmetric, so each step is Q diag(e^{-i dt w}) Q^T from
     one float64 eigendecomposition over the stack; the result has shape
-    (..., M, N, N), dt = T / M.
+    (..., M, N, N).  The steps of a control on M segments take dt = T / M.
     """
-    dt = sys.horizon / values.shape[-1]
     w, q = np.linalg.eigh(h0_matrix(sys).real + values[..., None, None] * v_matrix(sys).real)
     return (q * np.exp(-1j * dt * w)[..., None, :]) @ q.swapaxes(-1, -2)
 
@@ -161,7 +152,8 @@ def propagate_batch(sys: SystemSpec, values) -> np.ndarray:
     out = np.empty((batch, n, n), dtype=np.complex128)
     rows = block_controls(segments)
     for lo in range(0, batch, rows):
-        out[lo : lo + rows] = _tree_levels(_segment_steps(sys, values[lo : lo + rows]))[-1][:, 0]
+        steps = _segment_steps(sys, values[lo : lo + rows], sys.horizon / segments)
+        out[lo : lo + rows] = _tree_levels(steps)[-1][:, 0]
     return out
 
 
@@ -181,6 +173,23 @@ def propagate(sys: SystemSpec, f: PiecewiseControl) -> np.ndarray:
 
 # Largest unitarity defect objective accepts from a propagator.
 _UNITARITY_TOL = 1e-8
+
+
+def unitarity_defect(u):
+    """Frobenius norm of U^dagger U - I.
+
+    u is one matrix (N, N), giving a float, or a stack (B, N, N), giving an
+    array with the defect of each matrix; a row of the stack gets the same
+    value as that matrix alone.
+    """
+    m = np.asarray(u, dtype=np.complex128)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        raise ValueError("matrix entries must be finite")
+    g = m.conj().swapaxes(-1, -2) @ m
+    defect = np.linalg.norm(g - np.eye(m.shape[-1]), "fro", axis=(-2, -1))
+    return float(defect) if m.ndim == 2 else defect
 
 
 def objective(u: np.ndarray, inst: ProblemInstance) -> float | np.ndarray:
@@ -281,8 +290,9 @@ def _segment_series(sys: SystemSpec, dt: float, n_max: int) -> np.ndarray:
 
     S(x) = exp(-i dt (H0 + x V)) = sum_k x^k C_k, and the result has shape
     (n_max+1, N, N) with C_k in slot k.  The coefficients are checked once
-    against the eigenvalue route: C_0 against exp(-i dt H0) and
-    sum_k x^k C_k at one probe x.
+    against the propagation core's own steps (_segment_steps, the eigenvalue
+    route): C_0 against S(0) = exp(-i dt H0) and sum_k x^k C_k against S(x)
+    at one probe x.
     """
     h0 = h0_matrix(sys)
     v = v_matrix(sys)
@@ -293,9 +303,10 @@ def _segment_series(sys: SystemSpec, dt: float, n_max: int) -> np.ndarray:
     r = min(1.0, (1e-15 * math.factorial(n_max + 1) / math.e) ** (1.0 / (n_max + 1)))
     x = r / (dt * float(np.linalg.norm(v, 2)))
     resummed = sum(x**k * c for k, c in enumerate(coeffs))
+    step_0, step_x = _segment_steps(sys, np.array([0.0, x]), dt)
     defect = max(
-        float(np.linalg.norm(coeffs[0] - expm_mih(h0, dt), "fro")),
-        float(np.linalg.norm(resummed - expm_mih(h0 + x * v, dt), "fro")),
+        float(np.linalg.norm(coeffs[0] - step_0, "fro")),
+        float(np.linalg.norm(resummed - step_x, "fro")),
     )
     if defect > _SERIES_CHECK_TOL:
         raise SeriesCheckFailed(
@@ -378,50 +389,6 @@ def dyson_forms(sys: SystemSpec, f: PiecewiseControl, n_max: int) -> DysonForms:
     return DysonForms(n_max=n_max, levels=n, table=table)
 
 
-def closed_form_AlN(sys: SystemSpec, f: PiecewiseControl, l: int, n: int) -> float:
-    """A^n_l for l > 1 and n <= N-1: <l|V^n|N> / n! * (int f)^n.
-
-    For these orders no path from level N to level l can touch level 1, so
-    the interaction-picture phases drop out and the form collapses to a pure
-    power of the control integral; in particular it vanishes on mean-zero
-    controls.
-    """
-    nlev = sys.levels
-    if l <= 1 or l > nlev:
-        raise DomainError(f"closed form requires 1 < l <= {nlev}, got l={l}")
-    if n < 0 or n > nlev - 1:
-        raise DomainError(f"closed form requires 0 <= n <= {nlev - 1}, got n={n}")
-    return v_power_element(sys, l, n) / math.factorial(n) * integral(f) ** n
-
-
-def _phase_poly_integrals(omega: float, h: float, kmax: int) -> np.ndarray:
-    """I_k = int_0^h u^k e^{i omega u} du for k = 0..kmax.
-
-    Series in (i omega) for small |omega h| (avoids cancellation), upward
-    recurrence otherwise.
-    """
-    out = np.empty(kmax + 1, dtype=np.complex128)
-    z = 1j * omega
-    if abs(omega * h) <= 2.0:
-        for k in range(kmax + 1):
-            term = h ** (k + 1) / (k + 1)
-            total = term
-            j = 1
-            while True:
-                term = term * z * h * (k + j) / (j * (k + j + 1))
-                total += term
-                if abs(term) <= 1e-18 * max(abs(total), h ** (k + 1)):
-                    break
-                j += 1
-            out[k] = total
-    else:
-        eph = np.exp(z * h)
-        out[0] = (eph - 1.0) / z
-        for k in range(1, kmax + 1):
-            out[k] = (h**k * eph - k * out[k - 1]) / z
-    return out
-
-
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
@@ -432,8 +399,10 @@ def kernel_form_A1N(sys: SystemSpec, f: PiecewiseControl) -> complex:
 
     A = v_1...v_{N-1} / (N-2)! * int_0^T e^{i omega s} f(s) F(s)^{N-2} ds
     with F(s) = int_0^s f.  Per segment the integrand is e^{i omega s} times
-    a polynomial, integrated by Gauss-Legendre quadrature.
+    a polynomial, integrated by Gauss-Legendre quadrature.  Raises
+    GridMismatch if f does not live on the system horizon.
     """
+    _check_horizon(sys, f)
     m = sys.levels - 1
     omega = sys.omega
     vals = f.as_array()
@@ -450,103 +419,3 @@ def kernel_form_A1N(sys: SystemSpec, f: PiecewiseControl) -> complex:
     val = 0.5 * dt * complex(np.sum(integrand * w[None, :]))
     vprod = float(np.prod(sys.couplings))
     return vprod * val / math.factorial(m - 1)
-
-
-# Guard for the brute-force path: enumeration visits segments^(levels-1) cells.
-_BRUTEFORCE_MAX_LEVELS = 5
-_BRUTEFORCE_MAX_SEGMENTS = 64
-_CHUNK = 1 << 16
-
-
-def kernel_bruteforce_A1N(sys: SystemSpec, f: PiecewiseControl) -> complex:
-    """A^{N-1}_1 by direct enumeration of the (N-1)-dimensional grid.
-
-    Every cell of the tensor grid is visited; f is constant on each cell and
-    the phase e^{i omega max(t)} is integrated exactly inside the cell (for a
-    cell whose top segment is shared by r coordinates,
-    int_{[l,l+h]^r} e^{i w max} = r e^{i w l} int_0^h u^{r-1} e^{i w u} du).
-    Serves as the oracle for kernel_form_A1N and dyson_forms.
-    """
-    nlev = sys.levels
-    m = nlev - 1
-    mseg = f.segments
-    if nlev > _BRUTEFORCE_MAX_LEVELS or mseg > _BRUTEFORCE_MAX_SEGMENTS:
-        raise TooExpensive(
-            f"brute force needs levels <= {_BRUTEFORCE_MAX_LEVELS} and "
-            f"segments <= {_BRUTEFORCE_MAX_SEGMENTS}, got {nlev} and {mseg}"
-        )
-    omega = sys.omega
-    dt = f.dt
-    vals = f.as_array()
-    ints = _phase_poly_integrals(omega, dt, m - 1)
-    seg_phase = np.exp(1j * omega * np.arange(mseg) * dt)
-    rvals = np.arange(1, m + 1, dtype=np.float64)
-
-    total = 0j
-    n_cells = mseg**m
-    for lo in range(0, n_cells, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, n_cells), dtype=np.int64)
-        digits = np.empty((m, idx.size), dtype=np.int64)
-        rem = idx
-        for ax in range(m):
-            digits[ax] = rem % mseg
-            rem = rem // mseg
-        top = digits.max(axis=0)
-        is_top = digits == top[None, :]
-        r = is_top.sum(axis=0)
-        lower = np.where(is_top, 1.0, vals[digits] * dt).prod(axis=0)
-        contrib = lower * vals[top] ** r * rvals[r - 1] * seg_phase[top] * ints[r - 1]
-        total += complex(contrib.sum())
-    vprod = float(np.prod(sys.couplings))
-    return vprod * total / math.factorial(m)
-
-
-def _kernel_midpoint_A1N(sys: SystemSpec, f: PiecewiseControl, subdiv: int = 1) -> complex:
-    """Plain tensor-product midpoint quadrature of the max-kernel integral.
-
-    O(h^2) accurate only; used in tests as the no-tricks cross-check of the
-    exact-cell brute force.  Cost (segments*subdiv)^(N-1).
-    """
-    nlev = sys.levels
-    m = nlev - 1
-    pts = f.segments * subdiv
-    if nlev > _BRUTEFORCE_MAX_LEVELS or pts**m > 1 << 24:
-        raise TooExpensive(f"midpoint grid of {pts}^{m} points is too large")
-    omega = sys.omega
-    hh = f.horizon / pts
-    mids = (np.arange(pts) + 0.5) * hh
-    fmid = f.as_array()[np.arange(pts) // subdiv]
-
-    total = 0j
-    n_cells = pts**m
-    for lo in range(0, n_cells, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, n_cells), dtype=np.int64)
-        tmax = np.full(idx.size, -np.inf)
-        fprod = np.ones(idx.size)
-        rem = idx
-        for _ in range(m):
-            d = rem % pts
-            rem = rem // pts
-            tmax = np.maximum(tmax, mids[d])
-            fprod *= fmid[d]
-        total += complex(np.sum(fprod * np.exp(1j * omega * tmax)))
-    vprod = float(np.prod(sys.couplings))
-    return vprod * total * hh**m / math.factorial(m)
-
-
-def dyson_resum_defect(sys: SystemSpec, f: PiecewiseControl, n_max: int) -> float:
-    """Frobenius distance between the resummed forms and the true propagator.
-
-    Compares sum_{n<=n_max} (-i)^n A^n(T), with the forms of every starting
-    level, against e^{i T H0} U_T.  The forms are exact, so up to roundoff
-    the distance is the truncation remainder of the series, whose leading
-    term is of size (||V||_2 int|f|)^{n_max+1}/(n_max+1)!; it vanishes
-    rapidly for small controls.
-    """
-    n = sys.levels
-    forms = _interaction_series(sys, f, n_max, np.eye(n, dtype=np.complex128))
-    resum = np.eye(n, dtype=np.complex128)
-    for k in range(1, n_max + 1):
-        resum = resum + (-1j) ** k * forms[k]
-    u_int = expm_mih(h0_matrix(sys), -sys.horizon) @ propagate(sys, f)
-    return float(np.linalg.norm(resum - u_int, "fro"))

@@ -5,10 +5,6 @@ class TrapscopeError(Exception):
     """Base class for all toolkit errors."""
 
 
-class NotHermitian(TrapscopeError):
-    """Input matrix is not Hermitian within tolerance."""
-
-
 class NotUnitary(TrapscopeError):
     """Matrix fails the unitarity check required by the caller."""
 
@@ -35,10 +31,6 @@ class GridMismatch(TrapscopeError):
 
 class SeriesCheckFailed(TrapscopeError):
     """Power-series coefficients of a segment step disagree with its exponential."""
-
-
-class TooExpensive(TrapscopeError):
-    """Requested brute-force computation exceeds its cost guard."""
 
 
 class DomainError(TrapscopeError):

@@ -305,14 +305,15 @@ def witness_search(
         if js[k] > best_j:
             best_j, best_vals = float(js[k]), block[k].copy()
 
-    levels = _tree_levels(_segment_steps(sys, best_vals))
+    dt = sys.horizon / segments
+    levels = _tree_levels(_segment_steps(sys, best_vals, dt))
     step = 0.25 * hi
     for _ in range(WITNESS_REFINE_ROUNDS):
         improved = False
         # A pass changes best_vals only at indices it has already visited,
         # so the trial steps built at its start stay current.
         deltas = (step, -step)
-        trial = _segment_steps(sys, best_vals + np.array(deltas)[:, None])
+        trial = _segment_steps(sys, best_vals + np.array(deltas)[:, None], dt)
         for idx in range(segments):
             for delta, steps in zip(deltas, trial):
                 path = _tree_path(levels, idx, steps[idx])

@@ -95,51 +95,6 @@ def v_matrix(sys: SystemSpec) -> np.ndarray:
     return m
 
 
-def interaction_element(sys: SystemSpec, l: int, k: int, t: float) -> complex:
-    """Matrix element <l| V_t |k> of V_t = e^{i t H0} V e^{-i t H0}.
-
-    Equals e^{i t (E_l - E_k)} V_{lk}; only elements touching level 1 carry
-    a phase.  l and k are 1-based.
-    """
-    n = sys.levels
-    if not (1 <= l <= n and 1 <= k <= n):
-        raise BadDimension(f"level indices must be in 1..{n}, got l={l}, k={k}")
-    if abs(l - k) != 1:
-        return 0j
-    v = sys.couplings[min(l, k) - 1]
-    e_l = sys.a if l == 1 else sys.b
-    e_k = sys.a if k == 1 else sys.b
-    return complex(np.exp(1j * t * (e_l - e_k)) * v)
-
-
-def interaction_matrix(sys: SystemSpec, t: float) -> np.ndarray:
-    """Full V_t = e^{i t H0} V e^{-i t H0} via elementwise phases."""
-    ph = np.exp(1j * t * energies(sys))
-    return ph[:, None] * v_matrix(sys) * ph.conj()[None, :]
-
-
-def v_power_element(sys: SystemSpec, l: int, n: int) -> float:
-    """<l| V^n |N> by repeated tridiagonal matrix-vector products.
-
-    n = 0 returns the Kronecker delta delta_{lN}.  Vanishes whenever
-    n < N - l (a tridiagonal operator moves one level per power).
-    """
-    nlev = sys.levels
-    if not 1 <= l <= nlev:
-        raise BadDimension(f"level index must be in 1..{nlev}, got {l}")
-    if n < 0:
-        raise BadDimension(f"power must be nonnegative, got {n}")
-    w = np.zeros(nlev, dtype=np.float64)
-    w[nlev - 1] = 1.0
-    v = np.asarray(sys.couplings, dtype=np.float64)
-    for _ in range(n):
-        nxt = np.zeros_like(w)
-        nxt[:-1] += v * w[1:]
-        nxt[1:] += v * w[:-1]
-        w = nxt
-    return float(w[l - 1])
-
-
 @dataclass(frozen=True)
 class Observable:
     """Diagonal target operator, normalized so the last eigenvalue is 0.
@@ -151,10 +106,6 @@ class Observable:
 
     eigenvalues: tuple[float, ...]
     shift: float
-
-    @property
-    def raw_eigenvalues(self) -> tuple[float, ...]:
-        return tuple(x + self.shift for x in self.eigenvalues)
 
 
 def build_observable(eigenvalues) -> Observable:

@@ -1,0 +1,293 @@
+"""Independent reference routes the test suite checks the certifier against.
+
+Nothing here runs in a certificate.  These are the slow or narrow routes
+whose agreement with the package is the evidence that its analytic forms are
+right: a complex-Hermitian eigendecomposition and the unitary exponential
+built on it, element-wise interaction-picture matrices, the closed forms of
+the low orders, a brute-force enumeration and a plain midpoint quadrature of
+the max-kernel integral for A^{N-1}_1, and the resummation of the forms
+against the propagator.  Test files import it as `from oracles import ...`.
+Only numpy and the package are imported, so the suite needs nothing beyond
+numpy and pytest.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from trapscope.controls import PiecewiseControl, integral
+from trapscope.dynamics import _check_horizon, _interaction_series, propagate
+from trapscope.errors import BadDimension, DomainError, TrapscopeError
+from trapscope.model import SystemSpec, energies, h0_matrix, v_matrix
+
+
+class NotHermitian(TrapscopeError):
+    """Input matrix is not Hermitian within tolerance."""
+
+
+class TooExpensive(TrapscopeError):
+    """Requested brute-force computation exceeds its cost guard."""
+
+
+# ---------------------------------------------------------------- dense kernel
+
+# Absolute, entrywise tolerance for accepting a matrix as Hermitian.
+# Inputs are constructed exactly Hermitian; this only absorbs roundoff.
+TOL_HERM = 1e-12
+
+
+def as_complex_matrix(a) -> np.ndarray:
+    """Validate and return a square complex128 matrix with finite entries."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
+def hermiticity_defect(h) -> float:
+    """Max entrywise magnitude of H - H^dagger."""
+    m = as_complex_matrix(h)
+    return float(np.max(np.abs(m - m.conj().T)))
+
+
+def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition H = Q diag(w) Q^dagger of a Hermitian matrix.
+
+    Returns eigenvalues in ascending order and the unitary eigenvector
+    matrix Q (columns are eigenvectors).  Raises NotHermitian if the input
+    deviates from Hermiticity by more than TOL_HERM in any entry.
+    """
+    m = as_complex_matrix(h)
+    defect = float(np.max(np.abs(m - m.conj().T)))
+    if defect > TOL_HERM:
+        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {TOL_HERM:.3e}")
+    w, q = np.linalg.eigh(m)
+    return w, q
+
+
+def expm_mih(h, s: float) -> np.ndarray:
+    """exp(-i*s*H) for Hermitian H, via eigendecomposition.
+
+    The result is unitary up to roundoff for any real s.
+    """
+    w, q = hermitian_eig(h)
+    phases = np.exp(-1j * float(s) * w)
+    return (q * phases) @ q.conj().T
+
+
+def spectral_norm_hermitian(h) -> float:
+    """Operator 2-norm of a Hermitian matrix (largest |eigenvalue|)."""
+    w, _ = hermitian_eig(h)
+    return float(np.max(np.abs(w)))
+
+
+# ---------------------------------------------------------------- model
+
+def interaction_element(sys: SystemSpec, l: int, k: int, t: float) -> complex:
+    """Matrix element <l| V_t |k> of V_t = e^{i t H0} V e^{-i t H0}.
+
+    Equals e^{i t (E_l - E_k)} V_{lk}; only elements touching level 1 carry
+    a phase.  l and k are 1-based.
+    """
+    n = sys.levels
+    if not (1 <= l <= n and 1 <= k <= n):
+        raise BadDimension(f"level indices must be in 1..{n}, got l={l}, k={k}")
+    if abs(l - k) != 1:
+        return 0j
+    v = sys.couplings[min(l, k) - 1]
+    e_l = sys.a if l == 1 else sys.b
+    e_k = sys.a if k == 1 else sys.b
+    return complex(np.exp(1j * t * (e_l - e_k)) * v)
+
+
+def interaction_matrix(sys: SystemSpec, t: float) -> np.ndarray:
+    """Full V_t = e^{i t H0} V e^{-i t H0} via elementwise phases."""
+    ph = np.exp(1j * t * energies(sys))
+    return ph[:, None] * v_matrix(sys) * ph.conj()[None, :]
+
+
+def v_power_element(sys: SystemSpec, l: int, n: int) -> float:
+    """<l| V^n |N> by repeated tridiagonal matrix-vector products.
+
+    n = 0 returns the Kronecker delta delta_{lN}.  Vanishes whenever
+    n < N - l (a tridiagonal operator moves one level per power).
+    """
+    nlev = sys.levels
+    if not 1 <= l <= nlev:
+        raise BadDimension(f"level index must be in 1..{nlev}, got {l}")
+    if n < 0:
+        raise BadDimension(f"power must be nonnegative, got {n}")
+    w = np.zeros(nlev, dtype=np.float64)
+    w[nlev - 1] = 1.0
+    v = np.asarray(sys.couplings, dtype=np.float64)
+    for _ in range(n):
+        nxt = np.zeros_like(w)
+        nxt[:-1] += v * w[1:]
+        nxt[1:] += v * w[:-1]
+        w = nxt
+    return float(w[l - 1])
+
+
+# ---------------------------------------------------------------- controls
+
+def sample_midpoints(func, horizon: float, segments: int) -> PiecewiseControl:
+    """Sample a closed-form function at segment midpoints.
+
+    Midpoint sampling is second-order accurate and cancels exactly over full
+    periods of trigonometric test functions.
+    """
+    m = int(segments)
+    dt = horizon / m
+    mids = (np.arange(m) + 0.5) * dt
+    return PiecewiseControl(horizon, tuple(float(func(t)) for t in mids))
+
+
+# ---------------------------------------------------------------- forms
+
+def closed_form_AlN(sys: SystemSpec, f: PiecewiseControl, l: int, n: int) -> float:
+    """A^n_l for l > 1 and n <= N-1: <l|V^n|N> / n! * (int f)^n.
+
+    For these orders no path from level N to level l can touch level 1, so
+    the interaction-picture phases drop out and the form collapses to a pure
+    power of the control integral; in particular it vanishes on mean-zero
+    controls.
+    """
+    nlev = sys.levels
+    if l <= 1 or l > nlev:
+        raise DomainError(f"closed form requires 1 < l <= {nlev}, got l={l}")
+    if n < 0 or n > nlev - 1:
+        raise DomainError(f"closed form requires 0 <= n <= {nlev - 1}, got n={n}")
+    return v_power_element(sys, l, n) / math.factorial(n) * integral(f) ** n
+
+
+def _phase_poly_integrals(omega: float, h: float, kmax: int) -> np.ndarray:
+    """I_k = int_0^h u^k e^{i omega u} du for k = 0..kmax.
+
+    Series in (i omega) for small |omega h| (avoids cancellation), upward
+    recurrence otherwise.
+    """
+    out = np.empty(kmax + 1, dtype=np.complex128)
+    z = 1j * omega
+    if abs(omega * h) <= 2.0:
+        for k in range(kmax + 1):
+            term = h ** (k + 1) / (k + 1)
+            total = term
+            j = 1
+            while True:
+                term = term * z * h * (k + j) / (j * (k + j + 1))
+                total += term
+                if abs(term) <= 1e-18 * max(abs(total), h ** (k + 1)):
+                    break
+                j += 1
+            out[k] = total
+    else:
+        eph = np.exp(z * h)
+        out[0] = (eph - 1.0) / z
+        for k in range(1, kmax + 1):
+            out[k] = (h**k * eph - k * out[k - 1]) / z
+    return out
+
+
+# Guard for the brute-force path: enumeration visits segments^(levels-1) cells.
+_BRUTEFORCE_MAX_LEVELS = 5
+_BRUTEFORCE_MAX_SEGMENTS = 64
+_CHUNK = 1 << 16
+
+
+def kernel_bruteforce_A1N(sys: SystemSpec, f: PiecewiseControl) -> complex:
+    """A^{N-1}_1 by direct enumeration of the (N-1)-dimensional grid.
+
+    Every cell of the tensor grid is visited; f is constant on each cell and
+    the phase e^{i omega max(t)} is integrated exactly inside the cell (for a
+    cell whose top segment is shared by r coordinates,
+    int_{[l,l+h]^r} e^{i w max} = r e^{i w l} int_0^h u^{r-1} e^{i w u} du).
+    Serves as the oracle for kernel_form_A1N and dyson_forms.
+    """
+    _check_horizon(sys, f)
+    nlev = sys.levels
+    m = nlev - 1
+    mseg = f.segments
+    if nlev > _BRUTEFORCE_MAX_LEVELS or mseg > _BRUTEFORCE_MAX_SEGMENTS:
+        raise TooExpensive(
+            f"brute force needs levels <= {_BRUTEFORCE_MAX_LEVELS} and "
+            f"segments <= {_BRUTEFORCE_MAX_SEGMENTS}, got {nlev} and {mseg}"
+        )
+    omega = sys.omega
+    dt = f.dt
+    vals = f.as_array()
+    ints = _phase_poly_integrals(omega, dt, m - 1)
+    seg_phase = np.exp(1j * omega * np.arange(mseg) * dt)
+    rvals = np.arange(1, m + 1, dtype=np.float64)
+
+    total = 0j
+    n_cells = mseg**m
+    for lo in range(0, n_cells, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, n_cells), dtype=np.int64)
+        digits = np.empty((m, idx.size), dtype=np.int64)
+        rem = idx
+        for ax in range(m):
+            digits[ax] = rem % mseg
+            rem = rem // mseg
+        top = digits.max(axis=0)
+        is_top = digits == top[None, :]
+        r = is_top.sum(axis=0)
+        lower = np.where(is_top, 1.0, vals[digits] * dt).prod(axis=0)
+        contrib = lower * vals[top] ** r * rvals[r - 1] * seg_phase[top] * ints[r - 1]
+        total += complex(contrib.sum())
+    vprod = float(np.prod(sys.couplings))
+    return vprod * total / math.factorial(m)
+
+
+def _kernel_midpoint_A1N(sys: SystemSpec, f: PiecewiseControl, subdiv: int = 1) -> complex:
+    """Plain tensor-product midpoint quadrature of the max-kernel integral.
+
+    O(h^2) accurate only; the no-tricks cross-check of the exact-cell brute
+    force.  Cost (segments*subdiv)^(N-1).
+    """
+    nlev = sys.levels
+    m = nlev - 1
+    pts = f.segments * subdiv
+    if nlev > _BRUTEFORCE_MAX_LEVELS or pts**m > 1 << 24:
+        raise TooExpensive(f"midpoint grid of {pts}^{m} points is too large")
+    omega = sys.omega
+    hh = f.horizon / pts
+    mids = (np.arange(pts) + 0.5) * hh
+    fmid = f.as_array()[np.arange(pts) // subdiv]
+
+    total = 0j
+    n_cells = pts**m
+    for lo in range(0, n_cells, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, n_cells), dtype=np.int64)
+        tmax = np.full(idx.size, -np.inf)
+        fprod = np.ones(idx.size)
+        rem = idx
+        for _ in range(m):
+            d = rem % pts
+            rem = rem // pts
+            tmax = np.maximum(tmax, mids[d])
+            fprod *= fmid[d]
+        total += complex(np.sum(fprod * np.exp(1j * omega * tmax)))
+    vprod = float(np.prod(sys.couplings))
+    return vprod * total * hh**m / math.factorial(m)
+
+
+def dyson_resum_defect(sys: SystemSpec, f: PiecewiseControl, n_max: int) -> float:
+    """Frobenius distance between the resummed forms and the true propagator.
+
+    Compares sum_{n<=n_max} (-i)^n A^n(T), with the forms of every starting
+    level, against e^{i T H0} U_T.  The forms are exact, so up to roundoff
+    the distance is the truncation remainder of the series, whose leading
+    term is of size (||V||_2 int|f|)^{n_max+1}/(n_max+1)!; it vanishes
+    rapidly for small controls.
+    """
+    n = sys.levels
+    forms = _interaction_series(sys, f, n_max, np.eye(n, dtype=np.complex128))
+    resum = np.eye(n, dtype=np.complex128)
+    for k in range(1, n_max + 1):
+        resum = resum + (-1j) ** k * forms[k]
+    u_int = expm_mih(h0_matrix(sys), -sys.horizon) @ propagate(sys, f)
+    return float(np.linalg.norm(resum - u_int, "fro"))

@@ -11,13 +11,8 @@ import time
 
 import numpy as np
 
-from trapscope.controls import integral, random_direction, sample_midpoints
-from trapscope.dynamics import (
-    dyson_forms,
-    dyson_resum_defect,
-    kernel_bruteforce_A1N,
-    kernel_form_A1N,
-)
+from trapscope.controls import integral, random_direction
+from trapscope.dynamics import dyson_forms, kernel_form_A1N
 from trapscope.landscape import (
     CertificateConfig,
     differential,
@@ -28,7 +23,8 @@ from trapscope.landscape import (
     witness_search,
 )
 from trapscope.model import build_instance, build_observable, build_system, v_matrix
-from trapscope.numerics import spectral_norm_hermitian
+
+from oracles import dyson_resum_defect, kernel_bruteforce_A1N, sample_midpoints, spectral_norm_hermitian
 
 TWO_PI = 2 * math.pi
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

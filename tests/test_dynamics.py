@@ -8,31 +8,31 @@ from trapscope.controls import (
     constant,
     integral,
     random_direction,
-    sample_midpoints,
     zero,
 )
 from trapscope import dynamics
 from trapscope.dynamics import (
-    _kernel_midpoint_A1N,
     block_controls,
-    closed_form_AlN,
     dyson_forms,
-    dyson_resum_defect,
-    kernel_bruteforce_A1N,
     kernel_form_A1N,
     objective,
     propagate,
     propagate_batch,
+    unitarity_defect,
 )
-from trapscope.errors import (
-    DomainError,
-    GridMismatch,
-    NotUnitary,
-    SeriesCheckFailed,
-    TooExpensive,
-)
+from trapscope.errors import DomainError, GridMismatch, NotUnitary, SeriesCheckFailed
 from trapscope.model import build_instance, build_observable, build_system, v_matrix
-from trapscope.numerics import expm_mih, spectral_norm_hermitian, unitarity_defect
+
+from oracles import (
+    TooExpensive,
+    _kernel_midpoint_A1N,
+    closed_form_AlN,
+    dyson_resum_defect,
+    expm_mih,
+    kernel_bruteforce_A1N,
+    sample_midpoints,
+    spectral_norm_hermitian,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -115,13 +115,14 @@ def test_tree_path_equals_fresh_tree_of_the_changed_control(segments):
     rng = np.random.default_rng(segments)
     values = rng.uniform(-2.0, 2.0, segments)
     changed = values + rng.uniform(-0.5, 0.5, segments)
-    levels = dynamics._tree_levels(dynamics._segment_steps(sys, values))
-    new_steps = dynamics._segment_steps(sys, changed)
+    dt = TWO_PI / segments
+    levels = dynamics._tree_levels(dynamics._segment_steps(sys, values, dt))
+    new_steps = dynamics._segment_steps(sys, changed, dt)
     for k in range(segments):
         control = values.copy()
         control[k] = changed[k]
         path = dynamics._tree_path(levels, k, new_steps[k])
-        fresh = dynamics._tree_levels(dynamics._segment_steps(sys, control))
+        fresh = dynamics._tree_levels(dynamics._segment_steps(sys, control, dt))
         assert len(path) == len(fresh) == len(levels)
         for level, node in enumerate(path):
             assert np.array_equal(node, fresh[level][k >> level])
@@ -304,11 +305,16 @@ def test_dyson_matches_kernel_oracles_to_roundoff():
 
 
 def test_dyson_series_self_check_rejects_wrong_coefficients(monkeypatch):
-    def perturbed(h, s):
-        return expm_mih(h, s) * (1.0 + 1e-9)
+    # corrupt the series, not its reference: C_0 off by 1e-9 relative
+    exp_series = dynamics._exp_series
+
+    def corrupted(b0, b1, order):
+        coeffs = exp_series(b0, b1, order)
+        coeffs[0] *= 1.0 + 1e-9
+        return coeffs
 
     dynamics._segment_series.cache_clear()
-    monkeypatch.setattr(dynamics, "expm_mih", perturbed)
+    monkeypatch.setattr(dynamics, "_exp_series", corrupted)
     with pytest.raises(SeriesCheckFailed):
         dyson_forms(n3_system(), random_direction(1, 16, TWO_PI), n_max=4)
 
@@ -351,6 +357,14 @@ def test_closed_form_domain_errors():
 
 def test_kernel_form_zero_control():
     assert kernel_form_A1N(n3_system(), zero(TWO_PI, 32)) == 0.0
+
+
+def test_kernel_forms_reject_a_control_on_another_horizon():
+    # a T = 3 control on a T = 2 pi system, which dyson_forms rejects too
+    f = random_direction(5, 16, 3.0, amplitude=1.0)
+    for route in (kernel_form_A1N, kernel_bruteforce_A1N):
+        with pytest.raises(GridMismatch):
+            route(n3_system(), f)
 
 
 def test_kernel_form_cos_frequency_orthogonality():

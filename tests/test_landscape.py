@@ -11,7 +11,6 @@ from trapscope.controls import (
     integral,
     norm,
     random_direction,
-    sample_midpoints,
 )
 from trapscope.dynamics import block_controls, dyson_forms, kernel_form_A1N, objective, propagate
 from trapscope.errors import ConfigError, DomainError, InsufficientOrder
@@ -27,6 +26,8 @@ from trapscope.landscape import (
     witness_search,
 )
 from trapscope.model import build_instance, build_observable, build_system
+
+from oracles import sample_midpoints
 
 TWO_PI = 2 * math.pi
 

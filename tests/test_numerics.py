@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from trapscope.errors import NotHermitian
-from trapscope.numerics import (
-    expm_mih,
-    hermitian_eig,
-    hermiticity_defect,
-    spectral_norm_hermitian,
-    unitarity_defect,
-)
+from trapscope.dynamics import unitarity_defect
+
+from oracles import NotHermitian, expm_mih, hermitian_eig, hermiticity_defect, spectral_norm_hermitian
 
 
 def random_hermitian(rng, dim):

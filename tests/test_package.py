@@ -1,0 +1,49 @@
+"""The package is the certifier alone: the test oracles stay in tests/."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+
+import trapscope
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
+
+
+def test_cli_import_leaves_the_oracles_out():
+    # run from tests/, where `import oracles` would succeed, so only
+    # sys.modules can tell whether the package pulled it in
+    code = "import json, sys, trapscope.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        cwd=TESTS,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "trapscope.cli" in loaded
+    assert "oracles" not in loaded
+
+
+def test_every_public_name_resolves():
+    assert len(set(trapscope.__all__)) == len(trapscope.__all__)
+    for name in trapscope.__all__:
+        assert getattr(trapscope, name) is not None, name
+
+
+def test_oracles_import_only_numpy_and_the_package():
+    with open(os.path.join(TESTS, "oracles.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import"
+            imported.add(node.module.split(".")[0])
+    assert imported - sys.stdlib_module_names == {"numpy", "trapscope"}
