@@ -231,7 +231,8 @@ def cmd_scan(config_path: str, out_csv: str, tmax: float = 1.0, points: int = 11
     inst = build_problem(cfg)
     sys_ = inst.system
     budget = cfg.certificate
-    ts = [-tmax + 2.0 * tmax * k / (points - 1) for k in range(points)]
+    # Exactly antisymmetric: ts[points - 1 - k] == -ts[k] bit for bit.
+    ts = [tmax * (2 * k - (points - 1)) / (points - 1) for k in range(points)]
     rows = block_controls(budget.segments)
     with open(out_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("seed,mean_zero,t,J\n")
@@ -239,11 +240,16 @@ def cmd_scan(config_path: str, out_csv: str, tmax: float = 1.0, points: int = 11
             seed = budget.seed + i
             mean_zero = i % 2 == 0
             vals = probe_direction(budget.seed, i, budget.segments, sys_.horizon).as_array()
-            for start in range(0, points, rows):
+            # The ladder's parity makes J(-t f) == J(t f) bit for bit (see
+            # dynamics._segment_steps), so only t >= 0 is propagated and each
+            # t < 0 row repeats its mirror's J.
+            js = np.empty(points)
+            for start in range(points // 2, points, rows):
                 block = ts[start : start + rows]
-                js = objective(propagate_batch(sys_, np.outer(block, vals)), inst)
-                for t, j in zip(block, js):
-                    fh.write(f"{seed},{int(mean_zero)},{_fmt(t)},{_fmt(j)}\n")
+                js[start : start + rows] = objective(propagate_batch(sys_, np.outer(block, vals)), inst)
+            for k, t in enumerate(ts):
+                j = js[max(k, points - 1 - k)]
+                fh.write(f"{seed},{int(mean_zero)},{_fmt(t)},{_fmt(j)}\n")
     print(f"scan written to {out_csv} ({budget.directions * points} rows)")
     return 0
 

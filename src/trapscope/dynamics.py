@@ -5,8 +5,11 @@ piecewise constant, each segment is advanced by one exact exponential, so
 propagation carries no time-discretization error beyond roundoff.  One core,
 propagate_batch, serves every sampled objective value at real amplitude
 (scan, the witness search): H0 + x V is real symmetric, so the steps of a whole
-stack of controls come from one float64 eigendecomposition, and each
-U_T = S_M ... S_1 is a pairwise tree product.  Controls pass through in
+stack of controls come from one float64 eigendecomposition and two real
+matrix products, and each U_T = S_M ... S_1 is a pairwise tree product.  The
+ladder's parity P = diag(1, -1, 1, ...) (P H0 P = H0, P V P = -V) is built
+into the steps, so U_T(-f) = P U_T(f) P and J(-f) = J(f) hold bit for bit;
+scan relies on it to propagate only t >= 0.  Controls pass through in
 blocks of BLOCK_MATRICES segment matrices, which keeps peak memory flat in
 the number of controls.  propagate is its B = 1 case, so a batched row and a
 single call agree bit for bit.  The witness refinement keeps the tree levels
@@ -87,11 +90,25 @@ def _segment_steps(sys: SystemSpec, values: np.ndarray, dt: float) -> np.ndarray
     """Segment steps S(x) = exp(-i dt (H0 + x V)) for finite values of shape (..., M).
 
     H0 + x V is real symmetric, so each step is Q diag(e^{-i dt w}) Q^T from
-    one float64 eigendecomposition over the stack; the result has shape
-    (..., M, N, N).  The steps of a control on M segments take dt = T / M.
+    one float64 eigendecomposition over the stack, formed in real arithmetic:
+    Re S = (Q cos(dt w)) Q^T and Im S = -(Q sin(dt w)) Q^T.  The result has
+    shape (..., M, N, N); the steps of a control on M segments take dt = T / M.
+
+    The ladder's parity P = diag(1, -1, 1, ...) fixes H0 and flips V, so
+    H0 - |x| V = P (H0 + |x| V) P.  Only H0 + |x| V is decomposed, and for
+    x < 0 the rows of Q take the signs of P.  Sign flips are exact and leave
+    every sum in its order, so S(-x) = P S(x) P, and with it
+    U_T(-f) = P U_T(f) P and J(-f) = J(f), hold bit for bit on any LAPACK.
     """
-    w, q = np.linalg.eigh(h0_matrix(sys).real + values[..., None, None] * v_matrix(sys).real)
-    return (q * np.exp(-1j * dt * w)[..., None, :]) @ q.swapaxes(-1, -2)
+    parity = (-1.0) ** np.arange(sys.levels)
+    w, q = np.linalg.eigh(h0_matrix(sys).real + np.abs(values)[..., None, None] * v_matrix(sys).real)
+    q = np.where((values < 0)[..., None, None], parity[:, None] * q, q)
+    qt = np.ascontiguousarray(q.swapaxes(-1, -2))  # a strided Q^T makes matmul about 1.4x slower
+    phase = dt * w[..., None, :]
+    steps = np.empty(q.shape, dtype=np.complex128)
+    steps.real = (q * np.cos(phase)) @ qt
+    steps.imag = -((q * np.sin(phase)) @ qt)
+    return steps
 
 
 def _tree_levels(steps: np.ndarray) -> list[np.ndarray]:

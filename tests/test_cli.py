@@ -212,19 +212,43 @@ def test_scan_rejects_bad_tmax_before_writing(tmp_path, capsys, tmax):
 
 
 def test_scan_rows_probe_the_certificate_directions(tmp_path):
-    # both offset signs appear among the odd rows with four directions
+    # both offset signs appear among the odd rows with four directions; the
+    # t < 0 rows, which repeat their mirror's J, must equal a direct
+    # propagation at their own t, on a dyadic and a non-dyadic grid
     cfg_path = write_config(tmp_path / "c.cfg", directions="4")
-    out = tmp_path / "scan.csv"
-    assert main(["scan", cfg_path, "--out", str(out), "--points", "5", "--tmax", "0.5"]) == 0
     cfg = parse_config(cfg_path)
     inst = build_problem(cfg)
+    out = tmp_path / "scan.csv"
+    for points, tmax in (("5", "0.5"), ("11", "0.7")):
+        assert main(["scan", cfg_path, "--out", str(out), "--points", points, "--tmax", tmax]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        assert len(rows) == 4 * int(points)
+        for seed, mz, t, j in rows:
+            index = int(seed) - cfg.certificate.seed
+            assert mz == str(int(index % 2 == 0))
+            f = probe_direction(cfg.certificate.seed, index, cfg.certificate.segments, cfg.horizon)
+            assert float(j) == objective(propagate(inst.system, f.scaled(float(t))), inst)
+
+
+@pytest.mark.parametrize("points", [2, 10, 11, 401])
+@pytest.mark.parametrize("tmax", [0.3, 0.7, 1.0, 2.5])
+def test_scan_grid_is_exactly_antisymmetric(tmp_path, points, tmax):
+    # t_k = -t_{p-1-k} bit for bit, so the mirrored rows share one J string
+    cfg = write_config(tmp_path / "c.cfg")
+    out = tmp_path / "scan.csv"
+    assert main(["scan", cfg, "--out", str(out), "--points", str(points), "--tmax", repr(tmax)]) == 0
     rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
-    assert len(rows) == 4 * 5
-    for seed, mz, t, j in rows:
-        index = int(seed) - cfg.certificate.seed
-        assert mz == str(int(index % 2 == 0))
-        f = probe_direction(cfg.certificate.seed, index, cfg.certificate.segments, cfg.horizon)
-        assert float(j) == objective(propagate(inst.system, f.scaled(float(t))), inst)
+    assert len(rows) == 2 * points
+    for d in range(2):
+        direction = rows[d * points : (d + 1) * points]
+        assert len({(seed, mz) for seed, mz, _, _ in direction}) == 1
+        ts = [float(t) for _, _, t, _ in direction]
+        js = [j for _, _, _, j in direction]
+        assert ts[0] == -tmax and ts[-1] == tmax
+        for k in range(points):
+            assert ts[points - 1 - k] == -ts[k]
+            assert js[points - 1 - k] == js[k]
+        assert ts.count(0.0) == points % 2
 
 
 def test_scan_nonzero_mean_rows_concave_near_zero(tmp_path):

@@ -21,7 +21,7 @@ from trapscope.dynamics import (
     unitarity_defect,
 )
 from trapscope.errors import DomainError, GridMismatch, NotUnitary, SeriesCheckFailed
-from trapscope.model import build_instance, build_observable, build_system, v_matrix
+from trapscope.model import build_instance, build_observable, build_system, energies, v_matrix
 
 from oracles import (
     TooExpensive,
@@ -106,6 +106,30 @@ def test_propagate_batch_matches_sequential_product():
         for x in row:
             ref = expm_mih(h0 + x * v_matrix(sys), dt) @ ref
         assert np.max(np.abs(u - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("levels", range(3, 9))
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (-0.4, 0.9)])
+def test_parity_mirrors_the_propagator_bit_for_bit(levels, a, b):
+    # P = diag(1, -1, 1, ...) fixes H0 and flips V, so U_T(-f) = P U_T(f) P
+    # and J(-f) = J(f) exactly; each step is still exp(-i dt (H0 + x V)).
+    rng = np.random.default_rng(100 * levels + int(a > b))
+    couplings = rng.uniform(0.5, 1.5, levels - 1) * rng.choice([-1.0, 1.0], levels - 1)
+    parity = (-1.0) ** np.arange(levels)
+    lam = np.concatenate([[1.0], rng.uniform(-0.9, -0.1, levels - 2), [0.0]])
+    for horizon, segments in ((0.7, 5), (TWO_PI, 16), (3 * TWO_PI, 9)):
+        sys = build_system(levels, a, b, couplings, horizon)
+        inst = build_instance(sys, build_observable(lam))
+        values = rng.uniform(-2.0, 2.0, (7, segments))
+        u = propagate_batch(sys, values)
+        mirrored = propagate_batch(sys, -values)
+        assert np.array_equal(mirrored, parity[:, None] * u * parity[None, :])
+        assert np.array_equal(objective(mirrored, inst), objective(u, inst))
+        dt = horizon / segments
+        xs = np.concatenate([values[0], -values[0]])
+        for x, step in zip(xs, dynamics._segment_steps(sys, xs, dt)):
+            assert unitarity_defect(step) <= 1e-14
+            assert np.max(np.abs(step - expm_mih(np.diag(energies(sys)) + x * v_matrix(sys), dt))) <= 1e-13
 
 
 @pytest.mark.parametrize("segments", [1, 2, 3, 7, 9, 64])
