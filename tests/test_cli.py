@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -125,6 +127,27 @@ def test_certify_non_finite_instance_value_is_usage_error(tmp_path, capsys, over
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith(f"error: {error}")
+
+
+def test_certify_overflowed_series_fails_its_stage(tmp_path):
+    # The series of a = 1e300 overflows to NaN; the self-check must stop the
+    # run in the directions stage, before the contour, whose substep count
+    # grows with dt |a - b|, would run for ever.  A child process with a
+    # timeout keeps a regression from hanging the suite.
+    cfg = write_config(tmp_path / "huge.cfg", a="1e300", M="8")
+    out = tmp_path / "r.json"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "trapscope", "certify", cfg, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    stage = json.loads(out.read_text())["failed_stage"]
+    assert stage.startswith("directions: SeriesCheckFailed") and "nan" in stage
 
 
 def test_certify_reports_are_deterministic(tmp_path):

@@ -132,27 +132,6 @@ def test_parity_mirrors_the_propagator_bit_for_bit(levels, a, b):
             assert np.max(np.abs(step - expm_mih(np.diag(energies(sys)) + x * v_matrix(sys), dt))) <= 1e-13
 
 
-@pytest.mark.parametrize("segments", [1, 2, 3, 7, 9, 64])
-def test_tree_path_equals_fresh_tree_of_the_changed_control(segments):
-    # Odd lengths carry a node up some level; every leaf is replaced in turn.
-    sys = n4_system()
-    rng = np.random.default_rng(segments)
-    values = rng.uniform(-2.0, 2.0, segments)
-    changed = values + rng.uniform(-0.5, 0.5, segments)
-    dt = TWO_PI / segments
-    levels = dynamics._tree_levels(dynamics._segment_steps(sys, values, dt))
-    new_steps = dynamics._segment_steps(sys, changed, dt)
-    for k in range(segments):
-        control = values.copy()
-        control[k] = changed[k]
-        path = dynamics._tree_path(levels, k, new_steps[k])
-        fresh = dynamics._tree_levels(dynamics._segment_steps(sys, control, dt))
-        assert len(path) == len(fresh) == len(levels)
-        for level, node in enumerate(path):
-            assert np.array_equal(node, fresh[level][k >> level])
-        assert np.array_equal(path[-1], propagate_batch(sys, control[None])[0])
-
-
 def test_propagate_batch_zero_row_scores_exactly_zero():
     inst = n3_instance()
     values = np.zeros((3, 16))
@@ -341,6 +320,14 @@ def test_dyson_series_self_check_rejects_wrong_coefficients(monkeypatch):
     monkeypatch.setattr(dynamics, "_exp_series", corrupted)
     with pytest.raises(SeriesCheckFailed):
         dyson_forms(n3_system(), random_direction(1, 16, TWO_PI), n_max=4)
+
+
+def test_dyson_series_self_check_rejects_overflowed_coefficients():
+    # At a = 1e20 the series coefficients overflow to NaN, which a plain
+    # "defect > tol" test lets through.
+    sys = build_system(3, 1e20, 0.0, (1.0, 1.0), TWO_PI)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SeriesCheckFailed, match="nan"):
+        dyson_forms(sys, random_direction(1, 8, TWO_PI), n_max=4)
 
 
 # ---------------------------------------------------------------- closed form
