@@ -24,7 +24,7 @@ import numpy as np
 
 from .controls import read_control_file
 # propagate is not called here; bench/launch.py rebinds cli.propagate by name.
-from .dynamics import block_controls, dyson_forms, objective, propagate, propagate_batch  # noqa: F401
+from .dynamics import dyson_forms, objective, propagate, propagate_batch  # noqa: F401
 from .errors import ConfigError, InsufficientOrder, TrapscopeError
 from .landscape import (
     CertificateConfig,
@@ -233,7 +233,7 @@ def cmd_scan(config_path: str, out_csv: str, tmax: float = 1.0, points: int = 11
     budget = cfg.certificate
     # Exactly antisymmetric: ts[points - 1 - k] == -ts[k] bit for bit.
     ts = [tmax * (2 * k - (points - 1)) / (points - 1) for k in range(points)]
-    rows = block_controls(budget.segments)
+    half = points // 2
     with open(out_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("seed,mean_zero,t,J\n")
         for i in range(budget.directions):
@@ -243,12 +243,9 @@ def cmd_scan(config_path: str, out_csv: str, tmax: float = 1.0, points: int = 11
             # The ladder's parity makes J(-t f) == J(t f) bit for bit (see
             # dynamics._segment_steps), so only t >= 0 is propagated and each
             # t < 0 row repeats its mirror's J.
-            js = np.empty(points)
-            for start in range(points // 2, points, rows):
-                block = ts[start : start + rows]
-                js[start : start + rows] = objective(propagate_batch(sys_, np.outer(block, vals)), inst)
+            js = objective(propagate_batch(sys_, np.outer(ts[half:], vals)), inst)
             for k, t in enumerate(ts):
-                j = js[max(k, points - 1 - k)]
+                j = js[max(k, points - 1 - k) - half]
                 fh.write(f"{seed},{int(mean_zero)},{_fmt(t)},{_fmt(j)}\n")
     print(f"scan written to {out_csv} ({budget.directions * points} rows)")
     return 0

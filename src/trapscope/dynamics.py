@@ -6,10 +6,11 @@ propagation carries no time-discretization error beyond roundoff.  One core,
 propagate_batch, serves every sampled objective value at real amplitude
 (scan, the witness search): H0 + x V is real symmetric, so the steps of a whole
 stack of controls come from one float64 eigendecomposition and two real
-matrix products, and each U_T = S_M ... S_1 is a pairwise tree product.  The
-ladder's parity P = diag(1, -1, 1, ...) (P H0 P = H0, P V P = -V) is built
-into the steps, so U_T(-f) = P U_T(f) P and J(-f) = J(f) hold bit for bit;
-scan relies on it to propagate only t >= 0.  Controls pass through in
+matrix products, and each U_T = S_M ... S_1 is a pairwise tree product
+(_tree_product) that keeps only its current level.  The ladder's parity
+P = diag(1, -1, 1, ...) (P H0 P = H0, P V P = -V) is built into the steps,
+so U_T(-f) = P U_T(f) P and J(-f) = J(f) hold bit for bit; scan relies on
+it to propagate only t >= 0.  Controls pass through in
 blocks of BLOCK_MATRICES segment matrices, which keeps peak memory flat in
 the number of controls.  propagate is its B = 1 case, so a batched row and a
 single call agree bit for bit.  The Taylor cross-check samples the
@@ -69,7 +70,7 @@ from .model import ProblemInstance, SystemSpec, energies, h0_matrix, v_matrix
 
 
 # Segment matrices per block of propagate_batch.  The working set (the
-# stacked H0 + x V, its eigenvectors, the steps and the tree levels) is a few
+# stacked H0 + x V, its eigenvectors, the steps and one tree level) is a few
 # times this many N x N matrices however many controls come in, so peak RSS
 # does not grow with the batch; one unblocked scan direction (401 controls of
 # 64 segments) raised it by a third.
@@ -108,23 +109,20 @@ def _segment_steps(sys: SystemSpec, values: np.ndarray, dt: float) -> np.ndarray
     return steps
 
 
-def _tree_levels(steps: np.ndarray) -> list[np.ndarray]:
-    """Every level of the pairwise product S_M ... S_1 of steps[..., k, :, :] = S_{k+1}.
+def _tree_product(steps: np.ndarray) -> np.ndarray:
+    """The product S_M ... S_1 of steps[..., k, :, :] = S_{k+1}, as a pairwise tree.
 
-    levels[0] is the steps themselves.  Each next level multiplies every
-    later node onto its earlier neighbour in one batched matmul; a level of
-    odd length carries its last node up unchanged.  The last level holds the
-    single product, after ceil(log2 M) levels.
+    Each level multiplies every later node onto its earlier neighbour in one
+    batched matmul; a level of odd length carries its last node up unchanged.
+    After ceil(log2 M) levels one node is left, returned with shape (..., N, N).
     """
-    levels = [steps]
     while steps.shape[-3] > 1:
         m = steps.shape[-3]
         paired = steps[..., 1::2, :, :] @ steps[..., 0 : m - 1 : 2, :, :]
         if m % 2:
             paired = np.concatenate([paired, steps[..., m - 1 :, :, :]], axis=-3)
         steps = paired
-        levels.append(steps)
-    return levels
+    return steps[..., 0, :, :]
 
 
 def propagate_batch(sys: SystemSpec, values) -> np.ndarray:
@@ -132,7 +130,7 @@ def propagate_batch(sys: SystemSpec, values) -> np.ndarray:
 
     Each control is piecewise constant on M equal segments of [0, T], T the
     system horizon.  Every segment step comes from _segment_steps and
-    U_T = S_M ... S_1 is the root of _tree_levels.  Controls go through in
+    U_T = S_M ... S_1 comes from _tree_product.  Controls go through in
     blocks of BLOCK_MATRICES segment matrices, and every row is computed the
     same way whatever its block, so a row equals the B = 1 result for that
     control bit for bit.
@@ -148,7 +146,7 @@ def propagate_batch(sys: SystemSpec, values) -> np.ndarray:
     rows = block_controls(segments)
     for lo in range(0, batch, rows):
         steps = _segment_steps(sys, values[lo : lo + rows], sys.horizon / segments)
-        out[lo : lo + rows] = _tree_levels(steps)[-1][:, 0]
+        out[lo : lo + rows] = _tree_product(steps)
     return out
 
 

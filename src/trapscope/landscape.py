@@ -174,65 +174,54 @@ class LieAlgebraResult:
     tolerance: float
 
 
-def _mat_from_vec(v: np.ndarray, n: int) -> np.ndarray:
-    return v[: n * n].reshape(n, n) + 1j * v[n * n :].reshape(n, n)
-
-
 def lie_rank_matrices(gen_a, gen_b) -> LieAlgebraResult:
     """Real dimension of the Lie algebra generated by two skew-Hermitian matrices.
 
-    Breadth-first closure under commutators with the generators, with
-    Gram-Schmidt orthonormalization over the real vector space of dimension
-    2 N^2; a commutator whose residual norm is at most TOLERANCES["lie_tol"]
-    adds nothing.  Saturated means dimension >= N^2 - 1, full su(N) up to the
-    global phase quotiented out in the controllability definition.  The
-    closure ends when a level adds nothing or the dimension reaches N^2, so
-    it needs no depth cap.
+    Breadth-first closure under commutators with the (normalized) generators
+    over the real vector space of dimension 2 N^2.  The basis is one matrix
+    of orthonormal rows.  Each level forms all its commutators in one
+    broadcast product, generator-major; each candidate, normalized, is
+    projected twice against the whole basis (v -= (B v) B) and joins it if
+    its residual norm exceeds TOLERANCES["lie_tol"].  The level's new rows
+    are the next frontier.  Saturated means dimension >= N^2 - 1, full su(N)
+    up to the global phase quotiented out in the controllability definition.
+    The closure ends when a level adds nothing or the dimension reaches N^2,
+    so it needs no depth cap.
     """
     tol = TOLERANCES["lie_tol"]
-    a = np.asarray(gen_a, dtype=np.complex128)
-    b = np.asarray(gen_b, dtype=np.complex128)
-    n = a.shape[0]
-    basis: list[np.ndarray] = []
+    gens = np.array([gen_a, gen_b], dtype=np.complex128)
+    n = gens.shape[-1]
+    size = n * n
+    # Orthonormal rows in R^{2 N^2}: never more than 2 N^2 of them.
+    basis = np.empty((2 * size, 2 * size))
+    dim = 0
 
-    def try_add(x: np.ndarray) -> np.ndarray | None:
-        nrm = float(np.linalg.norm(x, "fro"))
-        if nrm < 1e-300:
-            return None
-        v = np.concatenate([(x.real / nrm).ravel(), (x.imag / nrm).ravel()])
-        for _ in range(2):  # two Gram-Schmidt passes for orthogonality to roundoff
-            for bv in basis:
-                v = v - np.dot(bv, v) * bv
-        res = float(np.linalg.norm(v))
-        if res <= tol:
-            return None
-        v = v / res
-        basis.append(v)
-        return _mat_from_vec(v, n)
+    def extend(candidates: np.ndarray) -> np.ndarray:
+        nonlocal dim
+        start = dim
+        vecs = candidates.reshape(-1, size).view(np.float64)  # (Re, Im) interleaved
+        nrm = np.linalg.norm(vecs, axis=1)
+        keep = nrm >= 1e-300
+        for v in vecs[keep] / nrm[keep, None]:
+            for _ in range(2):  # twice, for orthogonality to roundoff
+                v -= (basis[:dim] @ v) @ basis[:dim]
+            res = float(np.linalg.norm(v))
+            if res > tol:
+                basis[dim] = v / res
+                dim += 1
+        return basis[start:dim].view(np.complex128).reshape(-1, n, n)
 
-    gens = []
-    frontier = []
-    for g in (a, b):
-        added = try_add(g)
-        gnrm = float(np.linalg.norm(g, "fro"))
-        if gnrm > 0.0:
-            gens.append(g / gnrm)
-        if added is not None:
-            frontier.append(added)
+    gnrm = np.linalg.norm(gens, axis=(1, 2))
+    gens = gens[gnrm > 0.0] / gnrm[gnrm > 0.0, None, None]
+    frontier = extend(gens)
     depth = 1
     # span of skew-Hermitian matrices can never exceed dim u(N) = N^2
-    while frontier and len(basis) < n * n:
+    while len(frontier) and dim < size:
         depth += 1
-        fresh = []
-        for g in gens:
-            for x in frontier:
-                added = try_add(g @ x - x @ g)
-                if added is not None:
-                    fresh.append(added)
-        frontier = fresh
+        frontier = extend((gens[:, None] @ frontier - frontier @ gens[:, None]).reshape(-1, n, n))
     return LieAlgebraResult(
-        dimension=len(basis),
-        saturated=len(basis) >= n * n - 1,
+        dimension=dim,
+        saturated=dim >= size - 1,
         depth_reached=depth,
         tolerance=tol,
     )

@@ -254,11 +254,17 @@ def test_lie_rank_reference_chains():
 
 def test_lie_rank_saturates_past_depth_twelve():
     # saturation needs depth 2N - 1, beyond the old fixed cap of 12
-    for nlev, depth in ((7, 13), (8, 15)):
+    for nlev in range(3, 13):
         res = lie_rank(build_system(nlev, 1.0, 0.0, (1.0,) * (nlev - 1), TWO_PI))
         assert res.saturated
         assert res.dimension == nlev * nlev
-        assert res.depth_reached == depth
+        assert res.depth_reached == 2 * nlev - 1
+
+
+def test_lie_rank_mixed_sign_couplings_below_the_gap():
+    # a < b and couplings of both signs: the closure still fills u(5) at depth 2N - 1
+    res = lie_rank(build_system(5, 0.0, 1.5, (1.0, -2.0, 0.5, -1.0), TWO_PI))
+    assert (res.dimension, res.saturated, res.depth_reached) == (25, True, 9)
 
 
 def test_lie_rank_degenerate_pair():
@@ -266,6 +272,24 @@ def test_lie_rank_degenerate_pair():
     res = lie_rank_matrices(g, g)
     assert res.dimension == 1
     assert not res.saturated
+
+
+_V4 = 1j * v_matrix(build_system(4, 1.0, 0.0, (1.0, 1.0, 1.0), TWO_PI))
+
+
+@pytest.mark.parametrize(
+    "pair, expected",
+    [
+        # a zero generator spans nothing and commutes with everything
+        ((_V4, 0 * _V4), (1, False, 2)),
+        ((0 * _V4, _V4), (1, False, 2)),
+        ((1j * np.diag([1.0, 2.0, 3.0]), 1j * np.diag([0.0, 1.0, -1.0])), (2, False, 2)),
+    ],
+    ids=["zero-second", "zero-first", "commuting-diagonal"],
+)
+def test_lie_rank_pairs_that_stop_at_depth_two(pair, expected):
+    res = lie_rank_matrices(*pair)
+    assert (res.dimension, res.saturated, res.depth_reached) == expected
 
 
 def test_lie_rank_invariant_under_coupling_rescale():
