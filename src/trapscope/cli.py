@@ -31,6 +31,8 @@ from .landscape import (
     differential,
     lie_rank,
     probe_direction,
+    probe_offset,
+    probe_seed,
     taylor_fit,
     trap_certificate,
 )
@@ -170,8 +172,12 @@ def _summary_text(report) -> str:
             f"  [{verdict}] {c.name}: measured {c.measured:.6g} vs threshold {c.threshold:.6g}{note}"
         )
     for w in report.witness:
-        tag = "hit" if w["success"] else "miss"
-        lines.append(f"  witness horizon {w['horizon']:g}: best J {w['best_j']:.6g} ({tag})")
+        # best_j holds the first hit's J on a hit, the best draw's on a miss.
+        if w["success"]:
+            outcome = f"first hit J {w['best_j']:.6g} after {w['evaluations']} draws"
+        else:
+            outcome = f"best J {w['best_j']:.6g} of {w['evaluations']} draws (miss)"
+        lines.append(f"  witness horizon {w['horizon']:g}: {outcome}")
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
     if report.failed_stage:
         lines.append(f"failed stage: {report.failed_stage}")
@@ -237,8 +243,7 @@ def cmd_scan(config_path: str, out_csv: str, tmax: float = 1.0, points: int = 11
     with open(out_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("seed,mean_zero,t,J\n")
         for i in range(budget.directions):
-            seed = budget.seed + i
-            mean_zero = i % 2 == 0
+            tag = f"{probe_seed(budget.seed, i)},{int(probe_offset(i) == 0.0)}"
             vals = probe_direction(budget.seed, i, budget.segments, sys_.horizon).as_array()
             # The ladder's parity makes J(-t f) == J(t f) bit for bit (see
             # dynamics._segment_steps), so only t >= 0 is propagated and each
@@ -246,7 +251,7 @@ def cmd_scan(config_path: str, out_csv: str, tmax: float = 1.0, points: int = 11
             js = objective(propagate_batch(sys_, np.outer(ts[half:], vals)), inst)
             for k, t in enumerate(ts):
                 j = js[max(k, points - 1 - k) - half]
-                fh.write(f"{seed},{int(mean_zero)},{_fmt(t)},{_fmt(j)}\n")
+                fh.write(f"{tag},{_fmt(t)},{_fmt(j)}\n")
     print(f"scan written to {out_csv} ({budget.directions * points} rows)")
     return 0
 

@@ -295,7 +295,10 @@ def _segment_series(sys: SystemSpec, dt: float, n_max: int) -> np.ndarray:
     # less than r^(n_max+1) e^r / (n_max+1)! <= 1e-15, as ||C_k|| <= ||dt V||^k / k!.
     r = min(1.0, (1e-15 * math.factorial(n_max + 1) / math.e) ** (1.0 / (n_max + 1)))
     x = r / (dt * float(np.linalg.norm(v, 2)))
-    resummed = sum(x**k * c for k, c in enumerate(coeffs))
+    # By Horner, which never forms x^k: x itself may be near the largest float.
+    resummed = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        resummed = resummed * x + c
     step_0, step_x = _segment_steps(sys, np.array([0.0, x]), dt)
     # np.max, unlike max, keeps a NaN from either side, and "not <=" fails on it.
     defect = float(

@@ -66,6 +66,8 @@ CONTOUR_EXTRA_POINTS = 16  # contour points beyond the 2N sampled orders
 # Witness amplitudes are drawn log-uniformly over this range / (||V||_2 T).
 WITNESS_AMPLITUDE_SCALE = (0.1, 100.0)
 WITNESS_SEED_OFFSET = 7_000_000  # witness seed = seed + offset + horizon index
+# A witness must score above J(0) + WITNESS_MARGIN (lambda_1 - lambda_N).
+WITNESS_MARGIN = 0.01
 # Check thresholds; every report carries a copy under "tolerances".
 TOLERANCES = {
     "stationary_analytic": 1e-10,
@@ -256,7 +258,7 @@ def witness_search(
     Each control draws its amplitude log-uniformly over WITNESS_AMPLITUDE_SCALE
     / (||V||_2 T), then its M values uniformly in [-amp, amp].  The draws
     are propagated in blocks of block_controls(M), and the first in draw
-    order with J > J(0) + 0.01 (lambda_1 - lambda_N) is returned, with the
+    order with J > J(0) + WITNESS_MARGIN (lambda_1 - lambda_N) is returned, with the
     number of draws up to and including it.  On a miss the best of the
     `budget` draws comes back with success False.  There is no local
     refinement: ascent from a control near zero is pulled onto the zero
@@ -273,7 +275,7 @@ def witness_search(
     log_lo, log_hi = (math.log(x) for x in WITNESS_AMPLITUDE_SCALE)
     lam = inst.observable.eigenvalues
     j_zero = objective(propagate(sys, PiecewiseControl(sys.horizon, (0.0,) * segments)), inst)
-    threshold = j_zero + 0.01 * (lam[0] - lam[-1])
+    threshold = j_zero + WITNESS_MARGIN * (lam[0] - lam[-1])
 
     # Each control draws its amplitude, then its values, so the stream is the
     # one a control-at-a-time loop reads, whatever the block size.
@@ -370,8 +372,16 @@ class TrapReport:
         return asdict(self)
 
 
-def _probe_offset(index: int) -> float:
-    """Constant part of probe direction `index`: 0, +c, 0, -c, 0, +c, ..."""
+def probe_seed(seed: int, index: int) -> int:
+    """Seed of probe direction `index` in the family drawn from base seed `seed`."""
+    return seed + index
+
+
+def probe_offset(index: int) -> float:
+    """Constant part of probe direction `index`: 0, +c, 0, -c, 0, +c, ...
+
+    A probe is mean-zero exactly when its offset is 0.0.
+    """
     if index % 2 == 0:
         return 0.0
     sign = 1.0 if (index // 2) % 2 == 0 else -1.0
@@ -381,13 +391,15 @@ def _probe_offset(index: int) -> float:
 def probe_direction(seed: int, index: int, segments: int, horizon: float) -> PiecewiseControl:
     """Probe direction `index` of the family drawn from base seed `seed`.
 
-    A mean-zero draw from seed + index with L2 norm PROBE_AMPLITUDE sqrt(T);
-    on odd indices it is shifted by +-PROBE_OFFSET_FRACTION * PROBE_AMPLITUDE,
-    the sign alternating between consecutive odd indices.  The certificate
-    and `trapscope scan` both probe these directions.
+    A mean-zero draw from probe_seed(seed, index) with L2 norm
+    PROBE_AMPLITUDE sqrt(T); on odd indices it is shifted by
+    +-PROBE_OFFSET_FRACTION * PROBE_AMPLITUDE, the sign alternating between
+    consecutive odd indices.  The certificate and `trapscope scan` both
+    probe these directions.
     """
-    f = random_direction(seed + index, segments, horizon, mean_zero=True, amplitude=PROBE_AMPLITUDE)
-    offset = _probe_offset(index)
+    seed = probe_seed(seed, index)
+    f = random_direction(seed, segments, horizon, mean_zero=True, amplitude=PROBE_AMPLITUDE)
+    offset = probe_offset(index)
     return f.shifted(offset) if offset else f
 
 
@@ -396,7 +408,8 @@ def _certificate_direction(inst: ProblemInstance, cfg: CertificateConfig, index:
     sys = inst.system
     nlev = sys.levels
     n_top = 2 * nlev - 2
-    mean_zero = index % 2 == 0
+    offset = probe_offset(index)
+    mean_zero = offset == 0.0
     f = probe_direction(cfg.seed, index, cfg.segments, sys.horizon)
 
     forms = dyson_forms(sys, f, n_max=n_top)
@@ -410,9 +423,9 @@ def _certificate_direction(inst: ProblemInstance, cfg: CertificateConfig, index:
     order_value = order_2N2_value(inst, forms) if mean_zero else None
     return {
         "index": index,
-        "seed": cfg.seed + index,
+        "seed": probe_seed(cfg.seed, index),
         "mean_zero": mean_zero,
-        "offset": _probe_offset(index),
+        "offset": offset,
         "norm": norm(f),
         "integral": mean,
         "substeps_used": forms.substeps,  # always 0; bench/run.py still reads it
@@ -424,109 +437,101 @@ def _certificate_direction(inst: ProblemInstance, cfg: CertificateConfig, index:
     }
 
 
-def _check_stationarity(rows: list[dict]) -> CheckResult:
-    worst_d1 = max(abs(r["differentials"][0]) for r in rows)
-    worst_c1 = max(abs(r["fit_coefficients"][0]) for r in rows)
-    tol_analytic = TOLERANCES["stationary_analytic"]
-    tol_fit = TOLERANCES["stationary_fit"]
-    return CheckResult(
-        name="stationarity",
-        passed=worst_d1 <= tol_analytic and worst_c1 <= tol_fit,
-        measured=worst_d1,
-        threshold=tol_analytic,
-        description="first differential and fitted c_1 vanish for every direction",
-        extras={
-            "max_fitted_c1": worst_c1,
-            "fitted_c1_threshold": tol_fit,
-        },
-    )
+def _worst_relative_error(check: str, measured: np.ndarray, predicted: np.ndarray) -> float:
+    """max |measured - predicted| / |predicted|, or 0.0 over no directions.
+
+    A prediction of 0.0 (an underflow) leaves the relative error not
+    resolvable in float64, which raises DomainError.
+    """
+    if np.any(predicted == 0.0):
+        raise DomainError(
+            f"{check}: a prediction is 0.0 in float64, so the relative check is not resolvable"
+        )
+    return float(np.max(np.abs(measured - predicted) / np.abs(predicted), initial=0.0))
 
 
-def _check_mean_descent(rows: list[dict]) -> CheckResult:
-    sel = [r for r in rows if not r["mean_zero"]]
-    worst_rel = 0.0
-    max_c2 = -math.inf
-    for r in sel:
-        c2 = r["fit_coefficients"][1]
-        pred = r["d2_predicted"]
-        worst_rel = max(worst_rel, abs(c2 - pred) / max(abs(pred), 1e-12))
-        max_c2 = max(max_c2, c2)
-    tol = TOLERANCES["descent_rel"]
-    return CheckResult(
-        name="mean_descent",
-        passed=worst_rel <= tol and max_c2 < 0.0,
-        measured=worst_rel,
-        threshold=tol,
-        description="fitted c_2 matches lambda_{N-1} v_{N-1}^2 (int f)^2 and is negative "
-        "off the mean-zero subspace",
-        extras={"max_c2": max_c2},
-    )
+def _direction_checks(rows: list[dict], nlev: int) -> list[CheckResult]:
+    """The five per-direction checks, as reductions over one direction table.
 
-
-def _check_flatness(rows: list[dict], nlev: int) -> CheckResult:
-    sel = [r for r in rows if r["mean_zero"]]
-    orders = range(3, 2 * nlev - 2)  # 3 .. 2N-3
-    worst_analytic = 0.0
-    worst_fit = 0.0
-    for r in sel:
-        fnorm = r["norm"]
-        for n in orders:
-            worst_analytic = max(
-                worst_analytic, abs(r["differentials"][n - 1]) / (1.0 + fnorm) ** n
-            )
-            worst_fit = max(
-                worst_fit, abs(r["fit_coefficients"][n - 1]) / max(1.0, fnorm) ** n
-            )
-    tol_analytic = TOLERANCES["flat_analytic_scale"]
-    tol_fit = TOLERANCES["flat_fit_scale"]
-    return CheckResult(
-        name="flatness_3_to_2N-3",
-        passed=worst_analytic <= tol_analytic and worst_fit <= tol_fit,
-        measured=worst_analytic,
-        threshold=tol_analytic,
-        description="differentials and fitted coefficients of orders 3..2N-3 vanish on "
-        "mean-zero directions (norm-scaled)",
-        extras={
-            "max_scaled_fitted": worst_fit,
-            "fitted_threshold": tol_fit,
-            "orders": list(orders),
-        },
-    )
-
-
-def _check_order_match(rows: list[dict], nlev: int) -> CheckResult:
-    sel = [r for r in rows if r["mean_zero"]]
+    The rows are stacked once; each measured value reduces over every
+    direction (stationarity), those off the mean-zero subspace (descent) or
+    those on it (flatness and the order-(2N-2) coefficient).
+    """
     n_top = 2 * nlev - 2
-    worst_rel = 0.0
-    for r in sel:
-        fitted = r["fit_coefficients"][n_top - 1]
-        analytic = r["order_2N2_analytic"]
-        worst_rel = max(worst_rel, abs(fitted - analytic) / abs(analytic))
-    tol = TOLERANCES["order_match_rel"]
-    return CheckResult(
-        name="order_2N2_match",
-        passed=worst_rel <= tol,
-        measured=worst_rel,
-        threshold=tol,
-        description=f"fitted c_{n_top} matches lambda_1 |A^{nlev - 1}_1|^2 on mean-zero "
-        "directions",
-    )
+    on = np.array([r["mean_zero"] for r in rows], dtype=bool)  # on the mean-zero subspace
+    diffs = np.array([r["differentials"] for r in rows], dtype=float)
+    fitted = np.array([r["fit_coefficients"] for r in rows], dtype=float)
+    fnorm = np.array([r["norm"] for r in rows], dtype=float)[on, None]
+    d2_predicted = np.array([r["d2_predicted"] for r in rows], dtype=float)[~on]
+    # None off the mean-zero subspace stacks as NaN, which the mask drops.
+    analytic = np.array([r["order_2N2_analytic"] for r in rows], dtype=float)[on]
 
+    worst_d1 = float(np.max(np.abs(diffs[:, 0])))
+    worst_c1 = float(np.max(np.abs(fitted[:, 0])))
+    c2 = fitted[~on, 1]
+    descent_rel = _worst_relative_error("mean_descent", c2, d2_predicted)
+    max_c2 = float(np.max(c2, initial=-math.inf))
+    orders = np.arange(3, n_top)  # 3 .. 2N-3
+    # Norm scales by the C library's pow, which float ** calls: numpy's
+    # vectorized power can round differently in the last place.
+    pow_ = np.frompyfunc(math.pow, 2, 1)
+    flat_d = np.abs(diffs[on][:, orders - 1]) / pow_(1.0 + fnorm, orders).astype(float)
+    flat_c = np.abs(fitted[on][:, orders - 1]) / pow_(np.maximum(1.0, fnorm), orders).astype(float)
+    worst_flat_d = float(np.max(flat_d, initial=0.0))
+    worst_flat_c = float(np.max(flat_c, initial=0.0))
+    top = fitted[on, n_top - 1]
+    match_rel = _worst_relative_error("order_2N2_match", top, analytic)
+    min_top = float(np.min(top))
+    min_analytic = float(np.min(analytic))
 
-def _check_order_nonneg(rows: list[dict], nlev: int) -> CheckResult:
-    sel = [r for r in rows if r["mean_zero"]]
-    n_top = 2 * nlev - 2
-    min_fitted = min(r["fit_coefficients"][n_top - 1] for r in sel)
-    min_analytic = min(r["order_2N2_analytic"] for r in sel)
-    tol = TOLERANCES["order_nonneg"]
-    return CheckResult(
-        name="order_2N2_nonneg",
-        passed=min_fitted >= tol and min_analytic >= 0.0,
-        measured=min_fitted,
-        threshold=tol,
-        description=f"coefficient of order {n_top} is non-negative on mean-zero directions",
-        extras={"min_analytic": min_analytic},
-    )
+    tol = TOLERANCES
+    return [
+        CheckResult(
+            name="stationarity",
+            passed=worst_d1 <= tol["stationary_analytic"] and worst_c1 <= tol["stationary_fit"],
+            measured=worst_d1,
+            threshold=tol["stationary_analytic"],
+            description="first differential and fitted c_1 vanish for every direction",
+            extras={"max_fitted_c1": worst_c1, "fitted_c1_threshold": tol["stationary_fit"]},
+        ),
+        CheckResult(
+            name="mean_descent",
+            passed=descent_rel <= tol["descent_rel"] and max_c2 < 0.0,
+            measured=descent_rel,
+            threshold=tol["descent_rel"],
+            description="fitted c_2 matches lambda_{N-1} v_{N-1}^2 (int f)^2 and is negative "
+            "off the mean-zero subspace",
+            extras={"max_c2": max_c2},
+        ),
+        CheckResult(
+            name="flatness_3_to_2N-3",
+            passed=worst_flat_d <= tol["flat_analytic_scale"] and worst_flat_c <= tol["flat_fit_scale"],
+            measured=worst_flat_d,
+            threshold=tol["flat_analytic_scale"],
+            description="differentials and fitted coefficients of orders 3..2N-3 vanish on "
+            "mean-zero directions (norm-scaled)",
+            extras={
+                "max_scaled_fitted": worst_flat_c,
+                "fitted_threshold": tol["flat_fit_scale"],
+                "orders": orders.tolist(),
+            },
+        ),
+        CheckResult(
+            name="order_2N2_match",
+            passed=match_rel <= tol["order_match_rel"],
+            measured=match_rel,
+            threshold=tol["order_match_rel"],
+            description=f"fitted c_{n_top} matches lambda_1 |A^{nlev - 1}_1|^2 on mean-zero directions",
+        ),
+        CheckResult(
+            name="order_2N2_nonneg",
+            passed=min_top >= tol["order_nonneg"] and min_analytic >= 0.0,
+            measured=min_top,
+            threshold=tol["order_nonneg"],
+            description=f"coefficient of order {n_top} is non-negative on mean-zero directions",
+            extras={"min_analytic": min_analytic},
+        ),
+    ]
 
 
 def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = None) -> TrapReport:
@@ -565,11 +570,7 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
         rows = [_certificate_direction(inst, cfg, i) for i in range(cfg.directions)]
 
         stage = "checks"
-        checks.append(_check_stationarity(rows))
-        checks.append(_check_mean_descent(rows))
-        checks.append(_check_flatness(rows, nlev))
-        checks.append(_check_order_match(rows, nlev))
-        checks.append(_check_order_nonneg(rows, nlev))
+        checks.extend(_direction_checks(rows, nlev))
 
         stage = "lie_rank"
         lie = lie_rank(sys)
@@ -585,18 +586,10 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
         )
 
         stage = "witness"
-        horizons = cfg.witness_horizons
-        if horizons is None:
-            horizons = (sys.horizon,)
-        any_success = False
-        best_overall = -math.inf
-        for k, horizon in enumerate(horizons):
-            wsys = replace(sys, horizon=float(horizon))
-            winst = ProblemInstance(wsys, inst.observable)
+        for k, horizon in enumerate(cfg.witness_horizons or (sys.horizon,)):
+            winst = ProblemInstance(replace(sys, horizon=float(horizon)), inst.observable)
             wseed = cfg.seed + WITNESS_SEED_OFFSET + k
             res = witness_search(winst, seed=wseed, budget=cfg.witness_budget, segments=cfg.segments)
-            any_success = any_success or res.success
-            best_overall = max(best_overall, res.j_value)
             witness_rows.append(
                 {
                     "horizon": float(horizon),
@@ -610,9 +603,9 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
         checks.append(
             CheckResult(
                 name="witness_found",
-                passed=any_success,
-                measured=best_overall,
-                threshold=0.01 * (lam[0] - lam[-1]),
+                passed=any(w["success"] for w in witness_rows),
+                measured=max(w["best_j"] for w in witness_rows),
+                threshold=WITNESS_MARGIN * (lam[0] - lam[-1]),
                 description="best-effort evidence that the zero control is not a global "
                 "maximum (excluded from the verdict: the minimal sufficient horizon is "
                 "unknown)",
@@ -629,7 +622,7 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
         witness=tuple(witness_rows),
         lie=lie_row,
         tolerances=dict(TOLERANCES),
-        seeds=tuple(cfg.seed + i for i in range(cfg.directions)),
+        seeds=tuple(probe_seed(cfg.seed, i) for i in range(cfg.directions)),
         passed=failed_stage is None and all(c.passed for c in checks if c.name != "witness_found"),
         failed_stage=failed_stage,
     )

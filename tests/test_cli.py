@@ -150,6 +150,40 @@ def test_certify_overflowed_series_fails_its_stage(tmp_path):
     assert stage.startswith("directions: SeriesCheckFailed") and "nan" in stage
 
 
+@pytest.mark.parametrize(
+    "v, stage",
+    [
+        # the predicted c_2, resp. c_4, underflows to 0.0 in float64
+        ("1, 1e-170", "checks: DomainError: mean_descent"),
+        ("1e-170, 1", "checks: DomainError: order_2N2_match"),
+        # the series self-check's probe amplitude is about 1e150
+        ("1e-150, 1e-150", "directions: SeriesCheckFailed"),
+    ],
+)
+def test_certify_unresolvable_couplings_fail_their_stage(tmp_path, capsys, v, stage):
+    cfg = write_config(tmp_path / "tiny.cfg", v=v)
+    out = tmp_path / "r.json"
+    assert main(["certify", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert f"failed stage: {stage}" in captured.out
+    assert json.loads(out.read_text())["failed_stage"].startswith(stage)
+
+
+@pytest.mark.parametrize(
+    "budget, line",
+    [
+        # seed 7's first two witness draws miss and its third hits
+        ("2", "  witness horizon 6.28319: best J -2.23531e-05 of 2 draws (miss)"),
+        ("3", "  witness horizon 6.28319: first hit J 0.267357 after 3 draws"),
+    ],
+)
+def test_certify_summary_names_the_witness_outcome(tmp_path, capsys, budget, line):
+    cfg = write_config(tmp_path / "n3.cfg", witness_budget=budget)
+    assert main(["certify", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_certify_reports_are_deterministic(tmp_path):
     cfg = write_config(tmp_path / "n3.cfg", directions="4", witness_budget="10")
     outs = []

@@ -475,33 +475,80 @@ def test_certificate_report_serializes():
     }
 
 
+def direction_row(mean_zero, c2=-1.0, d2_predicted=-1.0, fitted=0.0, analytic=None):
+    # A complete N=3 direction-table row: differentials of orders 1..4,
+    # fitted coefficients of orders 1..6 (c_2 and c_4 set)
+    return {
+        "mean_zero": mean_zero,
+        "differentials": [0.0, 0.0, 0.0, 0.0],
+        "fit_coefficients": [0.0, c2, 0.0, fitted, 0.0, 0.0],
+        "norm": 1.0,
+        "d2_predicted": d2_predicted,
+        "order_2N2_analytic": analytic,
+    }
+
+
 def test_order_2N2_match_is_relative_without_floor():
     # N=3, so the order-(2N-2) coefficient is the 4th; a 5x misfit on a
     # 1e-12 coefficient fails the match however small the coefficient, while
     # the non-negativity check keeps its absolute bound, which a negative
     # fit of -1e-11 still passes
-    def row(mean_zero, fitted, analytic):
-        return {
-            "mean_zero": mean_zero,
-            "fit_coefficients": [0.0, 0.0, 0.0, fitted, 0.0, 0.0],
-            "order_2N2_analytic": analytic,
-        }
-
     rows = [
-        row(True, 5e-12, 1e-12),
-        row(False, 0.7, None),
-        row(True, 0.2, 0.2),
-        row(True, -1e-11, 1e-11),
+        direction_row(True, fitted=5e-12, analytic=1e-12),
+        direction_row(False, fitted=0.7),
+        direction_row(True, fitted=0.2, analytic=0.2),
+        direction_row(True, fitted=-1e-11, analytic=1e-11),
     ]
-    match = landscape._check_order_match(rows, 3)
-    nonneg = landscape._check_order_nonneg(rows, 3)
+    checks = {c.name: c for c in landscape._direction_checks(rows, 3)}
+    match = checks["order_2N2_match"]
+    nonneg = checks["order_2N2_nonneg"]
     assert not match.passed and nonneg.passed
     assert match.threshold == landscape.TOLERANCES["order_match_rel"]
     assert nonneg.threshold == landscape.TOLERANCES["order_nonneg"]
     assert match.measured == pytest.approx(4.0)
     assert match.extras == {}
     assert nonneg.extras == {"min_analytic": 1e-12}
-    assert landscape._check_order_match(rows[1:3], 3).passed
+    sub = {c.name: c for c in landscape._direction_checks(rows[1:3], 3)}
+    assert sub["order_2N2_match"].passed
+
+
+def test_mean_descent_is_relative_without_floor():
+    # A 1% misfit on a predicted c_2 of -3.5e-14 (v = 1e-7, 1e-7) fails the
+    # relative descent check: no floor on the prediction hides it
+    pred = -3.5e-14
+    rows = [direction_row(True, analytic=1.0), direction_row(False, c2=1.01 * pred, d2_predicted=pred)]
+    descent = landscape._direction_checks(rows, 3)[1]
+    assert descent.name == "mean_descent"
+    assert not descent.passed
+    assert descent.measured == pytest.approx(0.01)
+    assert descent.extras == {"max_c2": 1.01 * pred}
+
+
+def test_direction_checks_equal_plain_loops():
+    # Each check's reduction over the stacked table equals the per-row loop
+    # bit for bit (N=4, so flatness covers orders 3..5)
+    report = trap_certificate(n4_instance(), quick_config(directions=6))
+    rows, checks = report.directions, {c.name: c for c in report.checks}
+    on = [r for r in rows if r["mean_zero"]]
+    off = [r for r in rows if not r["mean_zero"]]
+    assert checks["stationarity"].measured == max(abs(r["differentials"][0]) for r in rows)
+    assert checks["stationarity"].extras["max_fitted_c1"] == max(abs(r["fit_coefficients"][0]) for r in rows)
+    assert checks["mean_descent"].measured == max(
+        abs(r["fit_coefficients"][1] - r["d2_predicted"]) / abs(r["d2_predicted"]) for r in off
+    )
+    assert checks["mean_descent"].extras["max_c2"] == max(r["fit_coefficients"][1] for r in off)
+    flat = checks["flatness_3_to_2N-3"]
+    assert flat.measured == max(
+        abs(r["differentials"][n - 1]) / (1.0 + r["norm"]) ** n for r in on for n in (3, 4, 5)
+    )
+    assert flat.extras["max_scaled_fitted"] == max(
+        abs(r["fit_coefficients"][n - 1]) / max(1.0, r["norm"]) ** n for r in on for n in (3, 4, 5)
+    )
+    assert checks["order_2N2_match"].measured == max(
+        abs(r["fit_coefficients"][5] - r["order_2N2_analytic"]) / abs(r["order_2N2_analytic"]) for r in on
+    )
+    assert checks["order_2N2_nonneg"].measured == min(r["fit_coefficients"][5] for r in on)
+    assert checks["order_2N2_nonneg"].extras["min_analytic"] == min(r["order_2N2_analytic"] for r in on)
 
 
 def test_certificate_failed_stage_keeps_earlier_checks(monkeypatch):
