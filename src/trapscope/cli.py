@@ -18,7 +18,8 @@ import json
 import math
 import os
 import sys as _sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,22 +41,37 @@ from .model import ProblemInstance, build_instance, build_observable, build_syst
 
 REPORT_SCHEMA = "trapscope/3"
 
-_REQUIRED_KEYS = ("N", "a", "b", "v", "T", "lambda")
-# Config key -> CertificateConfig field of the sampling budget.
-_BUDGET_KEYS = {
-    "M": "segments",
-    "directions": "directions",
-    "seed": "seed",
-    "witness_budget": "witness_budget",
-    "witness_horizons": "witness_horizons",
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x.strip()) for x in text.split(",") if x.strip() != "")
+
+
+# Config key -> (field, parser).  Fields of CertificateConfig are the
+# sampling budget; every other field belongs to RunConfig, and is a required
+# key unless RunConfig gives it a default.
+_KEYS = {
+    "N": ("levels", int),
+    "a": ("a", float),
+    "b": ("b", float),
+    "v": ("couplings", _floats),
+    "T": ("horizon", float),
+    "lambda": ("eigenvalues", _floats),
+    "M": ("segments", int),
+    "directions": ("directions", int),
+    "seed": ("seed", int),
+    "witness_budget": ("witness_budget", int),
+    "witness_horizons": ("witness_horizons", _floats),
+    "out": ("out", str),
 }
-_ALL_KEYS = _REQUIRED_KEYS + tuple(_BUDGET_KEYS) + ("substeps", "out")
+_BUDGET_FIELDS = {f.name for f in fields(CertificateConfig)}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed run configuration: the instance, the certificate's sampling
     budget and the report path."""
+
+    substeps: ClassVar[int] = 8  # not a config key: the forms are exact; bench/run.py reads it
 
     levels: int
     a: float
@@ -64,15 +80,7 @@ class RunConfig:
     horizon: float
     eigenvalues: tuple[float, ...]
     certificate: CertificateConfig = field(default_factory=CertificateConfig)
-    substeps: int = 8  # accepted and ignored: the forms are exact; bench/run.py reads it
     out: str = "report.json"
-
-
-def _parse_float_list(text: str, key: str, lineno: int) -> tuple[float, ...]:
-    try:
-        return tuple(float(x.strip()) for x in text.split(",") if x.strip() != "")
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
 
 
 def parse_config(path: str) -> RunConfig:
@@ -83,7 +91,9 @@ def parse_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
-    seen: dict[str, tuple[str, int]] = {}
+    first_line: dict[str, int] = {}
+    run: dict = {}  # RunConfig fields
+    budget: dict = {}  # CertificateConfig fields
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -91,54 +101,27 @@ def parse_config(path: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r} (first on line {seen[key][1]})")
-        seen[key] = (value, lineno)
-
-    for key in _REQUIRED_KEYS:
-        if key not in seen:
-            raise ConfigError(f"missing required key {key!r}")
-
-    def scalar(key: str, conv, default=None):
-        if key not in seen:
-            return default
-        value, lineno = seen[key]
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} (first on line {first_line[key]})")
+        first_line[key] = lineno
+        name, parse = _KEYS[key]
         try:
-            return conv(value)
+            parsed = parse(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-
-    budget = {}
-    for key, name in _BUDGET_KEYS.items():
-        if key not in seen:
-            continue
-        value, lineno = seen[key]
-        if key == "witness_horizons":
-            budget[name] = _parse_float_list(value, key, lineno)
-        else:
-            budget[name] = scalar(key, int)
-        try:
-            CertificateConfig(**{name: budget[name]})
+        (budget if name in _BUDGET_FIELDS else run)[name] = parsed
+        try:  # the earlier lines passed, so only this one can be out of range
+            CertificateConfig(**budget)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
 
-    substeps = scalar("substeps", int, RunConfig.substeps)
-    if substeps < 1:
-        raise ConfigError(f"line {seen['substeps'][1]}: substeps must be >= 1, got {substeps}")
-
-    return RunConfig(
-        levels=scalar("N", int),
-        a=scalar("a", float),
-        b=scalar("b", float),
-        couplings=_parse_float_list(seen["v"][0], "v", seen["v"][1]),
-        horizon=scalar("T", float),
-        eigenvalues=_parse_float_list(seen["lambda"][0], "lambda", seen["lambda"][1]),
-        certificate=CertificateConfig(**budget),
-        substeps=substeps,
-        out=seen["out"][0] if "out" in seen else RunConfig.out,
-    )
+    for key, (name, _) in _KEYS.items():
+        # Only the RunConfig fields with a default are class attributes.
+        if name not in run and name not in _BUDGET_FIELDS and not hasattr(RunConfig, name):
+            raise ConfigError(f"missing required key {key!r}")
+    return RunConfig(certificate=CertificateConfig(**budget), **run)
 
 
 def build_problem(cfg: RunConfig) -> ProblemInstance:
@@ -149,12 +132,6 @@ def build_problem(cfg: RunConfig) -> ProblemInstance:
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _write_json_report(path: str, payload: dict):
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
 
 
 def _summary_text(report) -> str:
@@ -184,25 +161,24 @@ def _summary_text(report) -> str:
     return "\n".join(lines)
 
 
-def cmd_certify(config_path: str, out_override: str | None = None) -> int:
-    cfg = parse_config(config_path)
-    inst = build_problem(cfg)
+def cmd_certify(cfg: RunConfig, inst: ProblemInstance, out: str | None = None) -> int:
     report = trap_certificate(inst, cfg.certificate)
     payload = {"schema": REPORT_SCHEMA, **report.as_dict()}
-    out_path = out_override if out_override is not None else cfg.out
-    _write_json_report(out_path, payload)
+    out_path = out if out is not None else cfg.out
+    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(_summary_text(report))
     print(f"report written to {out_path}")
     return 0 if report.passed else 2
 
 
-def cmd_differential(config_path: str, control_path: str, order: int, csv_path: str | None = None) -> int:
+def cmd_differential(
+    cfg: RunConfig, inst: ProblemInstance, control: str, order: int, csv: str | None = None
+) -> int:
     if order < 1:
         raise ConfigError(f"order must be >= 1, got {order}")
-    cfg = parse_config(config_path)
-    inst = build_problem(cfg)
     try:
-        f = read_control_file(control_path)
+        f = read_control_file(control)
     except ValueError as exc:
         raise ConfigError(f"bad control file: {exc}") from exc
     n_top = 2 * cfg.levels - 2
@@ -217,9 +193,9 @@ def cmd_differential(config_path: str, control_path: str, order: int, csv_path: 
     print(f"  analytic  {_fmt(analytic)}")
     print(f"  fitted    {_fmt(fitted)}   (contour radius {_fmt(fit.radius)})")
     print(f"  |analytic - fitted| = {_fmt(discrepancy)}")
-    if csv_path is not None:
-        fresh = not os.path.exists(csv_path)
-        with open(csv_path, "a", encoding="utf-8", newline="\n") as fh:
+    if csv is not None:
+        fresh = not os.path.exists(csv)
+        with open(csv, "a", encoding="utf-8", newline="\n") as fh:
             if fresh:
                 fh.write("N,order,analytic,fitted,discrepancy\n")
             fh.write(
@@ -228,19 +204,17 @@ def cmd_differential(config_path: str, control_path: str, order: int, csv_path: 
     return 0
 
 
-def cmd_scan(config_path: str, out_csv: str, tmax: float = 1.0, points: int = 11) -> int:
+def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0, points: int = 11) -> int:
     if points < 2:
         raise ConfigError(f"points must be >= 2, got {points}")
     if not 0.0 < tmax < math.inf:
         raise ConfigError(f"tmax must be positive and finite, got {tmax}")
-    cfg = parse_config(config_path)
-    inst = build_problem(cfg)
     sys_ = inst.system
     budget = cfg.certificate
     # Exactly antisymmetric: ts[points - 1 - k] == -ts[k] bit for bit.
     ts = [tmax * (2 * k - (points - 1)) / (points - 1) for k in range(points)]
     half = points // 2
-    with open(out_csv, "w", encoding="utf-8", newline="\n") as fh:
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("seed,mean_zero,t,J\n")
         for i in range(budget.directions):
             tag = f"{probe_seed(budget.seed, i)},{int(probe_offset(i) == 0.0)}"
@@ -252,13 +226,11 @@ def cmd_scan(config_path: str, out_csv: str, tmax: float = 1.0, points: int = 11
             for k, t in enumerate(ts):
                 j = js[max(k, points - 1 - k) - half]
                 fh.write(f"{tag},{_fmt(t)},{_fmt(j)}\n")
-    print(f"scan written to {out_csv} ({budget.directions * points} rows)")
+    print(f"scan written to {out} ({budget.directions * points} rows)")
     return 0
 
 
-def cmd_controllability(config_path: str) -> int:
-    cfg = parse_config(config_path)
-    inst = build_problem(cfg)
+def cmd_controllability(cfg: RunConfig, inst: ProblemInstance) -> int:
     res = lie_rank(inst.system)
     target = cfg.levels * cfg.levels - 1
     print(f"Lie algebra dimension: {res.dimension} (saturation threshold {target})")
@@ -277,40 +249,40 @@ def main(argv=None) -> int:
     p = sub.add_parser("certify", help="run the full trap certificate")
     p.add_argument("config")
     p.add_argument("--out", default=None, help="report path (overrides config 'out')")
+    p.set_defaults(run=cmd_certify)
 
     p = sub.add_parser("differential", help="analytic vs fitted coefficient of one order")
     p.add_argument("config")
     p.add_argument("--control", required=True, help="control file (T/M header plus values)")
     p.add_argument("--order", required=True, type=int)
     p.add_argument("--csv", default=None, help="append a CSV row to this file")
+    p.set_defaults(run=cmd_differential)
 
     p = sub.add_parser("scan", help="sample J(t*f) along the certificate's probe directions")
     p.add_argument("config")
     p.add_argument("--out", required=True)
     p.add_argument("--tmax", type=float, default=1.0)
     p.add_argument("--points", type=int, default=11)
+    p.set_defaults(run=cmd_scan)
 
     p = sub.add_parser("controllability", help="dynamical Lie-algebra rank test")
     p.add_argument("config")
+    p.set_defaults(run=cmd_controllability)
 
-    args = parser.parse_args(argv)
+    # What is left after the command, its config and its function are the
+    # command's own options, named as its cmd_* parameters.
+    options = vars(parser.parse_args(argv))
+    del options["command"]
+    run = options.pop("run")
     try:
-        if args.command == "certify":
-            return cmd_certify(args.config, args.out)
-        if args.command == "differential":
-            return cmd_differential(args.config, args.control, args.order, args.csv)
-        if args.command == "scan":
-            return cmd_scan(args.config, args.out, args.tmax, args.points)
-        if args.command == "controllability":
-            return cmd_controllability(args.config)
-        parser.error(f"unknown command {args.command!r}")
+        cfg = parse_config(options.pop("config"))
+        return run(cfg, build_problem(cfg), **options)
     except TrapscopeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

@@ -285,16 +285,26 @@ def _segment_series(sys: SystemSpec, dt: float, n_max: int) -> np.ndarray:
     (n_max+1, N, N) with C_k in slot k.  The coefficients are checked once
     against the propagation core's own steps (_segment_steps, the eigenvalue
     route): C_0 against S(0) = exp(-i dt H0) and sum_k x^k C_k against S(x)
-    at one probe x.
+    at one probe x.  Couplings so weak that some C_k would underflow raise
+    DomainError instead: float64 cannot resolve those forms.
     """
     h0 = h0_matrix(sys)
     v = v_matrix(sys)
+    # The natural size of C_k is s^k / k!, s = ||dt V||_2; it is log-concave in
+    # k and 1 at k = 0, so its smallest value on 0..n_max is that of k = n_max.
+    s = dt * float(np.linalg.norm(v, 2))
+    log_size = n_max * math.log(s) - math.lgamma(n_max + 1) if s > 0.0 else -math.inf
+    if log_size < math.log(np.finfo(float).tiny):
+        raise DomainError(
+            f"series coefficient C_{n_max} of natural size ||dt V||_2^{n_max} / {n_max}! "
+            f"= 1e{log_size / math.log(10.0):.1f} would underflow in float64: not resolvable"
+        )
     coeffs = _exp_series(-1j * dt * h0, -1j * dt * v, n_max)
 
-    # Probe at |x| ||dt V||_2 = r, where dropping the terms past x^n_max costs
-    # less than r^(n_max+1) e^r / (n_max+1)! <= 1e-15, as ||C_k|| <= ||dt V||^k / k!.
+    # Probe at |x| s = r, where dropping the terms past x^n_max costs less
+    # than r^(n_max+1) e^r / (n_max+1)! <= 1e-15, as ||C_k|| <= s^k / k!.
     r = min(1.0, (1e-15 * math.factorial(n_max + 1) / math.e) ** (1.0 / (n_max + 1)))
-    x = r / (dt * float(np.linalg.norm(v, 2)))
+    x = r / s
     # By Horner, which never forms x^k: x itself may be near the largest float.
     resummed = coeffs[-1]
     for c in coeffs[-2::-1]:

@@ -41,9 +41,5 @@ class InsufficientOrder(TrapscopeError):
     """A form table does not extend to the requested order."""
 
 
-class NonRealResult(TrapscopeError):
-    """A value that must be real came out with a large imaginary part."""
-
-
 class ConfigError(TrapscopeError):
     """A run configuration file failed to parse or validate."""

@@ -51,7 +51,6 @@ from .errors import (
     ConfigError,
     DomainError,
     InsufficientOrder,
-    NonRealResult,
     TrapscopeError,
 )
 from .model import ProblemInstance, SystemSpec, h0_matrix, v_matrix
@@ -85,8 +84,9 @@ def differential(inst: ProblemInstance, forms: DysonForms, n: int) -> float:
     """n-th Taylor coefficient (1/n! J^(n)) of the objective along forms' direction.
 
     Requires the normalized observable (lambda_N = 0), which every
-    Observable built by this package satisfies.  The double sum is real up
-    to roundoff; a large imaginary residue signals corrupted forms.
+    Observable built by this package satisfies.  The double sum is real, as
+    its terms j and n - j are complex conjugates; a coefficient that is not
+    finite (forms that overflowed) raises DomainError.
     """
     if n < 1:
         raise DomainError(f"order must be >= 1, got {n}")
@@ -96,13 +96,10 @@ def differential(inst: ProblemInstance, forms: DysonForms, n: int) -> float:
     a = forms.table[: n + 1, :-1]
     sign = (-1.0) ** (n - np.arange(n + 1))
     terms = (1j ** (n % 4)) * sign[:, None] * lam[None, :] * a * np.conj(a[::-1])
-    total = complex(terms.sum())
-    scale = float(np.abs(terms).sum())
-    if abs(total.imag) > 1e-10 * max(1.0, scale):
-        raise NonRealResult(
-            f"imaginary residue {total.imag:.3e} too large for scale {scale:.3e} at order {n}"
-        )
-    return float(total.real)
+    value = float(terms.sum().real)
+    if not math.isfinite(value):
+        raise DomainError(f"order {n} coefficient is {value} in float64: not resolvable")
+    return value
 
 
 def order_2N2_value(inst: ProblemInstance, forms: DysonForms) -> float:

@@ -24,7 +24,6 @@ def write_config(path, **overrides):
         "T": "6.283185307179586",
         "lambda": "1, -1, 0",
         "M": "16",
-        "substeps": "8",
         "directions": "2",
         "seed": "7",
         "witness_budget": "10",
@@ -63,6 +62,15 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
     path.write_text("N = 3\na 1\n")
     with pytest.raises(ConfigError, match="line 2"):
         parse_config(str(path))
+
+
+def test_substeps_key_is_unknown(tmp_path, capsys):
+    # the forms are an exact series, so there is no step count to set
+    cfg = write_config(tmp_path / "old.cfg", substeps="8")
+    keys = [ln.split("=")[0].strip() for ln in (tmp_path / "old.cfg").read_text().splitlines()]
+    lineno = 1 + keys.index("substeps")
+    assert main(["controllability", cfg]) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: line {lineno}: unknown key 'substeps'\n"
 
 
 @pytest.mark.parametrize(
@@ -156,8 +164,8 @@ def test_certify_overflowed_series_fails_its_stage(tmp_path):
         # the predicted c_2, resp. c_4, underflows to 0.0 in float64
         ("1, 1e-170", "checks: DomainError: mean_descent"),
         ("1e-170, 1", "checks: DomainError: order_2N2_match"),
-        # the series self-check's probe amplitude is about 1e150
-        ("1e-150, 1e-150", "directions: SeriesCheckFailed"),
+        # the series coefficients C_k, k >= 3, underflow to 0.0 in float64
+        ("1e-150, 1e-150", "directions: DomainError"),
     ],
 )
 def test_certify_unresolvable_couplings_fail_their_stage(tmp_path, capsys, v, stage):
@@ -213,6 +221,27 @@ def test_differential_command_reference_values(tmp_path, capsys):
     fitted2 = float(out2.split("fitted")[1].split()[0])
     assert analytic2 == pytest.approx(-1.0, abs=1e-10)
     assert fitted2 == pytest.approx(-1.0, rel=1e-3)
+
+
+def test_differential_command_overflowed_control_is_usage_error(tmp_path):
+    # At amplitude 1e200 the forms overflow to NaN.  A child process, because
+    # numpy's overflow warnings would be errors under this suite's settings.
+    cfg = write_config(tmp_path / "c.cfg")
+    control = tmp_path / "f.txt"
+    control.write_text("T 6.283185307179586\nM 4\n1e200\n0.5\n-0.5\n-1\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "trapscope", "differential", cfg, "--control", str(control), "--order", "2"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: DomainError: order 2 coefficient is nan")
+    assert "analytic" not in proc.stdout
 
 
 def test_differential_command_order_too_high(tmp_path, capsys):

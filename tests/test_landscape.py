@@ -12,7 +12,14 @@ from trapscope.controls import (
     norm,
     random_direction,
 )
-from trapscope.dynamics import block_controls, dyson_forms, kernel_form_A1N, objective, propagate
+from trapscope.dynamics import (
+    DysonForms,
+    block_controls,
+    dyson_forms,
+    kernel_form_A1N,
+    objective,
+    propagate,
+)
 from trapscope.errors import ConfigError, DomainError, InsufficientOrder
 from trapscope.landscape import (
     CertificateConfig,
@@ -127,6 +134,54 @@ def test_differential_requires_enough_orders():
         differential(inst, forms, 3)
     with pytest.raises(DomainError):
         differential(inst, forms, 0)
+
+
+def test_differential_of_a_complex_table_is_finite_and_real():
+    # the terms j and n - j of the double sum are conjugates, so any complex
+    # table gives a real coefficient; only a non-finite one is refused
+    inst = n4_instance()
+    rng = np.random.default_rng(3)
+    for scale in (1e-150, 1.0, 1e150):
+        table = scale * (rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4)))
+        forms = DysonForms(n_max=6, levels=4, table=table)
+        for n in range(1, 7):
+            value = differential(inst, forms, n)
+            assert isinstance(value, float) and math.isfinite(value)
+
+
+def test_differential_of_a_non_finite_table_is_not_resolvable():
+    inst = n4_instance()
+    table = np.ones((7, 4), dtype=np.complex128)
+    table[2, 1] = np.inf
+    forms = DysonForms(n_max=6, levels=4, table=table)
+    # inf times the zero imaginary part sets numpy's invalid flag; silence
+    # that warning so the raise itself is what is tested
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="not resolvable"):
+        differential(inst, forms, 4)
+
+
+@pytest.mark.parametrize("levels", range(3, 10))
+def test_forms_and_odd_differentials_vanish_by_ladder_parity(levels):
+    # P = diag(1, -1, 1, ...) fixes H0 and flips V, so A^n_l is zero unless
+    # n = N - l (mod 2), and every odd-order coefficient is zero; both hold
+    # exactly, not to roundoff
+    lam = (1.0, *np.linspace(0.5, 0.1, levels - 3), -1.0, 0.0)
+    instances = [
+        (1.0, 0.0, TWO_PI, (1.0,) * (levels - 1)),
+        (-0.7, 2.0, 3.0, tuple(0.5 + 0.25 * k for k in range(levels - 1))),
+        (3.0, 1.0, 1.0, tuple((-1.0) ** k * (1.0 + k) for k in range(levels - 1))),
+    ]
+    for a, b, horizon, couplings in instances:
+        inst = build_instance(build_system(levels, a, b, couplings, horizon), build_observable(lam))
+        for index in range(4):  # even indices are mean-zero, odd ones offset
+            f = probe_direction(11, index, 16, horizon)
+            forms = forms_for(inst, f)
+            for n in range(forms.n_max + 1):
+                for l in range(1, levels + 1):
+                    if (n - (levels - l)) % 2:
+                        assert forms.table[n, l - 1] == 0.0
+            for n in range(1, forms.n_max + 1, 2):
+                assert differential(inst, forms, n) == 0.0
 
 
 # ------------------------------------------------------------- order 2N-2
