@@ -17,6 +17,16 @@ single call agree bit for bit.  The Taylor cross-check samples the
 |N> column at complex amplitudes, where the step is not Hermitian, with an
 exponential of its own (_column_at) that shares nothing with the forms.
 
+Both certificate layers take every probe direction in one stacked pass.
+dyson_forms and _column_at accept one control, or a sequence of controls on
+one grid, like objective: one control in gives one result, a sequence gives
+one result with a leading direction axis.  A sequence runs through one
+segment loop, with the directions as extra columns of each segment's
+products, so the loop's Python overhead is paid once per stack instead of
+once per direction.  Stacks go through in blocks sized by direction_block,
+which keeps the working set near BLOCK_MATRICES N x N matrices however many
+directions come in.
+
 The chronological forms of order n are
 
     A^n_l(f) = int_{T >= t_1 >= ... >= t_n >= 0} f(t_1)...f(t_n)
@@ -34,7 +44,8 @@ sum_k x^k C_k, so the forms are a finite computation:
     A^n = i^n e^{i T H0} [S(x f_M) ... S(x f_1)]_n |N>,
 
 where [.]_n is the coefficient of x^n, taken by a truncated Cauchy product
-of the stack (C_0, ..., C_{n_max}) with the |N> column.  The C_k come once
+of the stack (C_0, ..., C_{n_max}) with the |N> column of every direction at
+once.  The C_k come once
 per (system, dt, n_max) from the block-triangular exponential of Van Loan
 (IEEE TAC 1978), in the auxiliary-matrix form of Goodwin & Kuprov (J. Chem.
 Phys. 143, 084113, 2015), and are checked against the propagation core's own
@@ -64,7 +75,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .controls import PiecewiseControl
+from .controls import PiecewiseControl, _check_grid
 from .errors import DomainError, GridMismatch, NotUnitary, SeriesCheckFailed
 from .model import ProblemInstance, SystemSpec, energies, h0_matrix, v_matrix
 
@@ -209,7 +220,9 @@ def objective(u: np.ndarray, inst: ProblemInstance) -> float | np.ndarray:
 class DysonForms:
     """Final-time chronological forms A^n_l for 0 <= n <= n_max, 1 <= l <= N.
 
-    table[n, l-1] = A^n_l(T).  Row 0 is the Kronecker row (0, ..., 0, 1).
+    table[..., n, l-1] = A^n_l(T), with a leading direction axis when the
+    forms of several controls were computed together.  Row 0 is the
+    Kronecker row (0, ..., 0, 1).
     """
 
     n_max: int
@@ -224,13 +237,14 @@ class DysonForms:
         """
         return 0
 
-    def value(self, n: int, l: int) -> complex:
-        """A^n_l with 1-based level index l."""
+    def value(self, n: int, l: int) -> complex | np.ndarray:
+        """A^n_l with 1-based level index l: a complex, or an array over directions."""
         if not 0 <= n <= self.n_max:
             raise DomainError(f"order {n} outside 0..{self.n_max}")
         if not 1 <= l <= self.levels:
             raise DomainError(f"level {l} outside 1..{self.levels}")
-        return complex(self.table[n, l - 1])
+        value = self.table[..., n, l - 1]
+        return complex(value) if value.ndim == 0 else value
 
 
 def _taylor_terms(theta: float) -> int:
@@ -323,74 +337,138 @@ def _segment_series(sys: SystemSpec, dt: float, n_max: int) -> np.ndarray:
     return coeffs
 
 
-def _interaction_series(sys: SystemSpec, f: PiecewiseControl, n_max: int, start: np.ndarray) -> np.ndarray:
-    """A^0..A^{n_max} applied to start (N x c): A^n = i^n e^{i T H0} P_n.
+def _as_stack(sys: SystemSpec, controls) -> tuple[list[PiecewiseControl], bool]:
+    """The controls as a list on one grid of the system horizon, and whether one came in.
+
+    controls is one PiecewiseControl or a sequence of them.  A control off the
+    system horizon, or two on different grids, raise GridMismatch; an empty
+    sequence raises DomainError.
+    """
+    single = isinstance(controls, PiecewiseControl)
+    stack = [controls] if single else list(controls)
+    if not stack:
+        raise DomainError("expected at least one control")
+    for f in stack:
+        _check_horizon(sys, f)
+        _check_grid(stack[0], f)
+    return stack, single
+
+
+def direction_block(entries: int, levels: int) -> int:
+    """Directions per block when each needs `entries` numbers of working set.
+
+    Sized like block_controls: a block holds about BLOCK_MATRICES N x N
+    matrices, so peak memory does not grow with the number of directions.
+    """
+    return block_controls(-(-entries // (levels * levels)))
+
+
+def _interaction_series(sys: SystemSpec, controls, n_max: int, start: np.ndarray) -> np.ndarray:
+    """A^0..A^{n_max} applied to start (N x c) for each control: A^n = i^n e^{i T H0} P_n.
 
     P_n is the coefficient of x^n in U_T(x f) start.  As U_T(x f) =
     S(x f_M) ... S(x f_1), each segment applies the truncated Cauchy product
     P_m <- sum_k f_j^k C_k P_{m-k}: a Toeplitz gather Q[m, k] = f_j^k P_{m-k}
     (zero for k > m), then one batched product of [C_0 ... C_{n_max}] with
     every Q[m].  Exact up to roundoff.
+
+    controls is one control, giving shape (n_max+1, N, c), or a sequence on
+    one grid, giving (D, n_max+1, N, c).  All directions share one segment
+    loop: the gather carries them as extra columns of the same product.  They
+    pass through in blocks whose gather holds about BLOCK_MATRICES N x N
+    matrices.  A control whose largest |f_j|^n_max overflows float64 raises
+    DomainError before anything is computed.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    _check_horizon(sys, f)
-    n = sys.levels
+    stack, single = _as_stack(sys, controls)
+    values = np.array([f.values for f in stack], dtype=np.float64)
+    peak = float(np.max(np.abs(values)))
+    if peak > 0.0 and n_max * math.log(peak) > math.log(np.finfo(float).max):
+        raise DomainError(
+            f"control amplitude {peak:.3e} to the power {n_max} would overflow in float64: "
+            "not resolvable"
+        )
+    n, cols = sys.levels, start.shape[1]
     order = np.arange(n_max + 1)
-    coeff_row = _segment_series(sys, f.dt, n_max).transpose(1, 0, 2).reshape(n, -1)
+    coeff_row = _segment_series(sys, stack[0].dt, n_max).transpose(1, 0, 2).reshape(n, -1)
     lag = order[:, None] - order[None, :]
     lag[lag < 0] = n_max + 1  # the all-zero slot below
-    series = np.zeros((n_max + 2, n, start.shape[1]), dtype=np.complex128)
-    series[0] = start
-    for fpow in f.as_array()[:, None] ** order:
-        gathered = fpow[None, :, None, None] * series[lag]
-        series[:-1] = coeff_row @ gathered.reshape(n_max + 1, (n_max + 1) * n, -1)
+    out = np.empty((len(stack), n_max + 1, n, cols), dtype=np.complex128)
+    rows = direction_block((n_max + 1) ** 2 * n * cols, n)
+    for lo in range(0, len(stack), rows):
+        block = values[lo : lo + rows]
+        d = len(block)
+        series = np.zeros((n_max + 2, n, d, cols), dtype=np.complex128)
+        series[0] = start[:, None, :]
+        for fpow in block.T[:, None, :] ** order[:, None]:  # (n_max+1, d): f_j^k per direction
+            gathered = fpow[None, :, None, :, None] * series[lag]
+            product = coeff_row @ gathered.reshape(n_max + 1, (n_max + 1) * n, d * cols)
+            series[:-1] = product.reshape(n_max + 1, n, d, cols)
+        out[lo : lo + d] = series[:-1].transpose(2, 0, 1, 3)
     ipow = 1j ** (order % 4)
     phase = np.exp(1j * sys.horizon * energies(sys))
-    return ipow[:, None, None] * phase[None, :, None] * series[:-1]
+    out *= ipow[:, None, None] * phase[None, :, None]
+    return out[0] if single else out
 
 
-def _column_at(sys: SystemSpec, f: PiecewiseControl, z: np.ndarray) -> np.ndarray:
-    """e^{i b T} U_T(z f)|N> for every complex amplitude z[k], shape (K, N).
+def _column_at(sys: SystemSpec, controls, z: np.ndarray) -> np.ndarray:
+    """e^{i b T} U_T(z f)|N> at complex amplitudes z for each control.
+
+    controls is one control with z of shape (K,), giving shape (K, N), or a
+    sequence of D controls on one grid with z of shape (D, K), each row its
+    control's own amplitudes, giving (D, K, N).
 
     Applies each step exp(-i dt (H0 - b I + z f_j V)) to psi by its Taylor
     series on the vector (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011),
-    in substeps of norm <= 0.5.  The shift -b I is a global phase.  Neither
-    eigh (the step is not Hermitian) nor the forms' C_k are used, so the
-    sampled objective checks the forms independently.
+    in substeps of norm <= 0.5.  The shift -b I is a global phase.  All D K
+    columns advance in one pass: H0 - b I is diagonal, so it acts
+    elementwise, and V psi comes from one shared (D K, N) x (N, N) product.
+    Each segment takes the largest step norm over the stack, which sets its
+    substeps and Taylor terms.  Neither eigh (the step is not Hermitian) nor
+    the forms' C_k are used, so the sampled objective checks the forms
+    independently.
     """
-    _check_horizon(sys, f)
-    z = np.asarray(z, dtype=np.complex128)
-    h0 = np.diag(energies(sys) - sys.b).astype(np.complex128)
+    stack, single = _as_stack(sys, controls)
+    values = np.array([f.values for f in stack], dtype=np.float64)
+    z = np.asarray(z, dtype=np.complex128).reshape(len(stack), -1)
+    dt = stack[0].dt
+    e = (energies(sys) - sys.b).astype(np.complex128)
     v = v_matrix(sys)
-    zv_norm = float(np.max(np.abs(z))) * float(np.linalg.norm(v, 2))  # bounds ||z V||
-    psi = np.zeros((z.size, sys.levels, 1), dtype=np.complex128)
+    zv_norm = np.max(np.abs(z), axis=1) * float(np.linalg.norm(v, 2))  # bounds ||z V|| per direction
+    psi = np.zeros((z.size, sys.levels), dtype=np.complex128)
     psi[:, -1] = 1.0
-    for fj in f.as_array():
-        theta = f.dt * (abs(sys.omega) + abs(fj) * zv_norm)
+    for fj in values.T:
+        theta = dt * (abs(sys.omega) + float(np.max(np.abs(fj) * zv_norm)))
         substeps = max(1, math.ceil(2.0 * theta))
-        gen = (-1j * f.dt / substeps) * (h0 + (fj * z)[:, None, None] * v)
+        h = -1j * dt / substeps
+        zf = (z * fj[:, None]).reshape(-1, 1)
         terms = _taylor_terms(theta / substeps)
         for _ in range(substeps):
             term = psi
             for m in range(1, terms + 1):
-                term = (gen @ term) / m
+                hm = h / m
+                term = (hm * e) * term + (hm * zf) * (term @ v)
                 psi = psi + term
-    return psi[:, :, 0]
+    psi = psi.reshape(*z.shape, sys.levels)
+    return psi[0] if single else psi
 
 
-def dyson_forms(sys: SystemSpec, f: PiecewiseControl, n_max: int) -> DysonForms:
+def dyson_forms(sys: SystemSpec, controls, n_max: int) -> DysonForms:
     """Chronological forms of order 0..n_max at the final time.
 
     Exact for piecewise-constant f up to roundoff: the |N> column of the
     propagator is expanded as a power series in the control amplitude.
+    One control gives a table of shape (n_max+1, N); a sequence of controls
+    on one grid gives one DysonForms whose table has a leading direction
+    axis, (D, n_max+1, N), from one shared segment loop.
     """
     n = sys.levels
     start = np.zeros((n, 1), dtype=np.complex128)
     start[n - 1, 0] = 1.0
-    table = _interaction_series(sys, f, n_max, start)[:, :, 0]
-    table[0] = 0.0  # A^0_l = delta_{lN} by definition, not up to roundoff
-    table[0, n - 1] = 1.0
+    table = _interaction_series(sys, controls, n_max, start)[..., 0]
+    table[..., 0, :] = 0.0  # A^0_l = delta_{lN} by definition, not up to roundoff
+    table[..., 0, n - 1] = 1.0
     table.setflags(write=False)
     return DysonForms(n_max=n_max, levels=n, table=table)
 

@@ -9,7 +9,7 @@ For a direction f, the Taylor coefficient of order n of t -> J(t*f) equals
           A^j_l(f) conj(A^{n-j}_l(f)),
 
 with the chronological forms A of the dynamics module and the observable
-normalized so lambda_N = 0.  The certificate checks, direction by direction:
+normalized so lambda_N = 0.  The certificate checks, on every probe direction:
 stationarity (c_1 = 0), strict second-order descent off the mean-zero
 subspace, flatness of orders 3..2N-3 on it, and the non-negative matching
 coefficient at order 2N-2; plus the Lie-rank controllability proxy and a
@@ -21,6 +21,12 @@ Analytic values (from the forms) are the primary evidence; a Cauchy
 contour of the objective itself, continued to complex amplitudes,
 cross-validates every order at once (taylor_fit).  Its samples come from an
 exponential of their own, so they share no code with the forms.
+
+dyson_forms, differential, order_2N2_value and taylor_fit follow the
+objective idiom: one control (or its forms) gives one result, a sequence
+gives one result with a leading direction axis.  The certificate builds its
+direction table from one call of each on all probe directions, so the forms
+and the contours of every direction each run in one stacked segment loop.
 
 The recipe is fixed: probe amplitude and offset, contour points, witness
 settings and every check threshold are the module constants below
@@ -40,8 +46,10 @@ import numpy as np
 from .controls import PiecewiseControl, integral, norm, random_direction
 from .dynamics import (
     DysonForms,
+    _as_stack,
     _column_at,
     block_controls,
+    direction_block,
     dyson_forms,
     objective,
     propagate,
@@ -80,49 +88,59 @@ TOLERANCES = {
 }
 
 
-def differential(inst: ProblemInstance, forms: DysonForms, n: int) -> float:
+def differential(inst: ProblemInstance, forms: DysonForms, n: int) -> float | np.ndarray:
     """n-th Taylor coefficient (1/n! J^(n)) of the objective along forms' direction.
 
-    Requires the normalized observable (lambda_N = 0), which every
-    Observable built by this package satisfies.  The double sum is real, as
-    its terms j and n - j are complex conjugates; a coefficient that is not
-    finite (forms that overflowed) raises DomainError.
+    A float for the forms of one control, an array over directions for
+    forms with a direction axis.  Requires the normalized observable
+    (lambda_N = 0), which every Observable built by this package satisfies.
+    The double sum is real, as its terms j and n - j are complex conjugates;
+    a coefficient that is not finite (forms that overflowed) raises
+    DomainError.
     """
     if n < 1:
         raise DomainError(f"order must be >= 1, got {n}")
     if n > forms.n_max:
         raise InsufficientOrder(f"forms extend to order {forms.n_max}, requested {n}")
     lam = np.asarray(inst.observable.eigenvalues[:-1])  # lambda_N = 0 removes l = N
-    a = forms.table[: n + 1, :-1]
+    a = forms.table[..., : n + 1, :-1]
     sign = (-1.0) ** (n - np.arange(n + 1))
-    terms = (1j ** (n % 4)) * sign[:, None] * lam[None, :] * a * np.conj(a[::-1])
-    value = float(terms.sum().real)
-    if not math.isfinite(value):
-        raise DomainError(f"order {n} coefficient is {value} in float64: not resolvable")
-    return value
+    terms = (1j ** (n % 4)) * sign[:, None] * lam[None, :] * a * np.conj(a[..., ::-1, :])
+    value = np.asarray(terms.reshape(*terms.shape[:-2], -1).sum(axis=-1).real)
+    bad = value[~np.isfinite(value)]
+    if bad.size:
+        raise DomainError(f"order {n} coefficient is {bad[0]} in float64: not resolvable")
+    return float(value) if value.ndim == 0 else value
 
 
-def order_2N2_value(inst: ProblemInstance, forms: DysonForms) -> float:
+def order_2N2_value(inst: ProblemInstance, forms: DysonForms) -> float | np.ndarray:
     """Coefficient lambda_1 |A^{N-1}_1|^2 of order 2N-2, for mean-zero directions.
 
-    The caller is responsible for the direction being mean-zero; only then
-    is this the leading surviving Taylor coefficient.
+    A float for the forms of one control, an array over directions for
+    forms with a direction axis.  The caller is responsible for the
+    direction being mean-zero; only then is this the leading surviving
+    Taylor coefficient.
     """
     nlev = inst.system.levels
     if forms.n_max < nlev - 1:
         raise InsufficientOrder(f"forms extend to order {forms.n_max}, need {nlev - 1}")
     lam1 = inst.observable.eigenvalues[0]
-    return float(lam1 * abs(forms.value(nlev - 1, 1)) ** 2)
+    value = lam1 * np.abs(forms.table[..., nlev - 1, 0]) ** 2
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)
 class TaylorFit:
-    """Sampled Taylor coefficients of t -> J(t*f): coefficients[k-1] is that
-    of t^k, read off a Cauchy contour of radius `radius` (inf for f = 0)."""
+    """Sampled Taylor coefficients of t -> J(t*f): coefficients[..., k-1] is
+    that of t^k, read off a Cauchy contour of radius `radius` (inf for f = 0).
+
+    For several directions fitted together, coefficients has shape
+    (D, max_order) and radius shape (D,).
+    """
 
     max_order: int
-    coefficients: tuple[float, ...]
-    radius: float
+    coefficients: np.ndarray
+    radius: float | np.ndarray
 
     @property
     def accepted(self) -> bool:
@@ -132,14 +150,15 @@ class TaylorFit:
         """
         return True
 
-    def coefficient(self, k: int) -> float:
+    def coefficient(self, k: int) -> float | np.ndarray:
         if not 1 <= k <= self.max_order:
             raise DomainError(f"coefficient index {k} outside 1..{self.max_order}")
-        return self.coefficients[k - 1]
+        value = self.coefficients[..., k - 1]
+        return float(value) if value.ndim == 0 else value
 
 
-def taylor_fit(inst: ProblemInstance, f: PiecewiseControl) -> TaylorFit:
-    """Coefficients c_k, k = 1..2N, of J(t*f) from one Cauchy contour.
+def taylor_fit(inst: ProblemInstance, controls) -> TaylorFit:
+    """Coefficients c_k, k = 1..2N, of J(t*f) from one Cauchy contour per direction.
 
     J(z) = sum_l lambda_l psi_l(z) conj(psi_l(conj z)), psi = U_T(z f)|N>,
     continues the objective to complex z.  It is sampled at the
@@ -147,20 +166,35 @@ def taylor_fit(inst: ProblemInstance, f: PiecewiseControl) -> TaylorFit:
     where conj z_k = z_{K-1-k}, and c_n = Re mean_k J(z_k) z_k^{-n}.  On the
     radius r = 2 / (||V||_2 int|f|) J stays of order one (Bornemann, Found.
     Comput. Math. 11, 2011), so one radius serves every order.
+
+    controls is one control, or a sequence on one grid whose contours, each
+    on its own radius, are sampled in one stacked pass (_column_at); the
+    result then has a leading direction axis.  A zero control gets zero
+    coefficients and radius inf.
     """
     sys = inst.system
+    stack, single = _as_stack(sys, controls)
     max_order = 2 * sys.levels
-    mass = float(np.abs(f.as_array()).sum()) * f.dt
-    if mass == 0.0:
-        return TaylorFit(max_order, (0.0,) * max_order, math.inf)
-    radius = 2.0 / (float(np.linalg.norm(v_matrix(sys), 2)) * mass)
+    mass = np.array([np.abs(f.as_array()).sum() for f in stack]) * stack[0].dt
+    live = np.flatnonzero(mass)
+    radius = np.full(len(stack), math.inf)
+    radius[live] = 2.0 / (float(np.linalg.norm(v_matrix(sys), 2)) * mass[live])
     points = max_order + CONTOUR_EXTRA_POINTS
-    z = radius * np.exp(2j * np.pi * (np.arange(points) + 0.5) / points)
-    psi = _column_at(sys, f, z)
-    j = np.sum(np.asarray(inst.observable.eigenvalues) * psi * np.conj(psi[::-1]), axis=1)
+    unit = np.exp(2j * np.pi * (np.arange(points) + 0.5) / points)
+    lam = np.asarray(inst.observable.eigenvalues)
     orders = np.arange(1, max_order + 1)
-    coeffs = np.mean(j * z ** -orders[:, None], axis=1).real
-    return TaylorFit(max_order, tuple(float(c) for c in coeffs), radius)
+    coeffs = np.zeros((len(stack), max_order))
+    rows = direction_block(points * sys.levels, sys.levels)
+    for lo in range(0, len(live), rows):
+        block = live[lo : lo + rows]
+        z = radius[block, None] * unit
+        psi = _column_at(sys, [stack[i] for i in block], z)
+        j = np.sum(lam * psi * np.conj(psi[:, ::-1]), axis=-1)
+        coeffs[block] = np.mean(j[:, None, :] * z[:, None, :] ** -orders[:, None], axis=-1).real
+    coeffs.setflags(write=False)
+    if single:
+        return TaylorFit(max_order, coeffs[0], float(radius[0]))
+    return TaylorFit(max_order, coeffs, radius)
 
 
 @dataclass(frozen=True)
@@ -400,38 +434,46 @@ def probe_direction(seed: int, index: int, segments: int, horizon: float) -> Pie
     return f.shifted(offset) if offset else f
 
 
-def _certificate_direction(inst: ProblemInstance, cfg: CertificateConfig, index: int) -> dict:
-    """Evaluate one probe direction: forms, differentials and Taylor fit."""
+def _certificate_rows(inst: ProblemInstance, cfg: CertificateConfig) -> list[dict]:
+    """One row per probe direction: forms, differentials and Taylor fit.
+
+    Every direction goes through the forms and the contour together, one
+    stacked pass each.
+    """
     sys = inst.system
     nlev = sys.levels
     n_top = 2 * nlev - 2
-    offset = probe_offset(index)
-    mean_zero = offset == 0.0
-    f = probe_direction(cfg.seed, index, cfg.segments, sys.horizon)
+    probes = [probe_direction(cfg.seed, i, cfg.segments, sys.horizon) for i in range(cfg.directions)]
 
-    forms = dyson_forms(sys, f, n_max=n_top)
-    diffs = [differential(inst, forms, n) for n in range(1, n_top + 1)]
-    fit = taylor_fit(inst, f)
+    forms = dyson_forms(sys, probes, n_max=n_top)
+    diffs = np.stack([differential(inst, forms, n) for n in range(1, n_top + 1)], axis=1)
+    fit = taylor_fit(inst, probes)
+    order_values = order_2N2_value(inst, forms)
 
     lam = inst.observable.eigenvalues
     v_last = sys.couplings[-1]
-    mean = integral(f)
-    d2_predicted = lam[nlev - 2] * v_last**2 * mean**2
-    order_value = order_2N2_value(inst, forms) if mean_zero else None
-    return {
-        "index": index,
-        "seed": probe_seed(cfg.seed, index),
-        "mean_zero": mean_zero,
-        "offset": offset,
-        "norm": norm(f),
-        "integral": mean,
-        "substeps_used": forms.substeps,  # always 0; bench/run.py still reads it
-        "differentials": diffs,
-        "d2_predicted": d2_predicted,
-        "order_2N2_analytic": order_value,
-        "fit_coefficients": list(fit.coefficients),
-        "fit_radius": fit.radius,
-    }
+    rows = []
+    for index, f in enumerate(probes):
+        offset = probe_offset(index)
+        mean_zero = offset == 0.0
+        mean = integral(f)
+        rows.append(
+            {
+                "index": index,
+                "seed": probe_seed(cfg.seed, index),
+                "mean_zero": mean_zero,
+                "offset": offset,
+                "norm": norm(f),
+                "integral": mean,
+                "substeps_used": forms.substeps,  # always 0; bench/run.py still reads it
+                "differentials": diffs[index].tolist(),
+                "d2_predicted": lam[nlev - 2] * v_last**2 * mean**2,
+                "order_2N2_analytic": float(order_values[index]) if mean_zero else None,
+                "fit_coefficients": fit.coefficients[index].tolist(),
+                "fit_radius": float(fit.radius[index]),
+            }
+        )
+    return rows
 
 
 def _worst_relative_error(check: str, measured: np.ndarray, predicted: np.ndarray) -> float:
@@ -564,7 +606,7 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
     lie_row: dict = {}
     failed_stage = None
     try:
-        rows = [_certificate_direction(inst, cfg, i) for i in range(cfg.directions)]
+        rows = _certificate_rows(inst, cfg)
 
         stage = "checks"
         checks.extend(_direction_checks(rows, nlev))

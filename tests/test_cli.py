@@ -224,8 +224,10 @@ def test_differential_command_reference_values(tmp_path, capsys):
 
 
 def test_differential_command_overflowed_control_is_usage_error(tmp_path):
-    # At amplitude 1e200 the forms overflow to NaN.  A child process, because
-    # numpy's overflow warnings would be errors under this suite's settings.
+    # At amplitude 1e200, f^4 overflows float64, which the forms refuse
+    # before computing.  A child process, so that any numpy overflow warning
+    # would show on its stderr instead of being an error under this suite's
+    # settings.
     cfg = write_config(tmp_path / "c.cfg")
     control = tmp_path / "f.txt"
     control.write_text("T 6.283185307179586\nM 4\n1e200\n0.5\n-0.5\n-1\n")
@@ -240,7 +242,9 @@ def test_differential_command_overflowed_control_is_usage_error(tmp_path):
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1].startswith("error: DomainError: order 2 coefficient is nan")
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: DomainError: control amplitude 1.000e+200")
+    assert proc.stderr.splitlines()[-1].endswith("not resolvable")
     assert "analytic" not in proc.stdout
 
 

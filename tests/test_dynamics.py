@@ -175,6 +175,20 @@ def test_column_at_real_points_equals_propagated_column():
         assert np.max(np.abs(np.exp(-1j * sys.b * TWO_PI) * psi - u[:, -1])) <= 1e-13
 
 
+def test_column_at_stack_at_real_points_equals_propagated_columns():
+    # each direction at its own real amplitudes, in one stacked pass whose
+    # substeps follow the largest step of the stack
+    sys = build_system(4, 1.3, 0.4, (1.0, 0.7, 1.5), TWO_PI)
+    fs = [random_direction(seed, 16, TWO_PI, amplitude=1.0) for seed in (17, 18, 19)]
+    xs = np.array([[-1.5, 0.0, 0.3, 3.0], [0.1, 0.2, -0.2, 0.5], [2.0, -2.5, 1.0, 0.0]])
+    column = dynamics._column_at(sys, fs, xs)
+    assert column.shape == (3, 4, 4)
+    for f, row, psis in zip(fs, xs, column):
+        for x, psi in zip(row, psis):
+            u = propagate(sys, f.scaled(x))
+            assert np.max(np.abs(np.exp(-1j * sys.b * TWO_PI) * psi - u[:, -1])) <= 1e-13
+
+
 # ---------------------------------------------------------------- objective
 
 
@@ -305,6 +319,73 @@ def test_dyson_matches_kernel_oracles_to_roundoff():
             a_dyson = dyson_forms(sys, f, n_max=nlev - 1).value(nlev - 1, 1)
             a_brute = kernel_bruteforce_A1N(sys, f)
             assert abs(a_dyson - a_brute) <= 1e-12 * abs(a_brute)
+
+
+def ladder_system(levels):
+    return build_system(levels, 1.0, 0.0, (1.0,) * (levels - 1), TWO_PI)
+
+
+def stack_probes(count, segments=64):
+    """Mean-zero draws, every odd one shifted off the mean-zero subspace."""
+    return [
+        random_direction(seed, segments, TWO_PI, mean_zero=True, amplitude=0.5).shifted(0.3 * (seed % 2))
+        for seed in range(count)
+    ]
+
+
+def test_stack_of_one_equals_single_call_bit_for_bit():
+    sys = n4_system()
+    f = random_direction(9, 32, TWO_PI, amplitude=0.7)
+    assert np.array_equal(dyson_forms(sys, [f], n_max=6).table[0], dyson_forms(sys, f, n_max=6).table)
+    z = 0.4 * np.exp(1j * np.linspace(0.1, 6.0, 12))
+    assert np.array_equal(dynamics._column_at(sys, [f], z[None])[0], dynamics._column_at(sys, f, z))
+
+
+@pytest.mark.parametrize("levels, count", [(n, 16) for n in range(3, 9)] + [(3, 40)])
+def test_stacked_forms_match_single_calls(levels, count):
+    # all but N = 3, 4 with 16 directions span more than one block
+    sys = ladder_system(levels)
+    n_max = 2 * levels - 2
+    fs = stack_probes(count)
+    stacked = dyson_forms(sys, fs, n_max=n_max)
+    assert stacked.table.shape == (count, n_max + 1, levels)
+    # relative to the natural size (||V||_2 int|f|)^n / n! of A^n: a mean-zero
+    # probe's A^1 is zero up to roundoff, so its own value is no scale
+    orders = np.arange(n_max + 1)
+    for row, f in zip(stacked.table, fs):
+        single = dyson_forms(sys, f, n_max=n_max).table
+        mass = float(np.linalg.norm(v_matrix(sys), 2)) * f.dt * float(np.sum(np.abs(f.as_array())))
+        scale = np.array([mass**n / math.factorial(n) for n in orders])[:, None]
+        assert np.all(np.abs(row - single) <= 1e-14 * scale)
+
+
+def test_stacked_forms_of_a_zero_control_vanish():
+    f = random_direction(4, 32, TWO_PI, amplitude=0.8)
+    forms = dyson_forms(n3_system(), [f, zero(TWO_PI, 32), f], n_max=4)
+    assert np.max(np.abs(forms.table[1, 1:])) == 0.0
+    assert list(forms.table[1, 0]) == [0.0, 0.0, 1.0]
+    assert forms.value(2, 1)[1] == 0.0
+
+
+def test_stacks_reject_mixed_grids_and_empty_input():
+    sys = n3_system()
+    f = random_direction(1, 16, TWO_PI)
+    for mixed in ([f, random_direction(2, 32, TWO_PI)], [f, zero(1.0, 16)]):
+        with pytest.raises(GridMismatch):
+            dyson_forms(sys, mixed, n_max=4)
+        with pytest.raises(GridMismatch):
+            dynamics._column_at(sys, mixed, np.ones((2, 3)))
+    with pytest.raises(DomainError):
+        dyson_forms(sys, [], n_max=4)
+
+
+def test_forms_refuse_an_overflowing_control_before_computing():
+    # 1e200^4 overflows float64.  The refusal comes before any arithmetic, so
+    # no numpy overflow warning (an error under this suite's settings) fires.
+    f = PiecewiseControl(TWO_PI, (1e200, 0.5, -0.5, -1.0))
+    with pytest.raises(DomainError, match="not resolvable"):
+        dyson_forms(n3_system(), [zero(TWO_PI, 4), f], n_max=4)
+    assert np.isfinite(dyson_forms(n3_system(), f.scaled(1e-130), n_max=4).table).all()
 
 
 def test_dyson_series_self_check_rejects_wrong_coefficients(monkeypatch):

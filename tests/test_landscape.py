@@ -20,7 +20,7 @@ from trapscope.dynamics import (
     objective,
     propagate,
 )
-from trapscope.errors import ConfigError, DomainError, InsufficientOrder
+from trapscope.errors import ConfigError, DomainError, GridMismatch, InsufficientOrder
 from trapscope.landscape import (
     CertificateConfig,
     differential,
@@ -295,6 +295,126 @@ def test_taylor_fit_resolves_strong_coupling_c2():
     c2 = differential(inst, forms_for(inst, f), 2)
     assert c2 == pytest.approx(-909.58, abs=0.01)
     assert abs(fit.coefficient(2) - c2) <= 1e-10 * abs(c2)
+
+
+def test_landscape_stack_of_one_equals_single_call_bit_for_bit():
+    inst = n4_instance()
+    f = random_direction(8, 64, TWO_PI, mean_zero=True, amplitude=0.5)
+    single, stacked = forms_for(inst, f), forms_for(inst, [f])
+    for n in range(1, 7):
+        assert differential(inst, stacked, n)[0] == differential(inst, single, n)
+    assert order_2N2_value(inst, stacked)[0] == order_2N2_value(inst, single)
+    fit, fits = taylor_fit(inst, f), taylor_fit(inst, [f])
+    assert np.array_equal(fits.coefficients[0], fit.coefficients)
+    assert fits.radius[0] == fit.radius
+
+
+@pytest.mark.parametrize("levels, count", [(n, 16) for n in range(3, 9)] + [(3, 40)])
+def test_stacked_taylor_fit_matches_single_calls(levels, count):
+    # The stack takes each segment's substeps from its largest step, which
+    # moves last bits.  The checked orders (c_2 off the mean-zero subspace,
+    # c_{2N-2} on it) stay within the bounds of the cross-check above.  At
+    # N = 3 the 40 directions span two contour blocks.
+    inst = ladder_instance(levels)
+    fs = [probe_direction(5, i, 64, TWO_PI) for i in range(count)]
+    fits = taylor_fit(inst, fs)
+    assert fits.coefficients.shape == (count, 2 * levels)
+    rel = 1e-10 if levels < 8 else 1e-8
+    for i, f in enumerate(fs):
+        single = taylor_fit(inst, f)
+        assert fits.radius[i] == single.radius
+        checked = 2 if i % 2 else 2 * levels - 2
+        assert abs(fits.coefficient(checked)[i] - single.coefficient(checked)) <= rel * abs(
+            single.coefficient(checked)
+        ), (levels, i)
+
+
+def test_zero_control_inside_a_stack_gets_zeros_and_infinite_radius():
+    inst = n4_instance()
+    f, g = (probe_direction(3, i, 32, TWO_PI) for i in (0, 1))
+    fits = taylor_fit(inst, [f, constant(0.0, TWO_PI, 32), g])
+    assert np.all(fits.coefficients[1] == 0.0)
+    assert fits.radius[1] == math.inf
+    assert np.array_equal(fits.coefficients[[0, 2]], taylor_fit(inst, [f, g]).coefficients)
+    forms = forms_for(inst, [f, constant(0.0, TWO_PI, 32), g])
+    assert all(differential(inst, forms, n)[1] == 0.0 for n in range(1, 7))
+    assert order_2N2_value(inst, forms)[1] == 0.0
+
+
+def test_taylor_fit_rejects_mixed_grids_and_empty_stacks():
+    inst = n3_instance()
+    f = random_direction(1, 16, TWO_PI)
+    for mixed in ([f, random_direction(2, 32, TWO_PI)], [f, constant(0.0, 1.0, 16)]):
+        with pytest.raises(GridMismatch):
+            taylor_fit(inst, mixed)
+    with pytest.raises(DomainError):
+        taylor_fit(inst, [])
+
+
+def reference_rows(inst, cfg):
+    """(row, forms, control) per probe direction, from single-direction calls one at a time."""
+    sys = inst.system
+    nlev = sys.levels
+    n_top = 2 * nlev - 2
+    lam = inst.observable.eigenvalues
+    out = []
+    for index in range(cfg.directions):
+        f = probe_direction(cfg.seed, index, cfg.segments, sys.horizon)
+        forms = dyson_forms(sys, f, n_max=n_top)
+        fit = taylor_fit(inst, f)
+        mean_zero = landscape.probe_offset(index) == 0.0
+        row = {
+            "index": index,
+            "seed": landscape.probe_seed(cfg.seed, index),
+            "mean_zero": mean_zero,
+            "offset": landscape.probe_offset(index),
+            "norm": norm(f),
+            "integral": integral(f),
+            "substeps_used": 0,
+            "differentials": [differential(inst, forms, n) for n in range(1, n_top + 1)],
+            "d2_predicted": lam[nlev - 2] * sys.couplings[-1] ** 2 * integral(f) ** 2,
+            "order_2N2_analytic": order_2N2_value(inst, forms) if mean_zero else None,
+            "fit_coefficients": list(fit.coefficients),
+            "fit_radius": fit.radius,
+        }
+        out.append((row, forms, f))
+    return out
+
+
+@pytest.mark.parametrize("levels", [3, 6, 8])
+def test_certificate_rows_match_a_per_direction_loop(levels):
+    inst = ladder_instance(levels)
+    n_top = 2 * levels - 2
+    cfg = CertificateConfig(directions=16, seed=611, segments=64)
+    lam = np.abs(np.asarray(inst.observable.eigenvalues[:-1]))
+    v_norm = float(np.linalg.norm(v_matrix(inst.system), 2))
+    orders = np.arange(n_top + 1)
+    rel = 1e-10 if levels < 8 else 1e-8
+    rows = landscape._certificate_rows(inst, cfg)
+    for row, (ref, forms, f) in zip(rows, reference_rows(inst, cfg), strict=True):
+        assert row.keys() == ref.keys()
+        for key in ("index", "seed", "mean_zero", "offset", "norm", "integral", "substeps_used",
+                    "d2_predicted", "fit_radius"):
+            assert row[key] == ref[key], key
+        # The forms' bound of test_stacked_forms_match_single_calls, 1e-14 of
+        # the natural size (||V||_2 int|f|)^n / n!, carried through c_n and
+        # lambda_1 |A^{N-1}_1|^2.
+        mass = v_norm * f.dt * float(np.sum(np.abs(f.as_array())))
+        delta = np.array([1e-14 * mass**n / math.factorial(n) for n in orders])[:, None]
+        a = np.abs(forms.table[:, :-1])
+        for n in range(1, n_top + 1):
+            j = orders[: n + 1]
+            bound = np.sum(lam * (delta[j] * a[n - j] + a[j] * delta[n - j] + delta[j] * delta[n - j]))
+            assert abs(row["differentials"][n - 1] - ref["differentials"][n - 1]) <= bound, n
+        if ref["mean_zero"]:
+            top, d = a[levels - 1, 0], delta[levels - 1, 0]
+            bound = inst.observable.eigenvalues[0] * (2.0 * top * d + d * d)
+            assert abs(row["order_2N2_analytic"] - ref["order_2N2_analytic"]) <= bound
+        else:
+            assert row["order_2N2_analytic"] is None
+        checked = n_top if ref["mean_zero"] else 2
+        want = ref["fit_coefficients"][checked - 1]
+        assert abs(row["fit_coefficients"][checked - 1] - want) <= rel * abs(want)
 
 
 # ---------------------------------------------------------------- lie rank
