@@ -25,7 +25,15 @@ import numpy as np
 
 from .controls import read_control_file
 # propagate is not called here; bench/launch.py rebinds cli.propagate by name.
-from .dynamics import dyson_forms, objective, propagate, propagate_batch  # noqa: F401
+from .dynamics import (  # noqa: F401
+    _column_at,
+    _taylor_substeps,
+    direction_block,
+    dyson_forms,
+    objective,
+    propagate,
+    propagate_batch,
+)
 from .errors import ConfigError, InsufficientOrder, TrapscopeError
 from .landscape import (
     CertificateConfig,
@@ -204,6 +212,26 @@ def cmd_differential(
     return 0
 
 
+def _scan_block(inst: ProblemInstance, probes: list, z: np.ndarray) -> np.ndarray:
+    """J(t f) for each probe f (rows) at each t >= 0 in z (columns).
+
+    Where every segment step takes a single Taylor substep (the rule of
+    dynamics._taylor_substeps), the |N> columns of the whole block come from
+    one dynamics._column_at pass and are scored as N x 1 isometries.
+    Longer steps would take ever more substeps, so those blocks go through
+    propagate_batch, whose eigendecomposition costs the same at any amplitude.
+    """
+    sys_ = inst.system
+    values = np.array([f.as_array() for f in probes])
+    peaks = np.max(np.abs(values), axis=0) * float(np.max(np.abs(z)))
+    if max(_taylor_substeps(sys_, probes[0].dt, peaks)[1]) == 1:
+        psi = _column_at(sys_, probes, np.broadcast_to(z, (len(probes), z.size)))
+        columns = psi.reshape(-1, sys_.levels, 1)
+    else:
+        columns = propagate_batch(sys_, (z[None, :, None] * values[:, None, :]).reshape(-1, values.shape[1]))
+    return objective(columns, inst).reshape(len(probes), z.size)
+
+
 def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0, points: int = 11) -> int:
     if points < 2:
         raise ConfigError(f"points must be >= 2, got {points}")
@@ -214,18 +242,21 @@ def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0,
     # Exactly antisymmetric: ts[points - 1 - k] == -ts[k] bit for bit.
     ts = [tmax * (2 * k - (points - 1)) / (points - 1) for k in range(points)]
     half = points // 2
+    # The ladder's parity makes J(-t f) == J(t f) bit for bit on both routes
+    # (see the dynamics module docstring), so only t >= 0 is sampled and each
+    # t < 0 row repeats its mirror's J.
+    z = np.array(ts[half:])
+    probes = [probe_direction(budget.seed, i, budget.segments, sys_.horizon) for i in range(budget.directions)]
+    rows = direction_block(z.size * sys_.levels, sys_.levels)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("seed,mean_zero,t,J\n")
-        for i in range(budget.directions):
-            tag = f"{probe_seed(budget.seed, i)},{int(probe_offset(i) == 0.0)}"
-            vals = probe_direction(budget.seed, i, budget.segments, sys_.horizon).as_array()
-            # The ladder's parity makes J(-t f) == J(t f) bit for bit (see
-            # dynamics._segment_steps), so only t >= 0 is propagated and each
-            # t < 0 row repeats its mirror's J.
-            js = objective(propagate_batch(sys_, np.outer(ts[half:], vals)), inst)
-            for k, t in enumerate(ts):
-                j = js[max(k, points - 1 - k) - half]
-                fh.write(f"{tag},{_fmt(t)},{_fmt(j)}\n")
+        for lo in range(0, len(probes), rows):
+            block = _scan_block(inst, probes[lo : lo + rows], z)
+            for i, js in enumerate(block, start=lo):
+                tag = f"{probe_seed(budget.seed, i)},{int(probe_offset(i) == 0.0)}"
+                for k, t in enumerate(ts):
+                    j = js[max(k, points - 1 - k) - half]
+                    fh.write(f"{tag},{_fmt(t)},{_fmt(j)}\n")
     print(f"scan written to {out} ({budget.directions * points} rows)")
     return 0
 

@@ -2,20 +2,28 @@
 
 The propagator solves i dU/dt = (H0 + f(t) V) U with U(0) = I.  Because f is
 piecewise constant, each segment is advanced by one exact exponential, so
-propagation carries no time-discretization error beyond roundoff.  One core,
-propagate_batch, serves every sampled objective value at real amplitude
-(scan, the witness search): H0 + x V is real symmetric, so the steps of a whole
-stack of controls come from one float64 eigendecomposition and two real
-matrix products, and each U_T = S_M ... S_1 is a pairwise tree product
-(_tree_product) that keeps only its current level.  The ladder's parity
-P = diag(1, -1, 1, ...) (P H0 P = H0, P V P = -V) is built into the steps,
-so U_T(-f) = P U_T(f) P and J(-f) = J(f) hold bit for bit; scan relies on
-it to propagate only t >= 0.  Controls pass through in
-blocks of BLOCK_MATRICES segment matrices, which keeps peak memory flat in
-the number of controls.  propagate is its B = 1 case, so a batched row and a
-single call agree bit for bit.  The Taylor cross-check samples the
-|N> column at complex amplitudes, where the step is not Hermitian, with an
-exponential of its own (_column_at) that shares nothing with the forms.
+propagation carries no time-discretization error beyond roundoff.  Two
+routes sample the objective.
+
+  * propagate_batch forms full propagators at real amplitude (the witness
+    search, propagate, and scan where its steps are long): H0 + x V is real
+    symmetric, so the steps of a whole stack of controls come from one
+    float64 eigendecomposition and two real matrix products, and each
+    U_T = S_M ... S_1 is a pairwise tree product (_tree_product) that keeps
+    only its current level.  Controls pass through in blocks of
+    BLOCK_MATRICES segment matrices, which keeps peak memory flat in the
+    number of controls.  propagate is its B = 1 case, so a batched row and
+    a single call agree bit for bit.
+  * _column_at advances only the |N> column, by the Taylor action of each
+    step, at any complex amplitude: the Taylor cross-check samples it where
+    the step is not Hermitian, and scan at real t wherever every segment
+    step needs a single substep (_taylor_substeps), where it is several
+    times cheaper than an eigendecomposition per step.  It shares nothing
+    with the forms.
+
+The ladder's parity P = diag(1, -1, 1, ...) (P H0 P = H0, P V P = -V) holds
+exactly on both routes, so U_T(-f) = P U_T(f) P and J(-f) = J(f) hold bit
+for bit; scan relies on it to sample only t >= 0.
 
 Both certificate layers take every probe direction in one stacked pass.
 dyson_forms and _column_at accept one control, or a sequence of controls on
@@ -180,15 +188,16 @@ _UNITARITY_TOL = 1e-8
 
 
 def unitarity_defect(u):
-    """Frobenius norm of U^dagger U - I.
+    """Frobenius norm of U^dagger U - I_k, for U of N rows and 1 <= k <= N columns.
 
-    u is one matrix (N, N), giving a float, or a stack (B, N, N), giving an
+    u is one matrix (N, k), giving a float, or a stack (B, N, k), giving an
     array with the defect of each matrix; a row of the stack gets the same
-    value as that matrix alone.
+    value as that matrix alone.  A square U is checked for unitarity; a
+    column (k = 1) only for unit norm.
     """
     m = np.asarray(u, dtype=np.complex128)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if m.ndim not in (2, 3) or not 1 <= m.shape[-1] <= m.shape[-2]:
+        raise ValueError(f"expected an N x k matrix with 1 <= k <= N or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
     g = m.conj().swapaxes(-1, -2) @ m
@@ -200,9 +209,11 @@ def objective(u: np.ndarray, inst: ProblemInstance) -> float | np.ndarray:
     """Mayer objective Tr(O U |N><N| U^dagger) = sum_l lambda_l |<l|U|N>|^2.
 
     u is one propagator (N, N), giving a float, or a stack (B, N, N), giving
-    an array of B values.  Each matrix must pass the unitarity check on its
-    own.  Uses the normalized observable (last eigenvalue 0), so the zero
-    control scores exactly 0.
+    an array of B values.  Only the last column U|N> enters, so u may also
+    be that column alone, (N, 1) or (B, N, 1), and scores the same bits.
+    Each matrix must pass unitarity_defect on its own: a full U its
+    unitarity, a column only its norm.  Uses the normalized observable
+    (last eigenvalue 0), so the zero control scores exactly 0.
     """
     defect = np.atleast_1d(unitarity_defect(u))
     worst = int(np.argmax(defect))
@@ -412,6 +423,21 @@ def _interaction_series(sys: SystemSpec, controls, n_max: int, start: np.ndarray
     return out[0] if single else out
 
 
+def _taylor_substeps(sys: SystemSpec, dt: float, peaks: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Norm bounds and substep counts of segment steps under the Taylor action.
+
+    peaks[j] bounds the amplitude |z f_j| on segment j.  Then
+    theta_j = dt (|omega| + peaks[j] ||V||_2) bounds the norm of the step's
+    exponent dt (H0 - b I + z f_j V), as H0 - b I = diag(omega, 0, ..., 0),
+    and the step runs in ceil(2 theta_j) substeps of norm <= 0.5, at least
+    one.  The work of _column_at grows with theta, unlike an
+    eigendecomposition's, so a single substep everywhere (theta <= 0.5) is
+    where the column route pays at real amplitude.
+    """
+    theta = dt * (abs(sys.omega) + peaks * float(np.linalg.norm(v_matrix(sys), 2)))
+    return theta, [max(1, math.ceil(2.0 * t)) for t in theta]
+
+
 def _column_at(sys: SystemSpec, controls, z: np.ndarray) -> np.ndarray:
     """e^{i b T} U_T(z f)|N> at complex amplitudes z for each control.
 
@@ -421,13 +447,15 @@ def _column_at(sys: SystemSpec, controls, z: np.ndarray) -> np.ndarray:
 
     Applies each step exp(-i dt (H0 - b I + z f_j V)) to psi by its Taylor
     series on the vector (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011),
-    in substeps of norm <= 0.5.  The shift -b I is a global phase.  All D K
-    columns advance in one pass: H0 - b I is diagonal, so it acts
-    elementwise, and V psi comes from one shared (D K, N) x (N, N) product.
-    Each segment takes the largest step norm over the stack, which sets its
-    substeps and Taylor terms.  Neither eigh (the step is not Hermitian) nor
-    the forms' C_k are used, so the sampled objective checks the forms
-    independently.
+    in the substeps of norm <= 0.5 that _taylor_substeps counts.  The shift
+    -b I is a global phase.  All D K columns advance in one pass: H0 - b I is
+    diagonal, so it acts elementwise, and V psi comes from one shared
+    (D K, N) x (N, N) product.  Each segment takes the largest amplitude
+    over the stack, which sets its substeps and Taylor terms.  Neither eigh
+    (the step is not Hermitian) nor the forms' C_k are used, so the sampled
+    objective checks the forms independently.  At real z, negating z only
+    flips the signs of psi's odd entries (psi(-z) = psi(z) P, P the ladder's
+    parity), exactly, so |psi| and J at -z equal those at z bit for bit.
     """
     stack, single = _as_stack(sys, controls)
     values = np.array([f.values for f in stack], dtype=np.float64)
@@ -435,12 +463,10 @@ def _column_at(sys: SystemSpec, controls, z: np.ndarray) -> np.ndarray:
     dt = stack[0].dt
     e = (energies(sys) - sys.b).astype(np.complex128)
     v = v_matrix(sys)
-    zv_norm = np.max(np.abs(z), axis=1) * float(np.linalg.norm(v, 2))  # bounds ||z V|| per direction
+    peaks = np.max(np.abs(values) * np.max(np.abs(z), axis=1)[:, None], axis=0)
     psi = np.zeros((z.size, sys.levels), dtype=np.complex128)
     psi[:, -1] = 1.0
-    for fj in values.T:
-        theta = dt * (abs(sys.omega) + float(np.max(np.abs(fj) * zv_norm)))
-        substeps = max(1, math.ceil(2.0 * theta))
+    for fj, theta, substeps in zip(values.T, *_taylor_substeps(sys, dt, peaks)):
         h = -1j * dt / substeps
         zf = (z * fj[:, None]).reshape(-1, 1)
         terms = _taylor_terms(theta / substeps)

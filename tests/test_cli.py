@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from trapscope import dynamics
 from trapscope.cli import build_problem, main, parse_config
 from trapscope.controls import constant, write_control_file
 from trapscope.dynamics import objective, propagate
@@ -302,22 +304,65 @@ def test_scan_rejects_bad_tmax_before_writing(tmp_path, capsys, tmax):
 
 
 def test_scan_rows_probe_the_certificate_directions(tmp_path):
-    # both offset signs appear among the odd rows with four directions; the
-    # t < 0 rows, which repeat their mirror's J, must equal a direct
-    # propagation at their own t, on a dyadic and a non-dyadic grid
-    cfg_path = write_config(tmp_path / "c.cfg", directions="4")
-    cfg = parse_config(cfg_path)
-    inst = build_problem(cfg)
+    # Both offset signs appear among the odd rows with four directions; each
+    # row is checked at its own t, t < 0 rows included (they repeat their
+    # mirror's J), on a dyadic and a non-dyadic grid.  At M = 64 every
+    # segment step takes one Taylor substep, so the rows come from the
+    # stacked |N> column of each direction block: they must equal that
+    # _column_at call bit for bit and the independent eigenvalue route
+    # objective(propagate(t f)) to 1e-13.  At M = 16 the steps are too long
+    # for one substep, and the rows must equal objective(propagate(t f)) bit
+    # for bit.
+    for segments, column_route in (("64", True), ("16", False)):
+        cfg_path = write_config(tmp_path / "c.cfg", directions="4", M=segments)
+        cfg = parse_config(cfg_path)
+        inst = build_problem(cfg)
+        sys_ = inst.system
+        probes = [probe_direction(cfg.certificate.seed, i, int(segments), cfg.horizon) for i in range(4)]
+        out = tmp_path / "scan.csv"
+        for points, tmax in (("5", "0.5"), ("11", "0.7")):
+            assert main(["scan", cfg_path, "--out", str(out), "--points", points, "--tmax", tmax]) == 0
+            rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+            assert len(rows) == 4 * int(points)
+            z = np.array([float(t) for _, _, t, _ in rows[int(points) // 2 : int(points)]])
+            peaks = np.max(np.abs([f.as_array() for f in probes]), axis=0) * z[-1]
+            assert (max(dynamics._taylor_substeps(sys_, probes[0].dt, peaks)[1]) == 1) == column_route
+            block = dynamics.direction_block(z.size * cfg.levels, cfg.levels)
+            assert block >= 4  # one _column_at call holds all four directions
+            psi = dynamics._column_at(sys_, probes, np.broadcast_to(z, (4, z.size)))
+            direct = objective(psi.reshape(-1, cfg.levels, 1), inst).reshape(4, z.size)
+            for seed, mz, t, j in rows:
+                index = int(seed) - cfg.certificate.seed
+                assert mz == str(int(index % 2 == 0))
+                eigh = objective(propagate(sys_, probes[index].scaled(float(t))), inst)
+                if column_route:
+                    assert float(j) == direct[index][np.flatnonzero(z == abs(float(t)))[0]]
+                    assert abs(float(j) - eigh) <= 1e-13
+                else:
+                    assert float(j) == eigh
+
+
+@pytest.mark.parametrize("overrides", [{"a": "1e6"}, {"tmax": "1e3"}])
+def test_scan_long_steps_finish_on_the_eigenvalue_route(tmp_path, overrides):
+    # The Taylor action would split each of these segment steps into about
+    # 1.6e6 (a = 1e6) or 2.2e3 (t = 1e3) substeps; the route guard sends them
+    # to the eigenvalue route, whose cost does not grow with the amplitude.
+    # A child process with a timeout keeps a regression from hanging the suite.
+    cfg = write_config(tmp_path / "c.cfg", M="8", a=overrides.get("a", "1"))
     out = tmp_path / "scan.csv"
-    for points, tmax in (("5", "0.5"), ("11", "0.7")):
-        assert main(["scan", cfg_path, "--out", str(out), "--points", points, "--tmax", tmax]) == 0
-        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
-        assert len(rows) == 4 * int(points)
-        for seed, mz, t, j in rows:
-            index = int(seed) - cfg.certificate.seed
-            assert mz == str(int(index % 2 == 0))
-            f = probe_direction(cfg.certificate.seed, index, cfg.certificate.segments, cfg.horizon)
-            assert float(j) == objective(propagate(inst.system, f.scaled(float(t))), inst)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "trapscope", "scan", cfg, "--out", str(out), "--tmax", overrides.get("tmax", "1")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    assert len(rows) == 2 * 11
+    assert all(-1.0 <= float(j) <= 1.0 for _, _, _, j in rows)
 
 
 @pytest.mark.parametrize("points", [2, 10, 11, 401])

@@ -189,6 +189,23 @@ def test_column_at_stack_at_real_points_equals_propagated_columns():
             assert np.max(np.abs(np.exp(-1j * sys.b * TWO_PI) * psi - u[:, -1])) <= 1e-13
 
 
+@pytest.mark.parametrize("levels", [3, 6, 9])
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (1.3, 0.4)])
+def test_column_at_objective_is_even_in_real_amplitude(levels, a, b):
+    # scan samples only t >= 0 on the column route and mirrors each J, which
+    # the ladder's parity makes exact: every step maps P psi to P psi'
+    sys = build_system(levels, a, b, (1.0,) * (levels - 1), TWO_PI)
+    inst = build_instance(sys, build_observable((1.0,) + (0.5,) * (levels - 3) + (-1.0, 0.0)))
+    fs = [random_direction(seed, 64, TWO_PI, amplitude=0.5).shifted(0.3 * (seed % 2)) for seed in (3, 4)]
+    xs = np.tile(np.linspace(0.0, 1.0, 9), (2, 1))
+    plus = dynamics._column_at(sys, fs, xs)
+    minus = dynamics._column_at(sys, fs, -xs)
+    assert np.array_equal(np.abs(plus), np.abs(minus))
+    assert np.array_equal(
+        objective(plus.reshape(-1, levels, 1), inst), objective(minus.reshape(-1, levels, 1), inst)
+    )
+
+
 # ---------------------------------------------------------------- objective
 
 
@@ -223,6 +240,19 @@ def test_objective_checks_each_matrix_of_a_stack():
     with pytest.raises(NotUnitary, match="matrix 4"):
         objective(stack, inst)
     objective(np.delete(stack, 4, axis=0), inst)
+
+
+def test_objective_of_columns_equals_objective_of_full_propagators():
+    # an N x 1 stack of |N> columns scores the same bits as the propagators
+    # and is checked for unit norm alone
+    inst = n3_instance()
+    stack = propagate_batch(inst.system, np.random.default_rng(10).uniform(-1.0, 1.0, (6, 16)))
+    columns = stack[..., -1:].copy()
+    assert np.array_equal(objective(columns, inst), objective(stack, inst))
+    assert objective(columns[2], inst) == objective(stack[2], inst)
+    columns[3] *= 1.0 + 1e-6  # norm defect about 2e-6, far above the tolerance
+    with pytest.raises(NotUnitary, match="matrix 3"):
+        objective(columns, inst)
 
 
 def test_objective_within_kinematic_bounds():

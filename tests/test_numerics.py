@@ -92,6 +92,15 @@ def test_unitarity_defect_of_a_stack_is_per_matrix():
     assert unitarity_defect(stack).tolist() == [0.0, unitarity_defect(stack[1]), 0.0]
 
 
+def test_unitarity_defect_of_isometries():
+    # N x k with k <= N: ||U^dagger U - I_k||_F, the norm defect for k = 1
+    q = np.eye(3, dtype=complex)[:, :2]
+    assert unitarity_defect(q) == 0.0
+    assert unitarity_defect(2 * q) == pytest.approx(3 * np.sqrt(2))
+    assert unitarity_defect(2 * q[:, 1:]) == 3.0
+    assert unitarity_defect(np.stack([q, 2 * q])).tolist() == [0.0, unitarity_defect(2 * q)]
+
+
 @pytest.mark.parametrize(
     "bad",
     [np.zeros(3), np.zeros((2, 3)), np.zeros((2, 2, 3)), np.zeros((1, 2, 2, 2)), np.full((2, 2), np.nan)],
