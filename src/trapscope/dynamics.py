@@ -15,11 +15,12 @@ routes sample the objective.
     number of controls.  propagate is its B = 1 case, so a batched row and
     a single call agree bit for bit.
   * _column_at advances only the |N> column, by the Taylor action of each
-    step, at any complex amplitude: the Taylor cross-check samples it where
-    the step is not Hermitian, and scan at real t wherever every segment
-    step needs a single substep (_taylor_substeps), where it is several
-    times cheaper than an eigendecomposition per step.  It shares nothing
-    with the forms.
+    step, at any complex amplitude.  The columns of a whole stack are held
+    level-major, so V acts on all of them by one real matrix product.  The
+    Taylor cross-check samples it where the step is not Hermitian, and scan
+    at real t wherever every segment step needs a single substep
+    (_taylor_substeps), where it is several times cheaper than an
+    eigendecomposition per step.  It shares nothing with the forms.
 
 The ladder's parity P = diag(1, -1, 1, ...) (P H0 P = H0, P V P = -V) holds
 exactly on both routes, so U_T(-f) = P U_T(f) P and J(-f) = J(f) hold bit
@@ -448,10 +449,15 @@ def _column_at(sys: SystemSpec, controls, z: np.ndarray) -> np.ndarray:
     Applies each step exp(-i dt (H0 - b I + z f_j V)) to psi by its Taylor
     series on the vector (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011),
     in the substeps of norm <= 0.5 that _taylor_substeps counts.  The shift
-    -b I is a global phase.  All D K columns advance in one pass: H0 - b I is
-    diagonal, so it acts elementwise, and V psi comes from one shared
-    (D K, N) x (N, N) product.  Each segment takes the largest amplitude
-    over the stack, which sets its substeps and Taylor terms.  Neither eigh
+    -b I is a global phase.  All R = D K columns advance in one pass, held
+    level-major as one (N, R) array: H0 - b I is diagonal, so it acts
+    elementwise, and V psi is one real (N, N) x (N, 2R) product on the float
+    view of psi, V being real.  Each column of V has at most two nonzeros,
+    so every entry of V psi sums the same two products whatever order or
+    thread count the BLAS uses.  The result is transposed back to a
+    C-contiguous (D, K, N) array, whose layout fixes the summation order of
+    the callers' reductions over levels.  Each segment takes the largest
+    amplitude over the stack, which sets its substeps and Taylor terms.  Neither eigh
     (the step is not Hermitian) nor the forms' C_k are used, so the sampled
     objective checks the forms independently.  At real z, negating z only
     flips the signs of psi's odd entries (psi(-z) = psi(z) P, P the ladder's
@@ -461,22 +467,28 @@ def _column_at(sys: SystemSpec, controls, z: np.ndarray) -> np.ndarray:
     values = np.array([f.values for f in stack], dtype=np.float64)
     z = np.asarray(z, dtype=np.complex128).reshape(len(stack), -1)
     dt = stack[0].dt
-    e = (energies(sys) - sys.b).astype(np.complex128)
-    v = v_matrix(sys)
+    e = (energies(sys) - sys.b).astype(np.complex128)[:, None]
+    v = np.ascontiguousarray(v_matrix(sys).real)
     peaks = np.max(np.abs(values) * np.max(np.abs(z), axis=1)[:, None], axis=0)
-    psi = np.zeros((z.size, sys.levels), dtype=np.complex128)
-    psi[:, -1] = 1.0
+    psi = np.zeros((sys.levels, z.size), dtype=np.complex128)
+    psi[-1] = 1.0
+    # Each Taylor term and its V product reuse two buffers: fresh temporaries
+    # this large go back to the OS and are faulted in again on every term.
+    term, vt = np.empty_like(psi), np.empty_like(psi)
     for fj, theta, substeps in zip(values.T, *_taylor_substeps(sys, dt, peaks)):
         h = -1j * dt / substeps
-        zf = (z * fj[:, None]).reshape(-1, 1)
+        zf = (z * fj[:, None]).reshape(-1)
         terms = _taylor_terms(theta / substeps)
         for _ in range(substeps):
-            term = psi
+            term[...] = psi
             for m in range(1, terms + 1):
                 hm = h / m
-                term = (hm * e) * term + (hm * zf) * (term @ v)
-                psi = psi + term
-    psi = psi.reshape(*z.shape, sys.levels)
+                np.matmul(v, term.view(np.float64), out=vt.view(np.float64))
+                np.multiply(hm * zf, vt, out=vt)
+                np.multiply(hm * e, term, out=term)
+                term += vt
+                psi += term
+    psi = np.ascontiguousarray(psi.T).reshape(*z.shape, sys.levels)
     return psi[0] if single else psi
 
 

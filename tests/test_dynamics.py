@@ -189,6 +189,51 @@ def test_column_at_stack_at_real_points_equals_propagated_columns():
             assert np.max(np.abs(np.exp(-1j * sys.b * TWO_PI) * psi - u[:, -1])) <= 1e-13
 
 
+def _column_by_eig(sys, f, z):
+    # e^{i b T} U_T(z f)|N> as a product of dense segment exponentials, each
+    # from np.linalg.eig of the non-Hermitian exponent -i dt (H0 - b I + z f_j V)
+    h0 = np.diag(energies(sys) - sys.b)
+    psi = np.zeros(sys.levels, dtype=np.complex128)
+    psi[-1] = 1.0
+    for fj in f.values:
+        w, x = np.linalg.eig(-1j * f.dt * (h0 + z * fj * v_matrix(sys)))
+        psi = x @ (np.exp(w) * np.linalg.solve(x, psi))
+    return psi
+
+
+@pytest.mark.parametrize("levels", [4, 6])
+def test_column_at_complex_contour_equals_dense_segment_exponentials(levels):
+    # the Taylor cross-check samples _column_at at complex amplitudes, where
+    # the step is not unitary; the small radii take one substep per step, and
+    # radius 3 takes several on its largest steps
+    sys = build_system(levels, 1.3, 0.4, np.linspace(0.7, 1.5, levels - 1), TWO_PI)
+    fs = [random_direction(seed, 32, TWO_PI, amplitude=1.0) for seed in (21, 22)]
+    unit = np.exp(2j * np.pi * (np.arange(12) + 0.5) / 12)
+    for radii, one_substep in (((0.2, 0.3), True), ((0.5, 3.0), False)):
+        z = np.array(radii)[:, None] * unit
+        peaks = np.max(np.abs([f.values for f in fs]) * np.array(radii)[:, None], axis=0)
+        substeps = max(dynamics._taylor_substeps(sys, fs[0].dt, peaks)[1])
+        assert (substeps == 1) if one_substep else (substeps >= 2)
+        column = dynamics._column_at(sys, fs, z)
+        for f, row, psis in zip(fs, z, column):
+            for zk, psi in zip(row, psis):
+                ref = _column_by_eig(sys, f, zk)
+                assert np.max(np.abs(psi - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def test_column_at_returns_c_contiguous_level_minor_arrays():
+    # the kernel works level-major and transposes back on return: the layout
+    # of the result sets the summation order, and so the bits, of taylor_fit's
+    # sum over levels and of scan's objective, so it must stay C-contiguous
+    sys = n4_system()
+    fs = [random_direction(seed, 16, TWO_PI, amplitude=0.7) for seed in (5, 6, 7)]
+    z = 0.4 * np.exp(1j * np.linspace(0.1, 6.0, 12))
+    single = dynamics._column_at(sys, fs[0], z)
+    stack = dynamics._column_at(sys, fs, np.tile(z, (3, 1)))
+    assert single.shape == (12, 4) and single.flags.c_contiguous
+    assert stack.shape == (3, 12, 4) and stack.flags.c_contiguous
+
+
 @pytest.mark.parametrize("levels", [3, 6, 9])
 @pytest.mark.parametrize("a, b", [(1.0, 0.0), (1.3, 0.4)])
 def test_column_at_objective_is_even_in_real_amplitude(levels, a, b):
