@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -15,6 +16,30 @@ from trapscope.errors import ConfigError
 from trapscope.landscape import probe_direction
 
 TWO_PI = 2 * math.pi
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze_heap():
+    # main() freezes the heap it finds (gc.freeze), here pytest's; undo that
+    # after each test so one test's objects do not stay uncollectable for the
+    # rest of the session.
+    yield
+    gc.unfreeze()
+
+
+def run_trapscope(*args, **env):
+    """Run `python -m trapscope ARGS` in a child process with src/ on the path
+    and each keyword set as an environment variable."""
+    src = os.path.join(ROOT, "src")
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "trapscope", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath, **env),
+        timeout=60,
+    )
 
 
 def write_config(path, **overrides):
@@ -146,15 +171,7 @@ def test_certify_overflowed_series_fails_its_stage(tmp_path):
     # timeout keeps a regression from hanging the suite.
     cfg = write_config(tmp_path / "huge.cfg", a="1e300", M="8")
     out = tmp_path / "r.json"
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "trapscope", "certify", cfg, "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
-        timeout=60,
-    )
+    proc = run_trapscope("certify", cfg, "--out", str(out))
     assert proc.returncode == 2, proc.stdout + proc.stderr
     stage = json.loads(out.read_text())["failed_stage"]
     assert stage.startswith("directions: SeriesCheckFailed") and "nan" in stage
@@ -204,6 +221,46 @@ def test_certify_reports_are_deterministic(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_certify_report_does_not_depend_on_blas_threads(tmp_path):
+    cfg = os.path.join(ROOT, "examples", "n4.cfg")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"r{threads}.json"
+        proc = run_trapscope("certify", cfg, "--out", str(out), OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_main_freezes_the_import_heap(tmp_path):
+    # By the time main parses the config, every object alive and tracked after
+    # the import is in the permanent generation, so collections during the run
+    # and at exit skip it.  The collect first drops the import's garbage, which
+    # need not survive; the count is read at parse_config because frozen
+    # objects that die during the run leave the permanent generation.
+    code = (
+        "import gc, sys, trapscope.cli as cli\n"
+        "gc.collect()\n"
+        "tracked = len(gc.get_objects())\n"
+        "parse_config, frozen = cli.parse_config, []\n"
+        "cli.parse_config = lambda path: frozen.append(gc.get_freeze_count()) or parse_config(path)\n"
+        "status = cli.main(['certify', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(status, tracked, *frozen)\n"
+    )
+    cfg = os.path.join(ROOT, "examples", "n3.cfg")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, cfg, str(tmp_path / "r.json")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, tracked, frozen = map(int, proc.stdout.split()[-3:])
+    assert status == 0
+    assert frozen >= tracked > 0
+
+
 def test_differential_command_reference_values(tmp_path, capsys):
     # T = 1 instance with f == 1: order 1 -> 0, order 2 -> -1
     cfg = write_config(tmp_path / "c.cfg", T="1")
@@ -233,15 +290,7 @@ def test_differential_command_overflowed_control_is_usage_error(tmp_path):
     cfg = write_config(tmp_path / "c.cfg")
     control = tmp_path / "f.txt"
     control.write_text("T 6.283185307179586\nM 4\n1e200\n0.5\n-0.5\n-1\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "trapscope", "differential", cfg, "--control", str(control), "--order", "2"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
-        timeout=60,
-    )
+    proc = run_trapscope("differential", cfg, "--control", str(control), "--order", "2")
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
@@ -350,15 +399,7 @@ def test_scan_long_steps_finish_on_the_eigenvalue_route(tmp_path, overrides):
     # A child process with a timeout keeps a regression from hanging the suite.
     cfg = write_config(tmp_path / "c.cfg", M="8", a=overrides.get("a", "1"))
     out = tmp_path / "scan.csv"
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "trapscope", "scan", cfg, "--out", str(out), "--tmax", overrides.get("tmax", "1")],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
-        timeout=60,
-    )
+    proc = run_trapscope("scan", cfg, "--out", str(out), "--tmax", overrides.get("tmax", "1"))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
     assert len(rows) == 2 * 11
@@ -438,8 +479,7 @@ def test_malformed_config_exit_code(tmp_path, capsys):
 
 
 def test_bundled_configs_parse():
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     for name in ("n3.cfg", "n4.cfg"):
-        cfg = parse_config(os.path.join(here, "examples", name))
+        cfg = parse_config(os.path.join(ROOT, "examples", name))
         assert cfg.certificate.segments == 64
         assert cfg.certificate.directions == 8

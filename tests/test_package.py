@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import trapscope
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -28,6 +30,20 @@ def test_cli_import_leaves_the_oracles_out():
     loaded = set(json.loads(proc.stdout))
     assert "trapscope.cli" in loaded
     assert "oracles" not in loaded
+
+
+@pytest.mark.parametrize("threads, expected", [(None, "1"), ("2", "2")])
+def test_import_defaults_to_one_blas_thread(threads, expected):
+    # The default is set before the package's first import of numpy, and an
+    # explicit OPENBLAS_NUM_THREADS is kept.
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    code = "import os, sys, trapscope; print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", expected]
 
 
 def test_every_public_name_resolves():
