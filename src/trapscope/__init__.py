@@ -3,14 +3,17 @@ zero control for strongly degenerate ladder quantum control systems."""
 
 import os
 
-# One OpenBLAS thread unless the caller sets OPENBLAS_NUM_THREADS.  This runs
-# before the first submodule import, which loads numpy and with it OpenBLAS;
-# if numpy was loaded earlier it changes nothing.  No BLAS call here is large
-# enough to use a second thread, and an idle worker spins at start-up: on a
-# 2-vCPU host `import numpy` takes 0.31 s of CPU for 0.21 s of wall time with
-# OpenBLAS's default of one thread per CPU, against 0.21 s of each with one.
-# Outputs do not depend on the thread count.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# One OpenBLAS thread unless the caller sets OPENBLAS_NUM_THREADS.  OpenBLAS
+# reads the variable once, when the submodule imports below load numpy, so it
+# is set only around them and the caller's child processes inherit the
+# environment they had; if numpy was loaded earlier it changes nothing.  No
+# BLAS call here is large enough to use a second thread, and an idle worker
+# spins at start-up: on a 2-vCPU host `import numpy` takes 0.31 s of CPU for
+# 0.21 s of wall time with OpenBLAS's default of one thread per CPU, against
+# 0.21 s of each with one.  Outputs do not depend on the thread count.
+_one_blas_thread = "OPENBLAS_NUM_THREADS" not in os.environ
+if _one_blas_thread:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .controls import PiecewiseControl, random_direction, read_control_file
 from .dynamics import (
@@ -42,6 +45,9 @@ from .model import (
     build_observable,
     build_system,
 )
+
+if _one_blas_thread:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 __version__ = "0.1.0"
 

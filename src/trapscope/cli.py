@@ -27,6 +27,7 @@ import numpy as np
 from .controls import read_control_file
 # propagate is not called here; bench/launch.py rebinds cli.propagate by name.
 from .dynamics import (  # noqa: F401
+    _as_stack,
     _column_at,
     _taylor_substeps,
     direction_block,
@@ -216,18 +217,18 @@ def cmd_differential(
 def _scan_block(inst: ProblemInstance, probes: list, z: np.ndarray) -> np.ndarray:
     """J(t f) for each probe f (rows) at each t >= 0 in z (columns).
 
-    Where every segment step takes a single Taylor substep (the rule of
-    dynamics._taylor_substeps), the |N> columns of the whole block come from
-    one dynamics._column_at pass and are scored as N x 1 isometries.
-    Longer steps would take ever more substeps, so those blocks go through
-    propagate_batch, whose eigendecomposition costs the same at any amplitude.
+    Where the plan that dynamics._column_at would follow,
+    dynamics._taylor_substeps(sys, values, z), gives every segment step a
+    single Taylor substep, the |N> columns of the whole block come from one
+    _column_at pass and are scored as N x 1 isometries.  Longer steps would
+    take ever more substeps, so those blocks go through propagate_batch,
+    whose eigendecomposition costs the same at any amplitude.
     """
     sys_ = inst.system
-    values = np.array([f.as_array() for f in probes])
-    peaks = np.max(np.abs(values), axis=0) * float(np.max(np.abs(z)))
-    if max(_taylor_substeps(sys_, probes[0].dt, peaks)[1]) == 1:
-        psi = _column_at(sys_, probes, np.broadcast_to(z, (len(probes), z.size)))
-        columns = psi.reshape(-1, sys_.levels, 1)
+    values, _ = _as_stack(sys_, probes)
+    zs = np.broadcast_to(z, (len(probes), z.size))
+    if max(_taylor_substeps(sys_, values, zs)[1]) == 1:
+        columns = _column_at(sys_, probes, zs).reshape(-1, sys_.levels, 1)
     else:
         columns = propagate_batch(sys_, (z[None, :, None] * values[:, None, :]).reshape(-1, values.shape[1]))
     return objective(columns, inst).reshape(len(probes), z.size)

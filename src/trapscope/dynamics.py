@@ -18,18 +18,22 @@ routes sample the objective.
     step, at any complex amplitude.  The columns of a whole stack are held
     level-major, so V acts on all of them by one real matrix product.  The
     Taylor cross-check samples it where the step is not Hermitian, and scan
-    at real t wherever every segment step needs a single substep
-    (_taylor_substeps), where it is several times cheaper than an
-    eigendecomposition per step.  It shares nothing with the forms.
+    at real t wherever every segment step needs a single substep, where it
+    is several times cheaper than an eigendecomposition per step.  Its
+    substeps come from one plan, _taylor_substeps(sys, values, z), which
+    scan's route guard reads too.  It shares nothing with the forms.
 
 The ladder's parity P = diag(1, -1, 1, ...) (P H0 P = H0, P V P = -V) holds
 exactly on both routes, so U_T(-f) = P U_T(f) P and J(-f) = J(f) hold bit
 for bit; scan relies on it to sample only t >= 0.
 
 Both certificate layers take every probe direction in one stacked pass.
-dyson_forms and _column_at accept one control, or a sequence of controls on
-one grid, like objective: one control in gives one result, a sequence gives
-one result with a leading direction axis.  A sequence runs through one
+propagate, dyson_forms and _column_at accept one control, or a sequence of
+controls on one grid, like objective: one control in gives one result, a
+sequence gives one result with a leading direction axis.  They and
+landscape.taylor_fit read controls through one intake, _as_stack, which
+checks the grid once and returns the (D, M) array of values; the segment
+width is T / M.  In dyson_forms and _column_at a sequence runs through one
 segment loop, with the directions as extra columns of each segment's
 products, so the loop's Python overhead is paid once per stack instead of
 once per direction.  Stacks go through in blocks sized by direction_block,
@@ -52,13 +56,14 @@ sum_k x^k C_k, so the forms are a finite computation:
 
     A^n = i^n e^{i T H0} [S(x f_M) ... S(x f_1)]_n |N>,
 
-where [.]_n is the coefficient of x^n, taken by a truncated Cauchy product
-of the stack (C_0, ..., C_{n_max}) with the |N> column of every direction at
-once.  The C_k come once
-per (system, dt, n_max) from the block-triangular exponential of Van Loan
-(IEEE TAC 1978), in the auxiliary-matrix form of Goodwin & Kuprov (J. Chem.
-Phys. 143, 084113, 2015), and are checked against the propagation core's own
-segment steps, so the package carries one unitary exponential.
+where [.]_n is the coefficient of x^n.  dyson_forms is the forms kernel: it
+takes that coefficient by a truncated Cauchy product of the stack
+(C_0, ..., C_{n_max}) with the |N> column of every direction at once.  The
+C_k come once per (system, dt, n_max) from the block-triangular exponential
+of Van Loan (IEEE TAC 1978), in the auxiliary-matrix form of Goodwin &
+Kuprov (J. Chem. Phys. 143, 084113, 2015), and are checked against the
+propagation core's own segment steps, so the package carries one unitary
+exponential.
 
 Two evaluation routes for the distinguished form A^{N-1} at l = 1 live here:
 
@@ -177,11 +182,31 @@ def _check_horizon(sys: SystemSpec, f: PiecewiseControl):
         )
 
 
-def propagate(sys: SystemSpec, f: PiecewiseControl) -> np.ndarray:
+def _as_stack(sys: SystemSpec, controls) -> tuple[np.ndarray, bool]:
+    """The values of the controls as one (D, M) float64 array, and whether one came in.
+
+    controls is one PiecewiseControl or a sequence of them.  A control off the
+    system horizon, or two on different grids, raise GridMismatch; an empty
+    sequence raises DomainError.  Past these checks each control's dt is the
+    float sys.horizon / M.
+    """
+    single = isinstance(controls, PiecewiseControl)
+    stack = [controls] if single else list(controls)
+    if not stack:
+        raise DomainError("expected at least one control")
+    for f in stack:
+        _check_horizon(sys, f)
+        _check_grid(stack[0], f)
+    return np.array([f.values for f in stack], dtype=np.float64), single
+
+
+def propagate(sys: SystemSpec, f) -> np.ndarray:
     """Final-time propagator U_T for the control f: the B = 1 case of
-    propagate_batch, after checking that f lives on the system horizon."""
-    _check_horizon(sys, f)
-    return propagate_batch(sys, f.as_array()[None])[0]
+    propagate_batch, after checking that f lives on the system horizon.
+    A sequence of controls on one grid gives their stack (D, N, N)."""
+    values, single = _as_stack(sys, f)
+    u = propagate_batch(sys, values)
+    return u[0] if single else u
 
 
 # Largest unitarity defect objective accepts from a propagator.
@@ -248,15 +273,6 @@ class DysonForms:
         Kept because the benchmark harness under bench/ still reads it.
         """
         return 0
-
-    def value(self, n: int, l: int) -> complex | np.ndarray:
-        """A^n_l with 1-based level index l: a complex, or an array over directions."""
-        if not 0 <= n <= self.n_max:
-            raise DomainError(f"order {n} outside 0..{self.n_max}")
-        if not 1 <= l <= self.levels:
-            raise DomainError(f"level {l} outside 1..{self.levels}")
-        value = self.table[..., n, l - 1]
-        return complex(value) if value.ndim == 0 else value
 
 
 def _taylor_terms(theta: float) -> int:
@@ -349,23 +365,6 @@ def _segment_series(sys: SystemSpec, dt: float, n_max: int) -> np.ndarray:
     return coeffs
 
 
-def _as_stack(sys: SystemSpec, controls) -> tuple[list[PiecewiseControl], bool]:
-    """The controls as a list on one grid of the system horizon, and whether one came in.
-
-    controls is one PiecewiseControl or a sequence of them.  A control off the
-    system horizon, or two on different grids, raise GridMismatch; an empty
-    sequence raises DomainError.
-    """
-    single = isinstance(controls, PiecewiseControl)
-    stack = [controls] if single else list(controls)
-    if not stack:
-        raise DomainError("expected at least one control")
-    for f in stack:
-        _check_horizon(sys, f)
-        _check_grid(stack[0], f)
-    return stack, single
-
-
 def direction_block(entries: int, levels: int) -> int:
     """Directions per block when each needs `entries` numbers of working set.
 
@@ -375,66 +374,21 @@ def direction_block(entries: int, levels: int) -> int:
     return block_controls(-(-entries // (levels * levels)))
 
 
-def _interaction_series(sys: SystemSpec, controls, n_max: int, start: np.ndarray) -> np.ndarray:
-    """A^0..A^{n_max} applied to start (N x c) for each control: A^n = i^n e^{i T H0} P_n.
+def _taylor_substeps(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Norm bounds and substep counts of _column_at's segment steps, one plan per stack.
 
-    P_n is the coefficient of x^n in U_T(x f) start.  As U_T(x f) =
-    S(x f_M) ... S(x f_1), each segment applies the truncated Cauchy product
-    P_m <- sum_k f_j^k C_k P_{m-k}: a Toeplitz gather Q[m, k] = f_j^k P_{m-k}
-    (zero for k > m), then one batched product of [C_0 ... C_{n_max}] with
-    every Q[m].  Exact up to roundoff.
-
-    controls is one control, giving shape (n_max+1, N, c), or a sequence on
-    one grid, giving (D, n_max+1, N, c).  All directions share one segment
-    loop: the gather carries them as extra columns of the same product.  They
-    pass through in blocks whose gather holds about BLOCK_MATRICES N x N
-    matrices.  A control whose largest |f_j|^n_max overflows float64 raises
-    DomainError before anything is computed.
+    values is a (D, M) stack of control values and z the (D, K) amplitudes,
+    row d those of control d.  With the stack-wide peak
+    p_j = max_d max_k |z_dk f_dj| on segment j,
+    theta_j = dt (|omega| + p_j ||V||_2), dt = T / M, bounds the norm of
+    every column's exponent dt (H0 - b I + z f_j V), as
+    H0 - b I = diag(omega, 0, ..., 0), and the step runs in ceil(2 theta_j)
+    substeps of norm <= 0.5, at least one.  The work of _column_at grows
+    with theta, unlike an eigendecomposition's, so scan takes the column
+    route only where this plan gives a single substep everywhere.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    stack, single = _as_stack(sys, controls)
-    values = np.array([f.values for f in stack], dtype=np.float64)
-    peak = float(np.max(np.abs(values)))
-    if peak > 0.0 and n_max * math.log(peak) > math.log(np.finfo(float).max):
-        raise DomainError(
-            f"control amplitude {peak:.3e} to the power {n_max} would overflow in float64: "
-            "not resolvable"
-        )
-    n, cols = sys.levels, start.shape[1]
-    order = np.arange(n_max + 1)
-    coeff_row = _segment_series(sys, stack[0].dt, n_max).transpose(1, 0, 2).reshape(n, -1)
-    lag = order[:, None] - order[None, :]
-    lag[lag < 0] = n_max + 1  # the all-zero slot below
-    out = np.empty((len(stack), n_max + 1, n, cols), dtype=np.complex128)
-    rows = direction_block((n_max + 1) ** 2 * n * cols, n)
-    for lo in range(0, len(stack), rows):
-        block = values[lo : lo + rows]
-        d = len(block)
-        series = np.zeros((n_max + 2, n, d, cols), dtype=np.complex128)
-        series[0] = start[:, None, :]
-        for fpow in block.T[:, None, :] ** order[:, None]:  # (n_max+1, d): f_j^k per direction
-            gathered = fpow[None, :, None, :, None] * series[lag]
-            product = coeff_row @ gathered.reshape(n_max + 1, (n_max + 1) * n, d * cols)
-            series[:-1] = product.reshape(n_max + 1, n, d, cols)
-        out[lo : lo + d] = series[:-1].transpose(2, 0, 1, 3)
-    ipow = 1j ** (order % 4)
-    phase = np.exp(1j * sys.horizon * energies(sys))
-    out *= ipow[:, None, None] * phase[None, :, None]
-    return out[0] if single else out
-
-
-def _taylor_substeps(sys: SystemSpec, dt: float, peaks: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Norm bounds and substep counts of segment steps under the Taylor action.
-
-    peaks[j] bounds the amplitude |z f_j| on segment j.  Then
-    theta_j = dt (|omega| + peaks[j] ||V||_2) bounds the norm of the step's
-    exponent dt (H0 - b I + z f_j V), as H0 - b I = diag(omega, 0, ..., 0),
-    and the step runs in ceil(2 theta_j) substeps of norm <= 0.5, at least
-    one.  The work of _column_at grows with theta, unlike an
-    eigendecomposition's, so a single substep everywhere (theta <= 0.5) is
-    where the column route pays at real amplitude.
-    """
+    dt = sys.horizon / values.shape[1]
+    peaks = np.max(np.abs(values) * np.max(np.abs(z), axis=1)[:, None], axis=0)
     theta = dt * (abs(sys.omega) + peaks * float(np.linalg.norm(v_matrix(sys), 2)))
     return theta, [max(1, math.ceil(2.0 * t)) for t in theta]
 
@@ -448,34 +402,31 @@ def _column_at(sys: SystemSpec, controls, z: np.ndarray) -> np.ndarray:
 
     Applies each step exp(-i dt (H0 - b I + z f_j V)) to psi by its Taylor
     series on the vector (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011),
-    in the substeps of norm <= 0.5 that _taylor_substeps counts.  The shift
-    -b I is a global phase.  All R = D K columns advance in one pass, held
+    in the substeps of norm <= 0.5 that _taylor_substeps plans for the
+    whole stack.  The shift -b I is a global phase.  All R = D K columns advance in one pass, held
     level-major as one (N, R) array: H0 - b I is diagonal, so it acts
     elementwise, and V psi is one real (N, N) x (N, 2R) product on the float
     view of psi, V being real.  Each column of V has at most two nonzeros,
     so every entry of V psi sums the same two products whatever order or
     thread count the BLAS uses.  The result is transposed back to a
     C-contiguous (D, K, N) array, whose layout fixes the summation order of
-    the callers' reductions over levels.  Each segment takes the largest
-    amplitude over the stack, which sets its substeps and Taylor terms.  Neither eigh
-    (the step is not Hermitian) nor the forms' C_k are used, so the sampled
-    objective checks the forms independently.  At real z, negating z only
+    the callers' reductions over levels.  Neither eigh (the step is not
+    Hermitian) nor the forms' C_k are used, so the sampled objective checks
+    the forms independently.  At real z, negating z only
     flips the signs of psi's odd entries (psi(-z) = psi(z) P, P the ladder's
     parity), exactly, so |psi| and J at -z equal those at z bit for bit.
     """
-    stack, single = _as_stack(sys, controls)
-    values = np.array([f.values for f in stack], dtype=np.float64)
-    z = np.asarray(z, dtype=np.complex128).reshape(len(stack), -1)
-    dt = stack[0].dt
+    values, single = _as_stack(sys, controls)
+    z = np.asarray(z, dtype=np.complex128).reshape(len(values), -1)
+    dt = sys.horizon / values.shape[1]
     e = (energies(sys) - sys.b).astype(np.complex128)[:, None]
     v = np.ascontiguousarray(v_matrix(sys).real)
-    peaks = np.max(np.abs(values) * np.max(np.abs(z), axis=1)[:, None], axis=0)
     psi = np.zeros((sys.levels, z.size), dtype=np.complex128)
     psi[-1] = 1.0
     # Each Taylor term and its V product reuse two buffers: fresh temporaries
     # this large go back to the OS and are faulted in again on every term.
     term, vt = np.empty_like(psi), np.empty_like(psi)
-    for fj, theta, substeps in zip(values.T, *_taylor_substeps(sys, dt, peaks)):
+    for fj, theta, substeps in zip(values.T, *_taylor_substeps(sys, values, z)):
         h = -1j * dt / substeps
         zf = (z * fj[:, None]).reshape(-1)
         terms = _taylor_terms(theta / substeps)
@@ -493,20 +444,50 @@ def _column_at(sys: SystemSpec, controls, z: np.ndarray) -> np.ndarray:
 
 
 def dyson_forms(sys: SystemSpec, controls, n_max: int) -> DysonForms:
-    """Chronological forms of order 0..n_max at the final time.
+    """Chronological forms of order 0..n_max at the final time: A^n = i^n e^{i T H0} P_n.
 
-    Exact for piecewise-constant f up to roundoff: the |N> column of the
-    propagator is expanded as a power series in the control amplitude.
+    P_n is the coefficient of x^n in U_T(x f)|N>.  As U_T(x f) =
+    S(x f_M) ... S(x f_1), each segment applies the truncated Cauchy product
+    P_m <- sum_k f_j^k C_k P_{m-k}: a Toeplitz gather Q[m, k] = f_j^k P_{m-k}
+    (zero for k > m), then one batched product of [C_0 ... C_{n_max}] with
+    every Q[m], whose columns are the directions.  Exact for
+    piecewise-constant f up to roundoff.
+
     One control gives a table of shape (n_max+1, N); a sequence of controls
     on one grid gives one DysonForms whose table has a leading direction
-    axis, (D, n_max+1, N), from one shared segment loop.
+    axis, (D, n_max+1, N).  A control whose largest |f_j|^n_max overflows
+    float64 raises DomainError before anything is computed.
     """
+    if n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    values, single = _as_stack(sys, controls)
+    peak = float(np.max(np.abs(values)))
+    if peak > 0.0 and n_max * math.log(peak) > math.log(np.finfo(float).max):
+        raise DomainError(
+            f"control amplitude {peak:.3e} to the power {n_max} would overflow in float64: "
+            "not resolvable"
+        )
     n = sys.levels
-    start = np.zeros((n, 1), dtype=np.complex128)
-    start[n - 1, 0] = 1.0
-    table = _interaction_series(sys, controls, n_max, start)[..., 0]
+    order = np.arange(n_max + 1)
+    coeff_row = _segment_series(sys, sys.horizon / values.shape[1], n_max).transpose(1, 0, 2).reshape(n, -1)
+    lag = order[:, None] - order[None, :]
+    lag[lag < 0] = n_max + 1  # the all-zero slot below
+    table = np.empty((len(values), n_max + 1, n), dtype=np.complex128)
+    rows = direction_block((n_max + 1) ** 2 * n, n)
+    for lo in range(0, len(values), rows):
+        block = values[lo : lo + rows]
+        d = len(block)
+        series = np.zeros((n_max + 2, n, d), dtype=np.complex128)
+        series[0, n - 1] = 1.0
+        for fpow in block.T[:, None, :] ** order[:, None]:  # (n_max+1, d): f_j^k per direction
+            gathered = fpow[None, :, None, :] * series[lag]
+            product = coeff_row @ gathered.reshape(n_max + 1, (n_max + 1) * n, d)
+            series[:-1] = product.reshape(n_max + 1, n, d)
+        table[lo : lo + d] = series[:-1].transpose(2, 0, 1)
+    table *= 1j ** (order % 4)[:, None] * np.exp(1j * sys.horizon * energies(sys))
     table[..., 0, :] = 0.0  # A^0_l = delta_{lN} by definition, not up to roundoff
     table[..., 0, n - 1] = 1.0
+    table = table[0] if single else table
     table.setflags(write=False)
     return DysonForms(n_max=n_max, levels=n, table=table)
 

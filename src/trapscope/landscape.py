@@ -173,17 +173,18 @@ def taylor_fit(inst: ProblemInstance, controls) -> TaylorFit:
     coefficients and radius inf.
     """
     sys = inst.system
-    stack, single = _as_stack(sys, controls)
+    values, single = _as_stack(sys, controls)
+    stack = [controls] if single else list(controls)
     max_order = 2 * sys.levels
-    mass = np.array([np.abs(f.as_array()).sum() for f in stack]) * stack[0].dt
+    mass = np.abs(values).sum(axis=1) * (sys.horizon / values.shape[1])
     live = np.flatnonzero(mass)
-    radius = np.full(len(stack), math.inf)
+    radius = np.full(len(values), math.inf)
     radius[live] = 2.0 / (float(np.linalg.norm(v_matrix(sys), 2)) * mass[live])
     points = max_order + CONTOUR_EXTRA_POINTS
     unit = np.exp(2j * np.pi * (np.arange(points) + 0.5) / points)
     lam = np.asarray(inst.observable.eigenvalues)
     orders = np.arange(1, max_order + 1)
-    coeffs = np.zeros((len(stack), max_order))
+    coeffs = np.zeros((len(values), max_order))
     rows = direction_block(points * sys.levels, sys.levels)
     for lo in range(0, len(live), rows):
         block = live[lo : lo + rows]

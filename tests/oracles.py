@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from trapscope.controls import PiecewiseControl, integral
-from trapscope.dynamics import _check_horizon, _interaction_series, propagate
+from trapscope.dynamics import _check_horizon, dyson_forms, propagate
 from trapscope.errors import BadDimension, DomainError, TrapscopeError
 from trapscope.model import SystemSpec, energies, h0_matrix, v_matrix
 
@@ -276,18 +276,15 @@ def _kernel_midpoint_A1N(sys: SystemSpec, f: PiecewiseControl, subdiv: int = 1) 
 
 
 def dyson_resum_defect(sys: SystemSpec, f: PiecewiseControl, n_max: int) -> float:
-    """Frobenius distance between the resummed forms and the true propagator.
+    """Distance between the resummed forms and the |N> column of the true propagator.
 
-    Compares sum_{n<=n_max} (-i)^n A^n(T), with the forms of every starting
-    level, against e^{i T H0} U_T.  The forms are exact, so up to roundoff
-    the distance is the truncation remainder of the series, whose leading
-    term is of size (||V||_2 int|f|)^{n_max+1}/(n_max+1)!; it vanishes
-    rapidly for small controls.
+    Compares sum_{n<=n_max} (-i)^n A^n(T) against (e^{i T H0} U_T)|N>, in
+    the 2-norm.  The forms are exact, so up to roundoff the distance is the
+    truncation remainder of the series, whose leading term is of size
+    (||V||_2 int|f|)^{n_max+1}/(n_max+1)!; it vanishes rapidly for small
+    controls.
     """
-    n = sys.levels
-    forms = _interaction_series(sys, f, n_max, np.eye(n, dtype=np.complex128))
-    resum = np.eye(n, dtype=np.complex128)
-    for k in range(1, n_max + 1):
-        resum = resum + (-1j) ** k * forms[k]
+    forms = dyson_forms(sys, f, n_max).table
+    resum = sum((-1j) ** k * forms[k] for k in range(n_max + 1))
     u_int = expm_mih(h0_matrix(sys), -sys.horizon) @ propagate(sys, f)
-    return float(np.linalg.norm(resum - u_int, "fro"))
+    return float(np.linalg.norm(resum - u_int[:, -1]))

@@ -374,11 +374,12 @@ def test_scan_rows_probe_the_certificate_directions(tmp_path):
             rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
             assert len(rows) == 4 * int(points)
             z = np.array([float(t) for _, _, t, _ in rows[int(points) // 2 : int(points)]])
-            peaks = np.max(np.abs([f.as_array() for f in probes]), axis=0) * z[-1]
-            assert (max(dynamics._taylor_substeps(sys_, probes[0].dt, peaks)[1]) == 1) == column_route
+            zs = np.broadcast_to(z, (4, z.size))
+            values, _ = dynamics._as_stack(sys_, probes)
+            assert (max(dynamics._taylor_substeps(sys_, values, zs)[1]) == 1) == column_route
             block = dynamics.direction_block(z.size * cfg.levels, cfg.levels)
             assert block >= 4  # one _column_at call holds all four directions
-            psi = dynamics._column_at(sys_, probes, np.broadcast_to(z, (4, z.size)))
+            psi = dynamics._column_at(sys_, probes, zs)
             direct = objective(psi.reshape(-1, cfg.levels, 1), inst).reshape(4, z.size)
             for seed, mz, t, j in rows:
                 index = int(seed) - cfg.certificate.seed

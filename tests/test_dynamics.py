@@ -92,8 +92,10 @@ def test_propagate_batch_rows_equal_single_control_propagation(segments):
     values = np.random.default_rng(segments).uniform(-2.0, 2.0, (batch, segments))
     stack = propagate_batch(sys, values)
     assert stack.shape == (batch, 4, 4)
-    for row, u in zip(values, stack):
-        assert np.array_equal(u, propagate(sys, PiecewiseControl(TWO_PI, tuple(row))))
+    controls = [PiecewiseControl(TWO_PI, tuple(row)) for row in values]
+    for f, u in zip(controls, stack):
+        assert np.array_equal(u, propagate(sys, f))
+    assert np.array_equal(propagate(sys, controls), stack)
 
 
 def test_propagate_batch_matches_sequential_product():
@@ -211,8 +213,7 @@ def test_column_at_complex_contour_equals_dense_segment_exponentials(levels):
     unit = np.exp(2j * np.pi * (np.arange(12) + 0.5) / 12)
     for radii, one_substep in (((0.2, 0.3), True), ((0.5, 3.0), False)):
         z = np.array(radii)[:, None] * unit
-        peaks = np.max(np.abs([f.values for f in fs]) * np.array(radii)[:, None], axis=0)
-        substeps = max(dynamics._taylor_substeps(sys, fs[0].dt, peaks)[1])
+        substeps = max(dynamics._taylor_substeps(sys, dynamics._as_stack(sys, fs)[0], z)[1])
         assert (substeps == 1) if one_substep else (substeps >= 2)
         column = dynamics._column_at(sys, fs, z)
         for f, row, psis in zip(fs, z, column):
@@ -325,7 +326,7 @@ def test_dyson_first_order_nearest_neighbour():
         f = random_direction(seed, 64, TWO_PI, amplitude=1.3)
         forms = dyson_forms(sys, f, n_max=1)
         # <N-1|V_t|N> = v_{N-1} carries no phase, so A^1 = v_{N-1} int f
-        assert abs(forms.value(1, 2) - integral(f)) <= 1e-12
+        assert abs(forms.table[1, 1] - integral(f)) <= 1e-12
 
 
 def test_dyson_matches_kernel_value_for_cos():
@@ -334,7 +335,7 @@ def test_dyson_matches_kernel_value_for_cos():
     sys = build_system(3, 2.0, 0.0, (1.0, 1.0), TWO_PI)
     f = sample_midpoints(math.cos, TWO_PI, 256)
     forms = dyson_forms(sys, f, n_max=2)
-    assert abs(forms.value(2, 1) - 1j * math.pi / 2) <= 1e-4
+    assert abs(forms.table[2, 0] - 1j * math.pi / 2) <= 1e-4
 
 
 def test_dyson_homogeneity():
@@ -345,8 +346,8 @@ def test_dyson_homogeneity():
         scaled = dyson_forms(sys, f.scaled(t), n_max=4)
         for n in range(5):
             for l in range(1, 4):
-                want = t**n * base.value(n, l)
-                have = scaled.value(n, l)
+                want = t**n * base.table[n, l - 1]
+                have = scaled.table[n, l - 1]
                 assert abs(have - want) <= 1e-9 * max(1.0, abs(want))
 
 
@@ -356,7 +357,7 @@ def test_dyson_top_row_vanishes_below_reach():
         f = random_direction(33, 32, TWO_PI, amplitude=1.0)
         forms = dyson_forms(sys, f, n_max=top)
         for n in range(0, top):
-            assert abs(forms.value(n, 1)) <= 1e-10
+            assert abs(forms.table[n, 0]) <= 1e-10
 
 
 def test_dyson_matches_closed_forms_below_threshold():
@@ -368,7 +369,7 @@ def test_dyson_matches_closed_forms_below_threshold():
             for l in range(2, nlev + 1):
                 for n in range(1, nlev):
                     want = closed_form_AlN(sys, f, l, n)
-                    assert abs(forms.value(n, l) - want) <= 1e-9 * max(1.0, abs(want))
+                    assert abs(forms.table[n, l - 1] - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_dyson_parameter_validation():
@@ -386,12 +387,12 @@ def test_dyson_matches_kernel_oracles_to_roundoff():
         sys = build_system(nlev, 1.0, 0.0, (1.0,) * (nlev - 1), TWO_PI)
         for seed, offset in ((60, 0.0), (61, 0.3), (62, -0.3)):
             f = random_direction(seed, 64, TWO_PI, mean_zero=True, amplitude=0.5).shifted(offset)
-            a_dyson = dyson_forms(sys, f, n_max=2 * nlev - 2).value(nlev - 1, 1)
+            a_dyson = dyson_forms(sys, f, n_max=2 * nlev - 2).table[nlev - 1, 0]
             a_kernel = kernel_form_A1N(sys, f)
             assert abs(a_dyson - a_kernel) <= 1e-12 * abs(a_kernel)
         if nlev <= 5:
             f = random_direction(70 + nlev, 12, TWO_PI, mean_zero=False, amplitude=0.8)
-            a_dyson = dyson_forms(sys, f, n_max=nlev - 1).value(nlev - 1, 1)
+            a_dyson = dyson_forms(sys, f, n_max=nlev - 1).table[nlev - 1, 0]
             a_brute = kernel_bruteforce_A1N(sys, f)
             assert abs(a_dyson - a_brute) <= 1e-12 * abs(a_brute)
 
@@ -439,7 +440,7 @@ def test_stacked_forms_of_a_zero_control_vanish():
     forms = dyson_forms(n3_system(), [f, zero(TWO_PI, 32), f], n_max=4)
     assert np.max(np.abs(forms.table[1, 1:])) == 0.0
     assert list(forms.table[1, 0]) == [0.0, 0.0, 1.0]
-    assert forms.value(2, 1)[1] == 0.0
+    assert forms.table[1, 2, 0] == 0.0
 
 
 def test_stacks_reject_mixed_grids_and_empty_input():
@@ -581,7 +582,7 @@ def test_triple_consistency_dyson_kernel_bruteforce():
         sys = build_system(nlev, 1.0, 0.0, (1.0,) * (nlev - 1), TWO_PI)
         f = random_direction(50 + nlev, 32, TWO_PI, mean_zero=True, amplitude=0.8)
         forms = dyson_forms(sys, f, n_max=nlev - 1)
-        a_dyson = forms.value(nlev - 1, 1)
+        a_dyson = forms.table[nlev - 1, 0]
         a_kernel = kernel_form_A1N(sys, f)
         a_brute = kernel_bruteforce_A1N(sys, f)
         assert abs(a_kernel - a_brute) <= 1e-8 * (1.0 + abs(a_kernel))

@@ -118,8 +118,8 @@ def test_differential_matches_term_by_term_sum():
         total, scale = 0j, 0.0
         for j in range(n + 1):
             for l in range(1, forms.levels):
-                term = (-1.0) ** (n - j) * 1j**n * lam[l - 1] * forms.value(j, l)
-                term *= np.conj(forms.value(n - j, l))
+                term = (-1.0) ** (n - j) * 1j**n * lam[l - 1] * forms.table[j, l - 1]
+                term *= np.conj(forms.table[n - j, l - 1])
                 total += term
                 scale += abs(term)
         terms = (n + 1) * (forms.levels - 1)

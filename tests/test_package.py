@@ -34,16 +34,31 @@ def test_cli_import_leaves_the_oracles_out():
 
 @pytest.mark.parametrize("threads, expected", [(None, "1"), ("2", "2")])
 def test_import_defaults_to_one_blas_thread(threads, expected):
-    # The default is set before the package's first import of numpy, and an
-    # explicit OPENBLAS_NUM_THREADS is kept.
+    # OpenBLAS loads with `expected` threads: the caller's
+    # OPENBLAS_NUM_THREADS, or one where it is unset.  The package sets the
+    # variable only while its imports load numpy, so afterwards the
+    # environment, which the caller's child processes inherit, is as the
+    # caller left it.  At one thread /proc/self/task lists the main thread
+    # alone, even after a product large enough to wake every BLAS worker.
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("OPENBLAS_NUM_THREADS", None)
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
-    code = "import os, sys, trapscope; print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])"
+    code = (
+        "import json, os, sys, trapscope, numpy as np\n"
+        "a = np.ones((800, 800)); a @ a\n"
+        "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+        "print(json.dumps(['numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'), tasks]))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", expected]
+    loaded, variable, tasks = json.loads(proc.stdout)
+    assert loaded
+    assert variable == threads
+    if expected == "1":
+        if tasks is None:
+            pytest.skip("no /proc/self/task to count threads")
+        assert tasks == 1
 
 
 def test_every_public_name_resolves():
