@@ -57,8 +57,7 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 # Config key -> (field, parser).  Fields of CertificateConfig are the
-# sampling budget; every other field belongs to RunConfig, and is a required
-# key unless RunConfig gives it a default.
+# sampling budget; every other field belongs to RunConfig and is required.
 _KEYS = {
     "N": ("levels", int),
     "a": ("a", float),
@@ -71,15 +70,14 @@ _KEYS = {
     "seed": ("seed", int),
     "witness_budget": ("witness_budget", int),
     "witness_horizons": ("witness_horizons", _floats),
-    "out": ("out", str),
 }
 _BUDGET_FIELDS = {f.name for f in fields(CertificateConfig)}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed run configuration: the instance, the certificate's sampling
-    budget and the report path."""
+    """Parsed run configuration: the instance and the certificate's sampling
+    budget."""
 
     substeps: ClassVar[int] = 8  # not a config key: the forms are exact; bench/run.py reads it
 
@@ -90,7 +88,6 @@ class RunConfig:
     horizon: float
     eigenvalues: tuple[float, ...]
     certificate: CertificateConfig = field(default_factory=CertificateConfig)
-    out: str = "report.json"
 
 
 def parse_config(path: str) -> RunConfig:
@@ -128,8 +125,7 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: {exc}") from exc
 
     for key, (name, _) in _KEYS.items():
-        # Only the RunConfig fields with a default are class attributes.
-        if name not in run and name not in _BUDGET_FIELDS and not hasattr(RunConfig, name):
+        if name not in run and name not in _BUDGET_FIELDS:
             raise ConfigError(f"missing required key {key!r}")
     return RunConfig(certificate=CertificateConfig(**budget), **run)
 
@@ -171,14 +167,13 @@ def _summary_text(report) -> str:
     return "\n".join(lines)
 
 
-def cmd_certify(cfg: RunConfig, inst: ProblemInstance, out: str | None = None) -> int:
+def cmd_certify(cfg: RunConfig, inst: ProblemInstance, out: str = "report.json") -> int:
     report = trap_certificate(inst, cfg.certificate)
     payload = {"schema": REPORT_SCHEMA, **report.as_dict()}
-    out_path = out if out is not None else cfg.out
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(_summary_text(report))
-    print(f"report written to {out_path}")
+    print(f"report written to {out}")
     return 0 if report.passed else 2
 
 
@@ -214,24 +209,26 @@ def cmd_differential(
     return 0
 
 
-def _scan_block(inst: ProblemInstance, probes: list, z: np.ndarray) -> np.ndarray:
-    """J(t f) for each probe f (rows) at each t >= 0 in z (columns).
+def _scan_block(inst: ProblemInstance, values: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """J(t f) for each probe f, a row of the (D, M) control values, at each t >= 0 in z.
 
-    Where the plan that dynamics._column_at would follow,
+    The result has one row per probe and one column per t.  Where the plan
+    that dynamics._column_at would follow,
     dynamics._taylor_substeps(sys, values, z), gives every segment step a
     single Taylor substep, the |N> columns of the whole block come from one
     _column_at pass and are scored as N x 1 isometries.  Longer steps would
     take ever more substeps, so those blocks go through propagate_batch,
-    whose eigendecomposition costs the same at any amplitude.
+    whose eigendecomposition costs the same at any amplitude.  So does a
+    block whose plan is not finite (a t grid that overflowed to inf), and
+    propagate_batch refuses its non-finite controls with DomainError.
     """
     sys_ = inst.system
-    values, _ = _as_stack(sys_, probes)
-    zs = np.broadcast_to(z, (len(probes), z.size))
-    if max(_taylor_substeps(sys_, values, zs)[1]) == 1:
-        columns = _column_at(sys_, probes, zs).reshape(-1, sys_.levels, 1)
+    zs = np.broadcast_to(z, (len(values), z.size))
+    if np.max(_taylor_substeps(sys_, values, zs)[1]) == 1.0:
+        columns = _column_at(sys_, values, zs).reshape(-1, sys_.levels, 1)
     else:
         columns = propagate_batch(sys_, (z[None, :, None] * values[:, None, :]).reshape(-1, values.shape[1]))
-    return objective(columns, inst).reshape(len(probes), z.size)
+    return objective(columns, inst).reshape(len(values), z.size)
 
 
 def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0, points: int = 11) -> int:
@@ -249,11 +246,12 @@ def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0,
     # t < 0 row repeats its mirror's J.
     z = np.array(ts[half:])
     probes = [probe_direction(budget.seed, i, budget.segments, sys_.horizon) for i in range(budget.directions)]
+    values, _ = _as_stack(sys_, probes)
     rows = direction_block(z.size * sys_.levels, sys_.levels)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("seed,mean_zero,t,J\n")
-        for lo in range(0, len(probes), rows):
-            block = _scan_block(inst, probes[lo : lo + rows], z)
+        for lo in range(0, len(values), rows):
+            block = _scan_block(inst, values[lo : lo + rows], z)
             for i, js in enumerate(block, start=lo):
                 tag = f"{probe_seed(budget.seed, i)},{int(probe_offset(i) == 0.0)}"
                 for k, t in enumerate(ts):
@@ -288,7 +286,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("certify", help="run the full trap certificate")
     p.add_argument("config")
-    p.add_argument("--out", default=None, help="report path (overrides config 'out')")
+    p.add_argument("--out", default="report.json", help="report path (default: report.json)")
     p.set_defaults(run=cmd_certify)
 
     p = sub.add_parser("differential", help="analytic vs fitted coefficient of one order")

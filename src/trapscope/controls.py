@@ -52,14 +52,6 @@ class PiecewiseControl:
         return PiecewiseControl(self.horizon, tuple(x + offset for x in self.values))
 
 
-def constant(value: float, horizon: float, segments: int = 64) -> PiecewiseControl:
-    return PiecewiseControl(horizon, (float(value),) * int(segments))
-
-
-def zero(horizon: float, segments: int = 64) -> PiecewiseControl:
-    return constant(0.0, horizon, segments)
-
-
 def _check_grid(f: PiecewiseControl, g: PiecewiseControl):
     if f.horizon != g.horizon or f.segments != g.segments:
         raise GridMismatch(
@@ -113,14 +105,6 @@ def random_direction(
         if n > 0.0:
             f = f.scaled(amplitude * math.sqrt(horizon) / n)
     return f
-
-
-def write_control_file(path, f: PiecewiseControl):
-    """Write the plain-text control format (17 significant digits)."""
-    lines = [f"T {f.horizon:.17g}", f"M {f.segments}"]
-    lines.extend(f"{x:.17g}" for x in f.values)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def read_control_file(path) -> PiecewiseControl:

@@ -28,17 +28,18 @@ exactly on both routes, so U_T(-f) = P U_T(f) P and J(-f) = J(f) hold bit
 for bit; scan relies on it to sample only t >= 0.
 
 Both certificate layers take every probe direction in one stacked pass.
-propagate, dyson_forms and _column_at accept one control, or a sequence of
-controls on one grid, like objective: one control in gives one result, a
-sequence gives one result with a leading direction axis.  They and
-landscape.taylor_fit read controls through one intake, _as_stack, which
-checks the grid once and returns the (D, M) array of values; the segment
-width is T / M.  In dyson_forms and _column_at a sequence runs through one
-segment loop, with the directions as extra columns of each segment's
-products, so the loop's Python overhead is paid once per stack instead of
-once per direction.  Stacks go through in blocks sized by direction_block,
-which keeps the working set near BLOCK_MATRICES N x N matrices however many
-directions come in.
+propagate and dyson_forms accept one control, or a sequence of controls on
+one grid, like objective: one control in gives one result, a sequence gives
+one result with a leading direction axis.  They, landscape.taylor_fit and
+cli's scan read controls through one intake, _as_stack, which checks the
+grid once and returns the (D, M) float64 array of values; the segment width
+is T / M.  _column_at is an array kernel: it takes that (D, M) array, from
+its caller's one _as_stack call, with (D, K) amplitudes.  In dyson_forms and
+_column_at a stack runs through one segment loop, with the directions as
+extra columns of each segment's products, so the loop's Python overhead is
+paid once per stack instead of once per direction.  Stacks go through in
+blocks sized by direction_block, which keeps the working set near
+BLOCK_MATRICES N x N matrices however many directions come in.
 
 The chronological forms of order n are
 
@@ -374,7 +375,7 @@ def direction_block(entries: int, levels: int) -> int:
     return block_controls(-(-entries // (levels * levels)))
 
 
-def _taylor_substeps(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _taylor_substeps(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Norm bounds and substep counts of _column_at's segment steps, one plan per stack.
 
     values is a (D, M) stack of control values and z the (D, K) amplitudes,
@@ -383,22 +384,26 @@ def _taylor_substeps(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> tupl
     theta_j = dt (|omega| + p_j ||V||_2), dt = T / M, bounds the norm of
     every column's exponent dt (H0 - b I + z f_j V), as
     H0 - b I = diag(omega, 0, ..., 0), and the step runs in ceil(2 theta_j)
-    substeps of norm <= 0.5, at least one.  The work of _column_at grows
-    with theta, unlike an eigendecomposition's, so scan takes the column
-    route only where this plan gives a single substep everywhere.
+    substeps of norm <= 0.5, at least one.  The counts are floats, so a
+    theta that is not finite (an overflowed z f) gives a count that is not
+    finite instead of raising; an integer count converts to float exactly.
+    The work of _column_at grows with theta, unlike an eigendecomposition's,
+    so scan takes the column route only where this plan gives a single
+    substep everywhere.
     """
     dt = sys.horizon / values.shape[1]
     peaks = np.max(np.abs(values) * np.max(np.abs(z), axis=1)[:, None], axis=0)
     theta = dt * (abs(sys.omega) + peaks * float(np.linalg.norm(v_matrix(sys), 2)))
-    return theta, [max(1, math.ceil(2.0 * t)) for t in theta]
+    return theta, np.maximum(1.0, np.ceil(2.0 * theta))
 
 
-def _column_at(sys: SystemSpec, controls, z: np.ndarray) -> np.ndarray:
-    """e^{i b T} U_T(z f)|N> at complex amplitudes z for each control.
+def _column_at(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """e^{i b T} U_T(z f_d)|N> at complex amplitudes z for each control f_d of a stack.
 
-    controls is one control with z of shape (K,), giving shape (K, N), or a
-    sequence of D controls on one grid with z of shape (D, K), each row its
-    control's own amplitudes, giving (D, K, N).
+    values is the (D, M) float64 array of control values that _as_stack
+    returns, and z the (D, K) complex amplitudes, row d those of control d;
+    the result has shape (D, K, N).  Grids are not checked here: the caller
+    validated them when it converted its controls.
 
     Applies each step exp(-i dt (H0 - b I + z f_j V)) to psi by its Taylor
     series on the vector (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011),
@@ -416,8 +421,7 @@ def _column_at(sys: SystemSpec, controls, z: np.ndarray) -> np.ndarray:
     flips the signs of psi's odd entries (psi(-z) = psi(z) P, P the ladder's
     parity), exactly, so |psi| and J at -z equal those at z bit for bit.
     """
-    values, single = _as_stack(sys, controls)
-    z = np.asarray(z, dtype=np.complex128).reshape(len(values), -1)
+    z = np.asarray(z, dtype=np.complex128)
     dt = sys.horizon / values.shape[1]
     e = (energies(sys) - sys.b).astype(np.complex128)[:, None]
     v = np.ascontiguousarray(v_matrix(sys).real)
@@ -430,7 +434,7 @@ def _column_at(sys: SystemSpec, controls, z: np.ndarray) -> np.ndarray:
         h = -1j * dt / substeps
         zf = (z * fj[:, None]).reshape(-1)
         terms = _taylor_terms(theta / substeps)
-        for _ in range(substeps):
+        for _ in range(int(substeps)):
             term[...] = psi
             for m in range(1, terms + 1):
                 hm = h / m
@@ -439,8 +443,7 @@ def _column_at(sys: SystemSpec, controls, z: np.ndarray) -> np.ndarray:
                 np.multiply(hm * e, term, out=term)
                 term += vt
                 psi += term
-    psi = np.ascontiguousarray(psi.T).reshape(*z.shape, sys.levels)
-    return psi[0] if single else psi
+    return np.ascontiguousarray(psi.T).reshape(*z.shape, sys.levels)
 
 
 def dyson_forms(sys: SystemSpec, controls, n_max: int) -> DysonForms:

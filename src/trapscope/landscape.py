@@ -174,7 +174,6 @@ def taylor_fit(inst: ProblemInstance, controls) -> TaylorFit:
     """
     sys = inst.system
     values, single = _as_stack(sys, controls)
-    stack = [controls] if single else list(controls)
     max_order = 2 * sys.levels
     mass = np.abs(values).sum(axis=1) * (sys.horizon / values.shape[1])
     live = np.flatnonzero(mass)
@@ -189,7 +188,7 @@ def taylor_fit(inst: ProblemInstance, controls) -> TaylorFit:
     for lo in range(0, len(live), rows):
         block = live[lo : lo + rows]
         z = radius[block, None] * unit
-        psi = _column_at(sys, [stack[i] for i in block], z)
+        psi = _column_at(sys, values[block], z)
         j = np.sum(lam * psi * np.conj(psi[:, ::-1]), axis=-1)
         coeffs[block] = np.mean(j[:, None, :] * z[:, None, :] ** -orders[:, None], axis=-1).real
     coeffs.setflags(write=False)
@@ -276,7 +275,6 @@ class WitnessResult:
     j_value: float
     success: bool
     evaluations: int
-    horizon: float
 
 
 def witness_search(
@@ -333,7 +331,6 @@ def witness_search(
         j_value=best_j,
         success=best_j > threshold,
         evaluations=evals,
-        horizon=sys.horizon,
     )
 
 

@@ -6,9 +6,10 @@ right: a complex-Hermitian eigendecomposition and the unitary exponential
 built on it, element-wise interaction-picture matrices, the closed forms of
 the low orders, a brute-force enumeration and a plain midpoint quadrature of
 the max-kernel integral for A^{N-1}_1, and the resummation of the forms
-against the propagator.  Test files import it as `from oracles import ...`.
-Only numpy and the package are imported, so the suite needs nothing beyond
-numpy and pytest.
+against the propagator.  The control builders constant and zero and the
+control-file writer live here too, as only the tests use them.  Test files
+import it as `from oracles import ...`.  Only numpy and the package are
+imported, so the suite needs nothing beyond numpy and pytest.
 """
 
 from __future__ import annotations
@@ -133,6 +134,23 @@ def v_power_element(sys: SystemSpec, l: int, n: int) -> float:
 
 
 # ---------------------------------------------------------------- controls
+
+def constant(value: float, horizon: float, segments: int = 64) -> PiecewiseControl:
+    return PiecewiseControl(horizon, (float(value),) * int(segments))
+
+
+def zero(horizon: float, segments: int = 64) -> PiecewiseControl:
+    return constant(0.0, horizon, segments)
+
+
+def write_control_file(path, f: PiecewiseControl):
+    """Write the plain-text control format (17 significant digits) that
+    trapscope.controls.read_control_file parses."""
+    lines = [f"T {f.horizon:.17g}", f"M {f.segments}"]
+    lines.extend(f"{x:.17g}" for x in f.values)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
 
 def sample_midpoints(func, horizon: float, segments: int) -> PiecewiseControl:
     """Sample a closed-form function at segment midpoints.

@@ -10,10 +10,11 @@ import pytest
 
 from trapscope import dynamics
 from trapscope.cli import build_problem, main, parse_config
-from trapscope.controls import constant, write_control_file
 from trapscope.dynamics import objective, propagate
 from trapscope.errors import ConfigError
 from trapscope.landscape import probe_direction
+
+from oracles import constant, write_control_file
 
 TWO_PI = 2 * math.pi
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -98,6 +99,25 @@ def test_substeps_key_is_unknown(tmp_path, capsys):
     lineno = 1 + keys.index("substeps")
     assert main(["controllability", cfg]) == 1
     assert capsys.readouterr().err == f"error: ConfigError: line {lineno}: unknown key 'substeps'\n"
+
+
+def test_out_key_is_unknown(tmp_path, monkeypatch, capsys):
+    # the report path is set only by certify --out
+    cfg = write_config(tmp_path / "old.cfg", out="x")
+    keys = [ln.split("=")[0].strip() for ln in (tmp_path / "old.cfg").read_text().splitlines()]
+    lineno = 1 + keys.index("out")
+    monkeypatch.chdir(tmp_path)
+    assert main(["certify", cfg]) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: line {lineno}: unknown key 'out'\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_certify_writes_report_json_by_default(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "c.cfg")
+    monkeypatch.chdir(tmp_path)
+    assert main(["certify", cfg]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "report written to report.json"
+    assert json.loads((tmp_path / "report.json").read_text())["passed"] is True
 
 
 @pytest.mark.parametrize(
@@ -352,6 +372,18 @@ def test_scan_rejects_bad_tmax_before_writing(tmp_path, capsys, tmax):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tmax, points", [("1e308", "11"), ("1.7e308", "3")])
+def test_scan_refuses_a_grid_that_overflows(tmp_path, capsys, tmax, points):
+    # tmax itself is finite, but the grid's outer points overflow to +-inf; the
+    # route guard's substep plan is then not finite, so the block goes to the
+    # eigenvalue route, which refuses the non-finite controls
+    cfg = write_config(tmp_path / "c.cfg")
+    out = tmp_path / "scan.csv"
+    assert main(["scan", cfg, "--out", str(out), "--tmax", tmax, "--points", points]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError: ") and "Traceback" not in err
+
+
 def test_scan_rows_probe_the_certificate_directions(tmp_path):
     # Both offset signs appear among the odd rows with four directions; each
     # row is checked at its own t, t < 0 rows included (they repeat their
@@ -379,7 +411,7 @@ def test_scan_rows_probe_the_certificate_directions(tmp_path):
             assert (max(dynamics._taylor_substeps(sys_, values, zs)[1]) == 1) == column_route
             block = dynamics.direction_block(z.size * cfg.levels, cfg.levels)
             assert block >= 4  # one _column_at call holds all four directions
-            psi = dynamics._column_at(sys_, probes, zs)
+            psi = dynamics._column_at(sys_, values, zs)
             direct = objective(psi.reshape(-1, cfg.levels, 1), inst).reshape(4, z.size)
             for seed, mz, t, j in rows:
                 index = int(seed) - cfg.certificate.seed

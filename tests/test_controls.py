@@ -5,19 +5,16 @@ import pytest
 
 from trapscope.controls import (
     PiecewiseControl,
-    constant,
     inner,
     integral,
     norm,
     project_mean_zero,
     random_direction,
     read_control_file,
-    write_control_file,
-    zero,
 )
 from trapscope.errors import GridMismatch
 
-from oracles import sample_midpoints
+from oracles import constant, sample_midpoints, write_control_file, zero
 
 
 def test_integral_zero_and_constant():

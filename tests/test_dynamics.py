@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trapscope.controls import (
-    PiecewiseControl,
-    constant,
-    integral,
-    random_direction,
-    zero,
-)
+from trapscope.controls import PiecewiseControl, integral, random_direction
 from trapscope import dynamics
 from trapscope.dynamics import (
     block_controls,
@@ -21,17 +15,20 @@ from trapscope.dynamics import (
     unitarity_defect,
 )
 from trapscope.errors import DomainError, GridMismatch, NotUnitary, SeriesCheckFailed
+from trapscope.landscape import taylor_fit
 from trapscope.model import build_instance, build_observable, build_system, energies, v_matrix
 
 from oracles import (
     TooExpensive,
     _kernel_midpoint_A1N,
     closed_form_AlN,
+    constant,
     dyson_resum_defect,
     expm_mih,
     kernel_bruteforce_A1N,
     sample_midpoints,
     spectral_norm_hermitian,
+    zero,
 )
 
 TWO_PI = 2 * math.pi
@@ -171,7 +168,7 @@ def test_column_at_real_points_equals_propagated_column():
     sys = build_system(4, 1.3, 0.4, (1.0, 0.7, 1.5), TWO_PI)
     f = random_direction(17, 16, TWO_PI, amplitude=1.0)
     xs = np.array([-1.5, 0.0, 0.3, 3.0])
-    column = dynamics._column_at(sys, f, xs)
+    column = dynamics._column_at(sys, dynamics._as_stack(sys, [f])[0], xs[None])[0]
     for x, psi in zip(xs, column):
         u = propagate(sys, f.scaled(x))
         assert np.max(np.abs(np.exp(-1j * sys.b * TWO_PI) * psi - u[:, -1])) <= 1e-13
@@ -183,7 +180,7 @@ def test_column_at_stack_at_real_points_equals_propagated_columns():
     sys = build_system(4, 1.3, 0.4, (1.0, 0.7, 1.5), TWO_PI)
     fs = [random_direction(seed, 16, TWO_PI, amplitude=1.0) for seed in (17, 18, 19)]
     xs = np.array([[-1.5, 0.0, 0.3, 3.0], [0.1, 0.2, -0.2, 0.5], [2.0, -2.5, 1.0, 0.0]])
-    column = dynamics._column_at(sys, fs, xs)
+    column = dynamics._column_at(sys, dynamics._as_stack(sys, fs)[0], xs)
     assert column.shape == (3, 4, 4)
     for f, row, psis in zip(fs, xs, column):
         for x, psi in zip(row, psis):
@@ -210,12 +207,13 @@ def test_column_at_complex_contour_equals_dense_segment_exponentials(levels):
     # radius 3 takes several on its largest steps
     sys = build_system(levels, 1.3, 0.4, np.linspace(0.7, 1.5, levels - 1), TWO_PI)
     fs = [random_direction(seed, 32, TWO_PI, amplitude=1.0) for seed in (21, 22)]
+    values = dynamics._as_stack(sys, fs)[0]
     unit = np.exp(2j * np.pi * (np.arange(12) + 0.5) / 12)
     for radii, one_substep in (((0.2, 0.3), True), ((0.5, 3.0), False)):
         z = np.array(radii)[:, None] * unit
-        substeps = max(dynamics._taylor_substeps(sys, dynamics._as_stack(sys, fs)[0], z)[1])
+        substeps = max(dynamics._taylor_substeps(sys, values, z)[1])
         assert (substeps == 1) if one_substep else (substeps >= 2)
-        column = dynamics._column_at(sys, fs, z)
+        column = dynamics._column_at(sys, values, z)
         for f, row, psis in zip(fs, z, column):
             for zk, psi in zip(row, psis):
                 ref = _column_by_eig(sys, f, zk)
@@ -229,9 +227,7 @@ def test_column_at_returns_c_contiguous_level_minor_arrays():
     sys = n4_system()
     fs = [random_direction(seed, 16, TWO_PI, amplitude=0.7) for seed in (5, 6, 7)]
     z = 0.4 * np.exp(1j * np.linspace(0.1, 6.0, 12))
-    single = dynamics._column_at(sys, fs[0], z)
-    stack = dynamics._column_at(sys, fs, np.tile(z, (3, 1)))
-    assert single.shape == (12, 4) and single.flags.c_contiguous
+    stack = dynamics._column_at(sys, dynamics._as_stack(sys, fs)[0], np.tile(z, (3, 1)))
     assert stack.shape == (3, 12, 4) and stack.flags.c_contiguous
 
 
@@ -244,8 +240,9 @@ def test_column_at_objective_is_even_in_real_amplitude(levels, a, b):
     inst = build_instance(sys, build_observable((1.0,) + (0.5,) * (levels - 3) + (-1.0, 0.0)))
     fs = [random_direction(seed, 64, TWO_PI, amplitude=0.5).shifted(0.3 * (seed % 2)) for seed in (3, 4)]
     xs = np.tile(np.linspace(0.0, 1.0, 9), (2, 1))
-    plus = dynamics._column_at(sys, fs, xs)
-    minus = dynamics._column_at(sys, fs, -xs)
+    values = dynamics._as_stack(sys, fs)[0]
+    plus = dynamics._column_at(sys, values, xs)
+    minus = dynamics._column_at(sys, values, -xs)
     assert np.array_equal(np.abs(plus), np.abs(minus))
     assert np.array_equal(
         objective(plus.reshape(-1, levels, 1), inst), objective(minus.reshape(-1, levels, 1), inst)
@@ -413,8 +410,6 @@ def test_stack_of_one_equals_single_call_bit_for_bit():
     sys = n4_system()
     f = random_direction(9, 32, TWO_PI, amplitude=0.7)
     assert np.array_equal(dyson_forms(sys, [f], n_max=6).table[0], dyson_forms(sys, f, n_max=6).table)
-    z = 0.4 * np.exp(1j * np.linspace(0.1, 6.0, 12))
-    assert np.array_equal(dynamics._column_at(sys, [f], z[None])[0], dynamics._column_at(sys, f, z))
 
 
 @pytest.mark.parametrize("levels, count", [(n, 16) for n in range(3, 9)] + [(3, 40)])
@@ -444,13 +439,15 @@ def test_stacked_forms_of_a_zero_control_vanish():
 
 
 def test_stacks_reject_mixed_grids_and_empty_input():
-    sys = n3_system()
+    # taylor_fit is the public intake of the contour kernel _column_at
+    inst = n3_instance()
+    sys = inst.system
     f = random_direction(1, 16, TWO_PI)
     for mixed in ([f, random_direction(2, 32, TWO_PI)], [f, zero(1.0, 16)]):
         with pytest.raises(GridMismatch):
             dyson_forms(sys, mixed, n_max=4)
         with pytest.raises(GridMismatch):
-            dynamics._column_at(sys, mixed, np.ones((2, 3)))
+            taylor_fit(inst, mixed)
     with pytest.raises(DomainError):
         dyson_forms(sys, [], n_max=4)
 

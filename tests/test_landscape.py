@@ -7,7 +7,6 @@ import pytest
 from trapscope import landscape
 from trapscope.controls import (
     PiecewiseControl,
-    constant,
     integral,
     norm,
     random_direction,
@@ -34,7 +33,7 @@ from trapscope.landscape import (
 )
 from trapscope.model import build_instance, build_observable, build_system, v_matrix
 
-from oracles import sample_midpoints
+from oracles import constant, sample_midpoints
 
 TWO_PI = 2 * math.pi
 
