@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys as _sys
+import tempfile
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
@@ -248,15 +249,30 @@ def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0,
     probes = [probe_direction(budget.seed, i, budget.segments, sys_.horizon) for i in range(budget.directions)]
     values, _ = _as_stack(sys_, probes)
     rows = direction_block(z.size * sys_.levels, sys_.levels)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("seed,mean_zero,t,J\n")
-        for lo in range(0, len(values), rows):
-            block = _scan_block(inst, values[lo : lo + rows], z)
-            for i, js in enumerate(block, start=lo):
-                tag = f"{probe_seed(budget.seed, i)},{int(probe_offset(i) == 0.0)}"
-                for k, t in enumerate(ts):
-                    j = js[max(k, points - 1 - k) - half]
-                    fh.write(f"{tag},{_fmt(t)},{_fmt(j)}\n")
+    t_text = [_fmt(t) for t in ts]
+    mirror = [max(k, points - 1 - k) - half for k in range(points)]
+    # The rows go to a temporary file beside out, which replaces out only once
+    # every block is written: a scan that fails keeps any earlier file at out
+    # and leaves no partial one.  Rows are written as they come, so memory
+    # stays flat in the number of rows.  The file gets the mode open() would
+    # give it, not mkstemp's 0600.
+    fd, tmp = tempfile.mkstemp(prefix=".scan-", suffix=".csv", dir=os.path.dirname(os.path.abspath(out)))
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("seed,mean_zero,t,J\n")
+            for lo in range(0, len(values), rows):
+                block = _scan_block(inst, values[lo : lo + rows], z)
+                for i, js in enumerate(block, start=lo):
+                    tag = f"{probe_seed(budget.seed, i)},{int(probe_offset(i) == 0.0)}"
+                    j_text = [_fmt(j) for j in js]
+                    fh.write("".join(f"{tag},{t},{j_text[m]}\n" for t, m in zip(t_text, mirror)))
+        os.replace(tmp, out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     print(f"scan written to {out} ({budget.directions * points} rows)")
     return 0
 

@@ -16,7 +16,10 @@ routes sample the objective.
     a single call agree bit for bit.
   * _column_at advances only the |N> column, by the Taylor action of each
     step, at any complex amplitude.  The columns of a whole stack are held
-    level-major, so V acts on all of them by one real matrix product.  The
+    level-major, so V acts on all of them by one real matrix product, and
+    H0 - b I = diag(omega, 0, ..., 0) only adds to level 1: its rows 2..N
+    are zero, so a Taylor term costs three passes over the columns (the V
+    product, a per-column scale and the sum into psi).  The
     Taylor cross-check samples it where the step is not Hermitian, and scan
     at real t wherever every segment step needs a single substep, where it
     is several times cheaper than an eigendecomposition per step.  Its
@@ -408,40 +411,49 @@ def _column_at(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.ndarray
     Applies each step exp(-i dt (H0 - b I + z f_j V)) to psi by its Taylor
     series on the vector (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011),
     in the substeps of norm <= 0.5 that _taylor_substeps plans for the
-    whole stack.  The shift -b I is a global phase.  All R = D K columns advance in one pass, held
-    level-major as one (N, R) array: H0 - b I is diagonal, so it acts
-    elementwise, and V psi is one real (N, N) x (N, 2R) product on the float
-    view of psi, V being real.  Each column of V has at most two nonzeros,
-    so every entry of V psi sums the same two products whatever order or
-    thread count the BLAS uses.  The result is transposed back to a
-    C-contiguous (D, K, N) array, whose layout fixes the summation order of
-    the callers' reductions over levels.  Neither eigh (the step is not
-    Hermitian) nor the forms' C_k are used, so the sampled objective checks
-    the forms independently.  At real z, negating z only
-    flips the signs of psi's odd entries (psi(-z) = psi(z) P, P the ladder's
-    parity), exactly, so |psi| and J at -z equal those at z bit for bit.
+    whole stack.  The shift -b I is a global phase.  All R = D K columns
+    advance in one pass, held level-major as one (N, R) array.  Term m of a
+    substep is h/m (H0 - b I + zf V) applied to term m - 1, h = -i dt /
+    substeps: V being real, V term is one real (N, N) x (N, 2R) product on
+    the float view, scaled per column by (h/m) zf.  H0 - b I is
+    diag(omega, 0, ..., 0), so only level 1 adds (h/m) omega times its own
+    entry; on levels 2..N that product would be an exact zero, and it is
+    skipped.  The new term takes the old one's buffer for the next V
+    product, so a term costs three passes over the columns (the product,
+    the scale and psi += term) and allocates nothing of size N R.  Each
+    column of V has at most two nonzeros, so every entry of V psi sums the
+    same two products whatever order or thread count the BLAS uses.  The
+    result is transposed back to a C-contiguous (D, K, N) array, whose
+    layout fixes the summation order of the callers' reductions over
+    levels.  Neither eigh (the step is not Hermitian) nor the forms' C_k are
+    used, so the sampled objective checks the forms independently.  At real
+    z, negating z only flips the signs of psi's odd entries (psi(-z) =
+    psi(z) P, P the ladder's parity), exactly, so |psi| and J at -z equal
+    those at z bit for bit.
     """
     z = np.asarray(z, dtype=np.complex128)
     dt = sys.horizon / values.shape[1]
-    e = (energies(sys) - sys.b).astype(np.complex128)[:, None]
+    omega = (energies(sys) - sys.b).astype(np.complex128)[0]
     v = np.ascontiguousarray(v_matrix(sys).real)
     psi = np.zeros((sys.levels, z.size), dtype=np.complex128)
     psi[-1] = 1.0
-    # Each Taylor term and its V product reuse two buffers: fresh temporaries
-    # this large go back to the OS and are faulted in again on every term.
+    # Every term reuses these buffers: fresh temporaries this large go back to
+    # the OS and are faulted in again on every term.
     term, vt = np.empty_like(psi), np.empty_like(psi)
+    term_f, vt_f = term.view(np.float64), vt.view(np.float64)
+    scale = np.empty(z.size, dtype=np.complex128)
     for fj, theta, substeps in zip(values.T, *_taylor_substeps(sys, values, z)):
         h = -1j * dt / substeps
         zf = (z * fj[:, None]).reshape(-1)
-        terms = _taylor_terms(theta / substeps)
+        factors = [(h / m, h / m * omega) for m in range(1, _taylor_terms(theta / substeps) + 1)]
         for _ in range(int(substeps)):
             term[...] = psi
-            for m in range(1, terms + 1):
-                hm = h / m
-                np.matmul(v, term.view(np.float64), out=vt.view(np.float64))
-                np.multiply(hm * zf, vt, out=vt)
-                np.multiply(hm * e, term, out=term)
-                term += vt
+            for hm, hm_omega in factors:
+                np.matmul(v, term_f, out=vt_f)
+                np.multiply(hm, zf, out=scale)
+                np.multiply(scale, vt, out=vt)
+                vt[0] += hm_omega * term[0]
+                term, vt, term_f, vt_f = vt, term, vt_f, term_f
                 psi += term
     return np.ascontiguousarray(psi.T).reshape(*z.shape, sys.levels)
 

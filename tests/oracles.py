@@ -5,8 +5,8 @@ whose agreement with the package is the evidence that its analytic forms are
 right: a complex-Hermitian eigendecomposition and the unitary exponential
 built on it, element-wise interaction-picture matrices, the closed forms of
 the low orders, a brute-force enumeration and a plain midpoint quadrature of
-the max-kernel integral for A^{N-1}_1, and the resummation of the forms
-against the propagator.  The control builders constant and zero and the
+the max-kernel integral for A^{N-1}_1, the resummation of the forms
+against the propagator, and a plain Taylor-action loop for the |N> column.  The control builders constant and zero and the
 control-file writer live here too, as only the tests use them.  Test files
 import it as `from oracles import ...`.  Only numpy and the package are
 imported, so the suite needs nothing beyond numpy and pytest.
@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from trapscope.controls import PiecewiseControl, integral
-from trapscope.dynamics import _check_horizon, dyson_forms, propagate
+from trapscope.dynamics import _check_horizon, _taylor_substeps, _taylor_terms, dyson_forms, propagate
 from trapscope.errors import BadDimension, DomainError, TrapscopeError
 from trapscope.model import SystemSpec, energies, h0_matrix, v_matrix
 
@@ -306,3 +306,40 @@ def dyson_resum_defect(sys: SystemSpec, f: PiecewiseControl, n_max: int) -> floa
     resum = sum((-1j) ** k * forms[k] for k in range(n_max + 1))
     u_int = expm_mih(h0_matrix(sys), -sys.horizon) @ propagate(sys, f)
     return float(np.linalg.norm(resum - u_int[:, -1]))
+
+
+# ---------------------------------------------------------------- column
+
+
+def column_reference(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The |N> column at complex amplitudes by the plain Taylor-action loop.
+
+    The same arguments, substep plan and result as dynamics._column_at, but
+    every Taylor term scales all N levels by h/m (H0 - b I) and adds the V
+    term, as if H0 - b I had no zero rows.  On rows 2..N that scale is an
+    exact zero times the term, and on row 1 the same two rounded products
+    are added in the other order, so _column_at must agree bit for bit.  A
+    zero inside a term may differ in sign, but psi starts at +0 and a sum
+    that is zero rounds to +0, so no sign reaches psi.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    dt = sys.horizon / values.shape[1]
+    e = (energies(sys) - sys.b).astype(np.complex128)[:, None]
+    v = np.ascontiguousarray(v_matrix(sys).real)
+    psi = np.zeros((sys.levels, z.size), dtype=np.complex128)
+    psi[-1] = 1.0
+    term, vt = np.empty_like(psi), np.empty_like(psi)
+    for fj, theta, substeps in zip(values.T, *_taylor_substeps(sys, values, z)):
+        h = -1j * dt / substeps
+        zf = (z * fj[:, None]).reshape(-1)
+        terms = _taylor_terms(theta / substeps)
+        for _ in range(int(substeps)):
+            term[...] = psi
+            for m in range(1, terms + 1):
+                hm = h / m
+                np.matmul(v, term.view(np.float64), out=vt.view(np.float64))
+                np.multiply(hm * zf, vt, out=vt)
+                np.multiply(hm * e, term, out=term)
+                term += vt
+                psi += term
+    return np.ascontiguousarray(psi.T).reshape(*z.shape, sys.levels)

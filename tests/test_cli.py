@@ -361,6 +361,12 @@ def test_scan_row_count_and_determinism(tmp_path):
     first = out.read_bytes()
     assert main(["scan", cfg, "--out", str(out), "--points", "11"]) == 0
     assert out.read_bytes() == first
+    # the temporary file the rows went to became --out, with the mode a plain
+    # open() gives a new file
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "scan.csv"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 @pytest.mark.parametrize("tmax", ["nan", "inf", "0"])
@@ -376,12 +382,21 @@ def test_scan_rejects_bad_tmax_before_writing(tmp_path, capsys, tmax):
 def test_scan_refuses_a_grid_that_overflows(tmp_path, capsys, tmax, points):
     # tmax itself is finite, but the grid's outer points overflow to +-inf; the
     # route guard's substep plan is then not finite, so the block goes to the
-    # eigenvalue route, which refuses the non-finite controls
+    # eigenvalue route, which refuses the non-finite controls.  The rows go
+    # to a temporary file that replaces --out only on success, so an earlier
+    # file at --out keeps its bytes, a fresh path is not created, and the
+    # temporary file is removed.
     cfg = write_config(tmp_path / "c.cfg")
     out = tmp_path / "scan.csv"
-    assert main(["scan", cfg, "--out", str(out), "--tmax", tmax, "--points", points]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: DomainError: ") and "Traceback" not in err
+    out.write_bytes(b"seed,mean_zero,t,J\n7,1,0,0.5\n")
+    fresh = tmp_path / "fresh.csv"
+    for path in (out, fresh):
+        assert main(["scan", cfg, "--out", str(path), "--tmax", tmax, "--points", points]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError: ") and "Traceback" not in err
+    assert out.read_bytes() == b"seed,mean_zero,t,J\n7,1,0,0.5\n"
+    assert not fresh.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "scan.csv"]
 
 
 def test_scan_rows_probe_the_certificate_directions(tmp_path):

@@ -22,6 +22,7 @@ from oracles import (
     TooExpensive,
     _kernel_midpoint_A1N,
     closed_form_AlN,
+    column_reference,
     constant,
     dyson_resum_defect,
     expm_mih,
@@ -229,6 +230,24 @@ def test_column_at_returns_c_contiguous_level_minor_arrays():
     z = 0.4 * np.exp(1j * np.linspace(0.1, 6.0, 12))
     stack = dynamics._column_at(sys, dynamics._as_stack(sys, fs)[0], np.tile(z, (3, 1)))
     assert stack.shape == (3, 12, 4) and stack.flags.c_contiguous
+
+
+@pytest.mark.parametrize("levels", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (50.0, 0.4), (-3.0, 2.0)])
+def test_column_at_matches_the_plain_taylor_loop_bit_for_bit(levels, a, b):
+    # _column_at skips the exact zeros that H0 - b I = diag(omega, 0, ..., 0)
+    # puts on levels 2..N of every Taylor term and swaps its buffers instead
+    # of adding them; column_reference is the loop that does neither.  The
+    # two agree bit for bit at real amplitudes of both signs and at complex
+    # ones, with several substeps per segment step.
+    sys = build_system(levels, a, b, np.linspace(0.7, 1.5, levels - 1), 1.0)
+    values = dynamics._as_stack(sys, [random_direction(seed, 8, 1.0, amplitude=1.0) for seed in (31, 32, 33)])[0]
+    real = np.array([[-3.0, -0.4, 0.0, 0.7, 3.0], [2.5, -2.5, 0.1, -1.0, 1.5], [0.3, -0.3, 3.0, -3.0, 0.0]])
+    unit = np.exp(2j * np.pi * (np.arange(6) + 0.5) / 6)
+    for z in (real, np.array([[3.0], [1.0], [2.0]]) * unit):
+        assert np.max(dynamics._taylor_substeps(sys, values, z)[1]) >= 2
+        column = dynamics._column_at(sys, values, z)
+        assert column.tobytes() == column_reference(sys, values, z).tobytes()
 
 
 @pytest.mark.parametrize("levels", [3, 6, 9])
