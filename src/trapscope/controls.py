@@ -4,13 +4,19 @@ A control is the real function equal to values[j] on [j*T/M, (j+1)*T/M).
 This subspace of L2([0,T]) is the declared test space: integrals and inner
 products below are exact for it, so no quadrature error enters here.
 
-Random directions come from numpy's PCG64 generator (np.random.default_rng),
-which is seedable and produces the same stream on every platform, so sampled
-directions replay bit-exactly from their recorded seeds.
+Random draws come from _PCG64, this package's own copy of the stream that
+numpy's default_rng(seed).uniform reads: PCG64 XSL-RR 128/64 (O'Neill,
+HMC-CS-2014-0905) seeded through numpy's SeedSequence, reproduced bit for bit
+(tests/test_controls.py pins it to numpy).  Sampled directions therefore
+replay bit-exactly from their recorded seeds whatever numpy's Generator
+does in later releases, and no run loads numpy's random package, whose
+import (with OpenSSL, through its `secrets` import) costs 15-23 ms and
+5-6 MB of peak RSS per process on a 2-vCPU host.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,6 +87,150 @@ def project_mean_zero(f: PiecewiseControl) -> PiecewiseControl:
     return PiecewiseControl(f.horizon, tuple(x - mean for x in f.values))
 
 
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_WINDOW = 64  # draws per jump-ahead window
+
+
+def _seed_state(seed: int) -> tuple[int, int]:
+    """(state, increment) of numpy's PCG64 after seeding with SeedSequence(seed).
+
+    The seed's little-endian 32-bit words are hashed into a pool of four,
+    the pool into eight output words, and those into PCG64's initial state
+    and stream increment (bit_generator.pyx and pcg64.h in numpy's random
+    package).  All arithmetic is on Python ints, masked to the C word width.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"expected a non-negative integer seed, got {seed}")
+    words = [(seed >> shift) & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hc = 0x43B0D7E5
+
+    def hashmix(v: int) -> int:
+        nonlocal hc
+        v ^= hc
+        hc = hc * 0x931E8875 & _M32
+        v = v * hc & _M32
+        return v ^ (v >> 16)
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hc = 0x8B51F9DD
+    out = []
+    for i in range(8):
+        v = pool[i % 4] ^ hc
+        hc = hc * 0x58F38DED & _M32
+        v = v * hc & _M32
+        out.append(v ^ (v >> 16))
+    u = [out[2 * j] | out[2 * j + 1] << 32 for j in range(4)]
+    inc = ((u[2] << 64 | u[3]) << 1 | 1) & _M128
+    state = ((inc + (u[0] << 64 | u[1])) * _PCG64_MULT + inc) & _M128  # two steps from 0
+    return state, inc
+
+
+def _split(values) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit Python ints as (high, low) uint64 arrays."""
+    return (
+        np.array([x >> 64 for x in values], dtype=np.uint64),
+        np.array([x & _M64 for x in values], dtype=np.uint64),
+    )
+
+
+@functools.cache
+def _jumps():
+    """Jump-ahead tables: k steps of the LCG take s to A_k s + C_k inc
+    (mod 2^128), for k = 1.._WINDOW.  Returns A's high word, low word and
+    the low word's two 32-bit halves as uint64 arrays, A_W, and C as ints."""
+    a, c, table_a, table_c = 1, 0, [], []
+    for _ in range(_WINDOW):
+        a, c = a * _PCG64_MULT & _M128, (c * _PCG64_MULT + 1) & _M128
+        table_a.append(a)
+        table_c.append(c)
+    ah, al = _split(table_a)
+    words = (ah, al, al & _M32, al >> 32)
+    for w in words:  # shared by every stream
+        w.setflags(write=False)
+    return words, a, table_c
+
+
+class _PCG64:
+    """The draws of numpy's default_rng(seed), reproduced bit for bit.
+
+    Each call advances the 128-bit LCG by whole windows in numpy: the
+    window starts s are stepped in Python ints, and the state k steps into
+    a window is A_k s + B_k (mod 2^128), with B_k = C_k inc fixed per
+    stream.  Each output is the XSL-RR permutation of the state after one
+    step.
+    """
+
+    def __init__(self, seed: int):
+        self._state, inc = _seed_state(seed)
+        offsets = [c * inc & _M128 for c in _jumps()[2]]
+        self._offsets = _split(offsets)
+        self._window_offset = offsets[-1]
+
+    def raw(self, n: int) -> np.ndarray:
+        """The next n >= 1 64-bit outputs (numpy's PCG64(seed).random_raw(n))."""
+        (ah, al, a0, a1), a_w, _ = _jumps()
+        starts, s = [], self._state
+        for _ in range(-(-n // _WINDOW)):
+            starts.append(s)
+            s = (a_w * s + self._window_offset) & _M128
+        sh, sl = (x[:, None] for x in _split(starts))
+        # A s mod 2^128: the low words' 64 x 64 -> 128-bit product through
+        # 32-bit halves, whose high word takes the two wrapping cross terms.
+        s0, s1 = sl & _M32, sl >> 32
+        p00, p01, p10 = a0 * s0, a0 * s1, a1 * s0
+        mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+        hi = a1 * s1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + ah * sl + al * sh
+        bh, bl = self._offsets
+        lo = al * sl + bl
+        hi += bh + (lo < bl)
+        hi, lo = hi.ravel()[:n], lo.ravel()[:n]
+        self._state = int(hi[-1]) << 64 | int(lo[-1])
+        x, r = hi ^ lo, hi >> 58
+        return (x >> r) | (x << ((64 - r) & 63))
+
+    def random(self, n: int) -> np.ndarray:
+        """The next n doubles in [0, 1), 53 bits each."""
+        return (self.raw(n) >> 11).astype(np.float64) * 2.0**-53
+
+    def uniform(self, low: float, high: float, n: int) -> np.ndarray:
+        """n draws of uniform(low, high), as numpy forms them: low + (high - low) u."""
+        return low + (high - low) * self.random(n)
+
+
+def _direction_values(seed: int, segments: int, horizon: float, mean_zero: bool, amplitude: float) -> np.ndarray:
+    """The values of random_direction(seed, ...), as one float64 array."""
+    if not amplitude > 0.0:
+        raise ValueError(f"amplitude must be positive, got {amplitude!r}")
+    horizon, segments = float(horizon), int(segments)
+    if not horizon > 0.0 or segments < 1:
+        raise ValueError(f"need a positive horizon and at least one segment, got T={horizon!r}, M={segments!r}")
+    vals = _PCG64(seed).uniform(-amplitude, amplitude, segments)
+    if mean_zero:
+        # integral, project_mean_zero, norm and scaled, elementwise as they
+        # compute them, so the values are bit-identical to that route.
+        dt = horizon / segments
+        vals = vals - dt * float(np.sum(vals)) / horizon
+        n = math.sqrt(max(dt * float(np.dot(vals, vals)), 0.0))
+        if n > 0.0:
+            vals = vals * (amplitude * math.sqrt(horizon) / n)
+    return vals
+
+
 def random_direction(
     seed: int,
     segments: int,
@@ -94,17 +244,8 @@ def random_direction(
     draw is projected onto the mean-zero subspace and rescaled to L2 norm
     amplitude * sqrt(T).  Deterministic in (seed, segments, horizon, flags).
     """
-    if not amplitude > 0.0:
-        raise ValueError(f"amplitude must be positive, got {amplitude!r}")
-    rng = np.random.default_rng(int(seed))
-    vals = rng.uniform(-amplitude, amplitude, int(segments))
-    f = PiecewiseControl(float(horizon), tuple(float(x) for x in vals))
-    if mean_zero:
-        f = project_mean_zero(f)
-        n = norm(f)
-        if n > 0.0:
-            f = f.scaled(amplitude * math.sqrt(horizon) / n)
-    return f
+    vals = _direction_values(seed, segments, horizon, mean_zero, amplitude)
+    return PiecewiseControl(float(horizon), tuple(vals.tolist()))
 
 
 def read_control_file(path) -> PiecewiseControl:

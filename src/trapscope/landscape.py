@@ -43,7 +43,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .controls import PiecewiseControl, integral, norm, random_direction
+from .controls import PiecewiseControl, _direction_values, _PCG64, integral, norm
 from .dynamics import (
     DysonForms,
     _as_stack,
@@ -308,15 +308,22 @@ def witness_search(
     threshold = j_zero + WITNESS_MARGIN * (lam[0] - lam[-1])
 
     # Each control draws its amplitude, then its values, so the stream is the
-    # one a control-at-a-time loop reads, whatever the block size.
-    rng = np.random.default_rng(int(seed))
+    # one a control-at-a-time loop reads, whatever the block size.  Both are
+    # formed as numpy's uniform(low, high) forms them, low + (high - low) u.
+    stream = _PCG64(seed)
+    drawn = np.empty((0, segments))
     best_vals, best_j, evals = None, -math.inf, budget
     rows = block_controls(segments)
     for start in range(0, budget, rows):
-        block = np.empty((min(rows, budget - start), segments))
-        for draw in block:
-            amp = scale * math.exp(rng.uniform(log_lo, log_hi))
-            draw[:] = rng.uniform(-amp, amp, segments)
+        if not len(drawn):
+            # Draw ahead as many controls as were drawn so far, at least one
+            # block: a miss makes a few stream calls, not one per block, and
+            # a hit leaves at most as many draws unused as it used.
+            count = min(budget - start, max(rows, start))
+            u = stream.random(count * (1 + segments)).reshape(count, 1 + segments)
+            amp = np.array([scale * math.exp(log_lo + (log_hi - log_lo) * x) for x in u[:, 0].tolist()])
+            drawn = -amp[:, None] + (2.0 * amp)[:, None] * u[:, 1:]
+        block, drawn = drawn[:rows], drawn[rows:]
         js = objective(propagate_batch(sys, block), inst)
         hits = np.flatnonzero(js > threshold)
         # A hit beats every earlier draw, as none of them cleared the threshold.
@@ -426,10 +433,11 @@ def probe_direction(seed: int, index: int, segments: int, horizon: float) -> Pie
     consecutive odd indices.  The certificate and `trapscope scan` both
     probe these directions.
     """
-    seed = probe_seed(seed, index)
-    f = random_direction(seed, segments, horizon, mean_zero=True, amplitude=PROBE_AMPLITUDE)
+    vals = _direction_values(probe_seed(seed, index), segments, horizon, True, PROBE_AMPLITUDE)
     offset = probe_offset(index)
-    return f.shifted(offset) if offset else f
+    if offset:
+        vals = vals + offset
+    return PiecewiseControl(float(horizon), tuple(vals.tolist()))
 
 
 def _certificate_rows(inst: ProblemInstance, cfg: CertificateConfig) -> list[dict]:

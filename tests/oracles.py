@@ -6,10 +6,12 @@ right: a complex-Hermitian eigendecomposition and the unitary exponential
 built on it, element-wise interaction-picture matrices, the closed forms of
 the low orders, a brute-force enumeration and a plain midpoint quadrature of
 the max-kernel integral for A^{N-1}_1, the resummation of the forms
-against the propagator, and a plain Taylor-action loop for the |N> column.  The control builders constant and zero and the
-control-file writer live here too, as only the tests use them.  Test files
-import it as `from oracles import ...`.  Only numpy and the package are
-imported, so the suite needs nothing beyond numpy and pytest.
+against the propagator, a plain Taylor-action loop for the |N> column, and
+the witness search drawing from numpy's own generator.  The control
+builders constant and zero and the control-file writer live here too, as
+only the tests use them.  Test files import it as `from oracles import
+...`.  Only numpy and the package are imported, so the suite needs nothing
+beyond numpy and pytest.
 """
 
 from __future__ import annotations
@@ -18,8 +20,18 @@ import math
 
 import numpy as np
 
+from trapscope import landscape
 from trapscope.controls import PiecewiseControl, integral
-from trapscope.dynamics import _check_horizon, _taylor_substeps, _taylor_terms, dyson_forms, propagate
+from trapscope.dynamics import (
+    _check_horizon,
+    _taylor_substeps,
+    _taylor_terms,
+    block_controls,
+    dyson_forms,
+    objective,
+    propagate,
+    propagate_batch,
+)
 from trapscope.errors import BadDimension, DomainError, TrapscopeError
 from trapscope.model import SystemSpec, energies, h0_matrix, v_matrix
 
@@ -343,3 +355,46 @@ def column_reference(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.n
                 term += vt
                 psi += term
     return np.ascontiguousarray(psi.T).reshape(*z.shape, sys.levels)
+
+
+# ---------------------------------------------------------------- witness
+
+
+def witness_search_reference(inst, seed: int, budget: int, segments: int) -> landscape.WitnessResult:
+    """landscape.witness_search with its draws from np.random.default_rng.
+
+    The search loop as it stood before the package drew from its own
+    stream: per control one scalar uniform for the log-amplitude, then M
+    values, in blocks of block_controls(M).  The landscape constants are
+    read at call time, so a test that patches them patches both searches.
+    """
+    sys = inst.system
+    scale = 1.0 / (float(np.linalg.norm(v_matrix(sys), 2)) * sys.horizon)
+    log_lo, log_hi = (math.log(x) for x in landscape.WITNESS_AMPLITUDE_SCALE)
+    lam = inst.observable.eigenvalues
+    j_zero = objective(propagate(sys, PiecewiseControl(sys.horizon, (0.0,) * segments)), inst)
+    threshold = j_zero + landscape.WITNESS_MARGIN * (lam[0] - lam[-1])
+
+    rng = np.random.default_rng(int(seed))
+    best_vals, best_j, evals = None, -math.inf, budget
+    rows = block_controls(segments)
+    for start in range(0, budget, rows):
+        block = np.empty((min(rows, budget - start), segments))
+        for draw in block:
+            amp = scale * math.exp(rng.uniform(log_lo, log_hi))
+            draw[:] = rng.uniform(-amp, amp, segments)
+        js = objective(propagate_batch(sys, block), inst)
+        hits = np.flatnonzero(js > threshold)
+        # A hit beats every earlier draw, as none of them cleared the threshold.
+        k = int(hits[0]) if hits.size else int(np.argmax(js))
+        if js[k] > best_j:
+            best_j, best_vals = float(js[k]), block[k]
+        if hits.size:
+            evals = start + k + 1
+            break
+    return landscape.WitnessResult(
+        control=PiecewiseControl(sys.horizon, tuple(float(x) for x in best_vals)),
+        j_value=best_j,
+        success=best_j > threshold,
+        evaluations=evals,
+    )

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from trapscope.controls import (
+    _WINDOW,
     PiecewiseControl,
+    _PCG64,
     inner,
     integral,
     norm,
@@ -126,3 +128,73 @@ def test_control_file_strict_parsing(tmp_path):
     path.write_text("T 1.0\nM 2\n0.5\nnot-a-number\n")
     with pytest.raises(ValueError):
         read_control_file(path)
+
+
+# ---------------------------------------------------------------- stream
+
+# Seeds of one to five 32-bit words, the last the size of a 41-digit seed
+# that the command line's `seed` key accepts.
+SEEDS = [*range(64), 2**32, 2**64 + 1, 2**130 + 7, 12345678901234567890123456789012345678901]
+SIZES = sorted({1, 64, 65, _WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW + 1})
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stream_is_numpys_pcg64(seed):
+    for n in SIZES:
+        raw = np.random.PCG64(seed).random_raw(n)
+        assert _PCG64(seed).raw(n).tobytes() == raw.tobytes(), n
+        expected = np.random.default_rng(seed).uniform(-0.7, 0.7, n)
+        assert _PCG64(seed).uniform(-0.7, 0.7, n).tobytes() == expected.tobytes(), n
+    # successive calls continue the stream wherever a window ends
+    stream, rng = _PCG64(seed), np.random.default_rng(seed)
+    for n in SIZES:
+        assert stream.uniform(0.5, 3.0, n).tobytes() == rng.uniform(0.5, 3.0, n).tobytes(), n
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 1])
+@pytest.mark.parametrize("segments", [8, 64, 100])
+def test_stream_gives_the_witness_draws(seed, segments):
+    # The witness draws rows x (1 + M) doubles in one call and forms each
+    # control's amplitude and values from them as numpy's scalar and array
+    # uniform calls do, one amplitude then M values per control.
+    lo, hi, scale = math.log(0.1), math.log(100.0), 0.37
+    rng, stream = np.random.default_rng(seed), _PCG64(seed)
+    for rows in (3, 1, 2):
+        u = stream.random(rows * (1 + segments)).reshape(rows, 1 + segments)
+        for row in u:
+            amp = scale * math.exp(rng.uniform(lo, hi))
+            assert scale * math.exp(lo + (hi - lo) * float(row[0])) == amp
+            values = -amp + (2.0 * amp) * row[1:]
+            assert values.tobytes() == rng.uniform(-amp, amp, segments).tobytes()
+
+
+def test_stream_refuses_a_negative_seed():
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError):
+        _PCG64(-1)
+    with pytest.raises(ValueError):
+        random_direction(-1, 8, 1.0)
+
+
+@pytest.mark.parametrize("mean_zero", [False, True])
+def test_random_direction_is_the_numpy_draw(mean_zero):
+    # The array route gives the values the numpy draw gives through the
+    # control helpers, bit for bit.
+    for seed in (0, 9, 20240901, 2**64 + 1):
+        for segments, horizon, amplitude in ((64, 2 * math.pi, 0.5), (7, 3, 1.3), (1, 0.25, 2.0)):
+            vals = np.random.default_rng(seed).uniform(-amplitude, amplitude, segments)
+            f = PiecewiseControl(float(horizon), tuple(float(x) for x in vals))
+            if mean_zero:
+                f = project_mean_zero(f)
+                n = norm(f)
+                if n > 0.0:
+                    f = f.scaled(amplitude * math.sqrt(horizon) / n)
+            got = random_direction(seed, segments, horizon, mean_zero=mean_zero, amplitude=amplitude)
+            assert got == f
+
+
+def test_random_direction_refuses_an_empty_grid():
+    for segments, horizon in ((0, 1.0), (-2, 1.0), (4, 0.0), (4, -1.0), (4, math.nan)):
+        with pytest.raises(ValueError):
+            random_direction(1, segments, horizon)

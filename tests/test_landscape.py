@@ -27,13 +27,15 @@ from trapscope.landscape import (
     lie_rank_matrices,
     order_2N2_value,
     probe_direction,
+    probe_offset,
+    probe_seed,
     taylor_fit,
     trap_certificate,
     witness_search,
 )
 from trapscope.model import build_instance, build_observable, build_system, v_matrix
 
-from oracles import constant, sample_midpoints
+from oracles import constant, sample_midpoints, witness_search_reference
 
 TWO_PI = 2 * math.pi
 
@@ -536,6 +538,32 @@ def test_witness_batched_draws_match_serial_search(seed):
     assert hit.success and hit.evaluations == {3: 5, 611: 2, 20240901: 17, 0: 22}[seed]
     miss = check(hit.evaluations - 1)
     assert not miss.success and miss.evaluations == hit.evaluations - 1
+
+
+def test_probe_direction_is_the_shifted_draw():
+    # One control built from the array route, equal to the draw's projection,
+    # normalisation and shift through the control helpers.
+    for index in range(6):
+        f = random_direction(probe_seed(611, index), 64, TWO_PI, mean_zero=True, amplitude=landscape.PROBE_AMPLITUDE)
+        offset = probe_offset(index)
+        assert probe_direction(611, index, 64, TWO_PI) == (f.shifted(offset) if offset else f)
+
+
+@pytest.mark.parametrize("segments, rows, budget", [(8, 32, 45), (64, 4, 37), (100, 2, 7)])
+def test_witness_miss_matches_numpy_draws(monkeypatch, segments, rows, budget):
+    # With a margin nothing can clear, every draw is propagated and scored,
+    # over blocks of `rows`, draws taken ahead over several blocks, and a
+    # last partial block; the best control, its J and the count must be
+    # those of the search drawing from numpy one block at a time.
+    monkeypatch.setattr(landscape, "WITNESS_MARGIN", 1e9)
+    assert block_controls(segments) == rows
+    inst = n4_instance()
+    res = witness_search(inst, seed=20240901 + landscape.WITNESS_SEED_OFFSET, budget=budget, segments=segments)
+    ref = witness_search_reference(inst, 20240901 + landscape.WITNESS_SEED_OFFSET, budget, segments)
+    assert not res.success and not ref.success
+    assert res.control.values == ref.control.values
+    assert res.j_value == ref.j_value
+    assert res.evaluations == ref.evaluations == budget
 
 
 @pytest.mark.parametrize(

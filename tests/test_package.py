@@ -32,6 +32,33 @@ def test_cli_import_leaves_the_oracles_out():
     assert "oracles" not in loaded
 
 
+def test_commands_never_load_numpy_random(tmp_path):
+    # The package draws from its own copy of numpy's PCG64 stream; loading
+    # numpy.random (and OpenSSL with it) would cost every process 10-15 ms.
+    example = os.path.join(os.path.dirname(TESTS), "examples", "n3.cfg")
+    control = tmp_path / "f.ctl"
+    control.write_text("T 6.283185307179586\nM 4\n1\n0.5\n-0.5\n-1\n")
+    code = (
+        "import sys\n"
+        "from trapscope import cli\n"
+        "example, control = sys.argv[1:]\n"
+        "for argv in (['certify', example, '--out', 'r.json'], ['scan', example, '--out', 's.csv', '--points', '11'],\n"
+        "             ['differential', example, '--control', control, '--order', '4'], ['controllability', example]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print('numpy' in sys.modules, 'numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, example, str(control)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True False"
+
+
 @pytest.mark.parametrize("threads, expected", [(None, "1"), ("2", "2")])
 def test_import_defaults_to_one_blas_thread(threads, expected):
     # OpenBLAS loads with `expected` threads: the caller's
