@@ -26,20 +26,18 @@ from typing import ClassVar
 import numpy as np
 
 from .controls import read_control_file
-# propagate is not called here; bench/launch.py rebinds cli.propagate by name.
+# objective and propagate are not called here; bench/launch.py rebinds both by name.
 from .dynamics import (  # noqa: F401
     _as_stack,
-    _column_at,
-    _taylor_substeps,
     direction_block,
     dyson_forms,
     objective,
     propagate,
-    propagate_batch,
 )
 from .errors import ConfigError, InsufficientOrder, TrapscopeError
 from .landscape import (
     CertificateConfig,
+    _sample_lines,
     differential,
     lie_rank,
     probe_direction,
@@ -50,7 +48,7 @@ from .landscape import (
 )
 from .model import ProblemInstance, build_instance, build_observable, build_system
 
-REPORT_SCHEMA = "trapscope/3"
+REPORT_SCHEMA = "trapscope/4"
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -156,11 +154,11 @@ def _summary_text(report) -> str:
             f"  [{verdict}] {c.name}: measured {c.measured:.6g} vs threshold {c.threshold:.6g}{note}"
         )
     for w in report.witness:
-        # best_j holds the first hit's J on a hit, the best draw's on a miss.
+        line = f"probe {w['probe']} at t {w['amplitude']:.6g}"
         if w["success"]:
-            outcome = f"first hit J {w['best_j']:.6g} after {w['evaluations']} draws"
+            outcome = f"first hit J {w['j_value']:.6g} on {line} after {w['evaluations']} evaluations"
         else:
-            outcome = f"best J {w['best_j']:.6g} of {w['evaluations']} draws (miss)"
+            outcome = f"best J {w['j_value']:.6g} on {line} of {w['evaluations']} evaluations (miss)"
         lines.append(f"  witness horizon {w['horizon']:g}: {outcome}")
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
     if report.failed_stage:
@@ -210,28 +208,6 @@ def cmd_differential(
     return 0
 
 
-def _scan_block(inst: ProblemInstance, values: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """J(t f) for each probe f, a row of the (D, M) control values, at each t >= 0 in z.
-
-    The result has one row per probe and one column per t.  Where the plan
-    that dynamics._column_at would follow,
-    dynamics._taylor_substeps(sys, values, z), gives every segment step a
-    single Taylor substep, the |N> columns of the whole block come from one
-    _column_at pass and are scored as N x 1 isometries.  Longer steps would
-    take ever more substeps, so those blocks go through propagate_batch,
-    whose eigendecomposition costs the same at any amplitude.  So does a
-    block whose plan is not finite (a t grid that overflowed to inf), and
-    propagate_batch refuses its non-finite controls with DomainError.
-    """
-    sys_ = inst.system
-    zs = np.broadcast_to(z, (len(values), z.size))
-    if np.max(_taylor_substeps(sys_, values, zs)[1]) == 1.0:
-        columns = _column_at(sys_, values, zs).reshape(-1, sys_.levels, 1)
-    else:
-        columns = propagate_batch(sys_, (z[None, :, None] * values[:, None, :]).reshape(-1, values.shape[1]))
-    return objective(columns, inst).reshape(len(values), z.size)
-
-
 def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0, points: int = 11) -> int:
     if points < 2:
         raise ConfigError(f"points must be >= 2, got {points}")
@@ -248,6 +224,7 @@ def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0,
     z = np.array(ts[half:])
     probes = [probe_direction(budget.seed, i, budget.segments, sys_.horizon) for i in range(budget.directions)]
     values, _ = _as_stack(sys_, probes)
+    zs = np.broadcast_to(z, (len(values), z.size))
     rows = direction_block(z.size * sys_.levels, sys_.levels)
     t_text = [_fmt(t) for t in ts]
     mirror = [max(k, points - 1 - k) - half for k in range(points)]
@@ -264,7 +241,7 @@ def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0,
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("seed,mean_zero,t,J\n")
             for lo in range(0, len(values), rows):
-                block = _scan_block(inst, values[lo : lo + rows], z)
+                block = _sample_lines(inst, values[lo : lo + rows], zs[lo : lo + rows])
                 for i, js in enumerate(block, start=lo):
                     tag = f"{probe_seed(budget.seed, i)},{int(probe_offset(i) == 0.0)}"
                     j_text = [_fmt(j) for j in js]

@@ -203,13 +203,10 @@ class _PCG64:
         x, r = hi ^ lo, hi >> 58
         return (x >> r) | (x << ((64 - r) & 63))
 
-    def random(self, n: int) -> np.ndarray:
-        """The next n doubles in [0, 1), 53 bits each."""
-        return (self.raw(n) >> 11).astype(np.float64) * 2.0**-53
-
     def uniform(self, low: float, high: float, n: int) -> np.ndarray:
-        """n draws of uniform(low, high), as numpy forms them: low + (high - low) u."""
-        return low + (high - low) * self.random(n)
+        """n draws of uniform(low, high), as numpy forms them: low + (high - low) u,
+        u the next n doubles in [0, 1) of 53 bits each."""
+        return low + (high - low) * ((self.raw(n) >> 11).astype(np.float64) * 2.0**-53)
 
 
 def _direction_values(seed: int, segments: int, horizon: float, mean_zero: bool, amplitude: float) -> np.ndarray:

@@ -14,8 +14,8 @@ stationarity (c_1 = 0), strict second-order descent off the mean-zero
 subspace, flatness of orders 3..2N-3 on it, and the non-negative matching
 coefficient at order 2N-2; plus the Lie-rank controllability proxy and a
 best-effort witness that the zero control is not a global maximum: the
-first random control, drawn at the instance's own amplitude scale
-1 / (||V||_2 T), that scores well above it.
+first control t*f along the certificate's own probe lines, walked from the
+largest amplitude down on the contour's scale, that scores well above it.
 
 Analytic values (from the forms) are the primary evidence; a Cauchy
 contour of the objective itself, continued to complex amplitudes,
@@ -43,11 +43,12 @@ from typing import ClassVar
 
 import numpy as np
 
-from .controls import PiecewiseControl, _direction_values, _PCG64, integral, norm
+from .controls import PiecewiseControl, _direction_values, integral, norm
 from .dynamics import (
     DysonForms,
     _as_stack,
     _column_at,
+    _taylor_substeps,
     block_controls,
     direction_block,
     dyson_forms,
@@ -70,9 +71,9 @@ from .model import ProblemInstance, SystemSpec, h0_matrix, v_matrix
 PROBE_AMPLITUDE = 0.5
 PROBE_OFFSET_FRACTION = 0.6
 CONTOUR_EXTRA_POINTS = 16  # contour points beyond the 2N sampled orders
-# Witness amplitudes are drawn log-uniformly over this range / (||V||_2 T).
-WITNESS_AMPLITUDE_SCALE = (0.1, 100.0)
-WITNESS_SEED_OFFSET = 7_000_000  # witness seed = seed + offset + horizon index
+# The witness walks tau log-spaced from the top of this range down to its
+# bottom, at amplitudes tau / (||V||_2 int|f|) along each probe f.
+WITNESS_AMPLITUDE_SCALE = (0.1, 1000.0)
 # A witness must score above J(0) + WITNESS_MARGIN (lambda_1 - lambda_N).
 WITNESS_MARGIN = 0.01
 # Check thresholds; every report carries a copy under "tolerances".
@@ -129,6 +130,33 @@ def order_2N2_value(inst: ProblemInstance, forms: DysonForms) -> float | np.ndar
     return float(value) if value.ndim == 0 else value
 
 
+def _line_amplitude(sys: SystemSpec, values: np.ndarray, tau) -> np.ndarray:
+    """tau / (||V||_2 int|f_d|), shape tau.shape + (D,), for the rows f_d of a (D, M) stack.
+
+    The coupling's exponent int ||t f V|| is then tau; a zero control gets inf.
+    """
+    mass = np.abs(values).sum(axis=1) * (sys.horizon / values.shape[1])
+    with np.errstate(divide="ignore"):
+        return np.asarray(tau)[..., None] / (float(np.linalg.norm(v_matrix(sys), 2)) * mass)
+
+
+def _sample_lines(inst: ProblemInstance, values: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """J(z_dk f_d) for the rows f_d of a (D, M) stack of control values at real (D, K) z.
+
+    Scan and the witness sample through it.  Where the plan
+    _taylor_substeps(sys, values, z) gives every step one Taylor substep,
+    one _column_at pass gives the |N> columns; otherwise (more substeps, or
+    a plan that is not finite) propagate_batch, whose eigendecomposition
+    costs the same at any amplitude, and which refuses non-finite controls.
+    """
+    sys = inst.system
+    if np.max(_taylor_substeps(sys, values, z)[1]) == 1.0:
+        columns = _column_at(sys, values, z).reshape(-1, sys.levels, 1)
+    else:
+        columns = propagate_batch(sys, (z[:, :, None] * values[:, None, :]).reshape(-1, values.shape[1]))
+    return objective(columns, inst).reshape(z.shape)
+
+
 @dataclass(frozen=True)
 class TaylorFit:
     """Sampled Taylor coefficients of t -> J(t*f): coefficients[..., k-1] is
@@ -164,8 +192,8 @@ def taylor_fit(inst: ProblemInstance, controls) -> TaylorFit:
     continues the objective to complex z.  It is sampled at the
     K = 2N + CONTOUR_EXTRA_POINTS points z_k = r e^{2 pi i (k + 1/2) / K},
     where conj z_k = z_{K-1-k}, and c_n = Re mean_k J(z_k) z_k^{-n}.  On the
-    radius r = 2 / (||V||_2 int|f|) J stays of order one (Bornemann, Found.
-    Comput. Math. 11, 2011), so one radius serves every order.
+    radius r = 2 / (||V||_2 int|f|) (_line_amplitude) J stays of order one
+    (Bornemann, Found. Comput. Math. 11, 2011), so one radius serves all.
 
     controls is one control, or a sequence on one grid whose contours, each
     on its own radius, are sampled in one stacked pass (_column_at); the
@@ -175,10 +203,8 @@ def taylor_fit(inst: ProblemInstance, controls) -> TaylorFit:
     sys = inst.system
     values, single = _as_stack(sys, controls)
     max_order = 2 * sys.levels
-    mass = np.abs(values).sum(axis=1) * (sys.horizon / values.shape[1])
-    live = np.flatnonzero(mass)
-    radius = np.full(len(values), math.inf)
-    radius[live] = 2.0 / (float(np.linalg.norm(v_matrix(sys), 2)) * mass[live])
+    radius = _line_amplitude(sys, values, 2.0)
+    live = np.flatnonzero(radius < math.inf)
     points = max_order + CONTOUR_EXTRA_POINTS
     unit = np.exp(2j * np.pi * (np.arange(points) + 0.5) / points)
     lam = np.asarray(inst.observable.eigenvalues)
@@ -267,88 +293,80 @@ def lie_rank(sys: SystemSpec) -> LieAlgebraResult:
 
 @dataclass(frozen=True)
 class WitnessResult:
-    """Outcome of the non-optimality search at one horizon: the first control
-    that cleared the threshold, or on a miss (success False) the best drawn.
-    `evaluations` counts the draws propagated up to that control, or `budget`."""
+    """Outcome of the non-optimality search at one horizon: amplitude * probes[probe],
+    the first control to clear the threshold, or on a miss (success False) the
+    best walked.  `evaluations` counts the controls up to that one, or `budget`."""
 
     control: PiecewiseControl
     j_value: float
     success: bool
     evaluations: int
+    probe: int
+    amplitude: float
 
 
-def witness_search(
-    inst: ProblemInstance,
-    seed: int,
-    budget: int,
-    segments: int,
-) -> WitnessResult:
-    """First of `budget` seeded random controls that scores well above the zero control.
+def witness_search(inst: ProblemInstance, probes, budget: int) -> WitnessResult:
+    """First of `budget` controls along the probe lines that scores well above the zero control.
 
-    Each control draws its amplitude log-uniformly over WITNESS_AMPLITUDE_SCALE
-    / (||V||_2 T), then its M values uniformly in [-amp, amp].  The draws
-    are propagated in blocks of block_controls(M), and the first in draw
-    order with J > J(0) + WITNESS_MARGIN (lambda_1 - lambda_N) is returned, with the
-    number of draws up to and including it.  On a miss the best of the
-    `budget` draws comes back with success False.  There is no local
-    refinement: ascent from a control near zero is pulled onto the zero
-    control's plateau (Pechen & Tannor, PRL 106, 120402, 2011).  Failure is
-    an outcome, not an error; good controls are only guaranteed to exist for
-    long enough horizons, and the minimal such horizon is unknown.
+    The walk takes ceil(budget / D) values of tau, log-spaced from the top
+    of WITNESS_AMPLITUDE_SCALE down, and at each the D probes (controls on
+    one grid) in index order, at t = tau / (||V||_2 int|f|).  Its first
+    `budget` controls go through _sample_lines in blocks of
+    block_controls(M); the first with J > J(0) + WITNESS_MARGIN
+    (lambda_1 - lambda_N) is returned, or on a miss the best, with success
+    False.  There is no local refinement: ascent from near zero is pulled
+    onto the zero control's plateau (Pechen & Tannor, PRL 106, 120402,
+    2011).  A miss is an outcome, not an error: the minimal horizon with
+    good controls is unknown.  A zero probe has no scale: DomainError.
     """
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
-    if segments < 1:
-        raise DomainError(f"segments must be >= 1, got {segments}")
     sys = inst.system
-    scale = 1.0 / (float(np.linalg.norm(v_matrix(sys), 2)) * sys.horizon)
-    log_lo, log_hi = (math.log(x) for x in WITNESS_AMPLITUDE_SCALE)
+    values, _ = _as_stack(sys, probes)
+    directions, segments = values.shape
+    lo, hi = WITNESS_AMPLITUDE_SCALE
+    amplitude = _line_amplitude(sys, values, np.geomspace(hi, lo, -(-budget // directions))).reshape(-1)
+    if not np.all(amplitude < math.inf):
+        raise DomainError("a zero probe has no amplitude scale")
+    probe = np.arange(len(amplitude)) % directions
     lam = inst.observable.eigenvalues
     j_zero = objective(propagate(sys, PiecewiseControl(sys.horizon, (0.0,) * segments)), inst)
     threshold = j_zero + WITNESS_MARGIN * (lam[0] - lam[-1])
-
-    # Each control draws its amplitude, then its values, so the stream is the
-    # one a control-at-a-time loop reads, whatever the block size.  Both are
-    # formed as numpy's uniform(low, high) forms them, low + (high - low) u.
-    stream = _PCG64(seed)
-    drawn = np.empty((0, segments))
-    best_vals, best_j, evals = None, -math.inf, budget
+    best, best_j, evals = 0, -math.inf, budget
     rows = block_controls(segments)
     for start in range(0, budget, rows):
-        if not len(drawn):
-            # Draw ahead as many controls as were drawn so far, at least one
-            # block: a miss makes a few stream calls, not one per block, and
-            # a hit leaves at most as many draws unused as it used.
-            count = min(budget - start, max(rows, start))
-            u = stream.random(count * (1 + segments)).reshape(count, 1 + segments)
-            amp = np.array([scale * math.exp(log_lo + (log_hi - log_lo) * x) for x in u[:, 0].tolist()])
-            drawn = -amp[:, None] + (2.0 * amp)[:, None] * u[:, 1:]
-        block, drawn = drawn[:rows], drawn[rows:]
-        js = objective(propagate_batch(sys, block), inst)
+        walk = slice(start, min(start + rows, budget))
+        js = _sample_lines(inst, values[probe[walk]], amplitude[walk, None])[:, 0]
         hits = np.flatnonzero(js > threshold)
-        # A hit beats every earlier draw, as none of them cleared the threshold.
+        # A hit beats every earlier control, as none of them cleared the threshold.
         k = int(hits[0]) if hits.size else int(np.argmax(js))
         if js[k] > best_j:
-            best_j, best_vals = float(js[k]), block[k]
+            best, best_j = start + k, float(js[k])
         if hits.size:
-            evals = start + k + 1
+            evals = best + 1
             break
+    t = float(amplitude[best])
     return WitnessResult(
-        control=PiecewiseControl(sys.horizon, tuple(float(x) for x in best_vals)),
+        control=PiecewiseControl(sys.horizon, tuple((t * values[probe[best]]).tolist())),
         j_value=best_j,
         success=best_j > threshold,
         evaluations=evals,
+        probe=int(probe[best]),
+        amplitude=t,
     )
 
 
 @dataclass(frozen=True)
 class CertificateConfig:
     """Sampling budget for trap_certificate: how many probe directions, from
-    which seed, on how many segments, and how hard the witness searches.
+    which seed, on how many segments, and how many controls the witness may
+    walk along those probe lines at each of its horizons.
 
-    The defaults and range checks here are the only ones; an out-of-range
-    field raises ConfigError naming it.  Everything else about the
-    certificate is fixed by the module constants.
+    At T the witness walks the certificate's own probes; at any other
+    horizon in witness_horizons, the probe directions of the same seed and
+    segments on that horizon.  The defaults and range checks here are the
+    only ones; an out-of-range field raises ConfigError naming it.
+    Everything else about the certificate is fixed by the module constants.
     """
 
     amplitude: ClassVar[float] = PROBE_AMPLITUDE  # for callers that regenerate probe directions
@@ -440,16 +458,13 @@ def probe_direction(seed: int, index: int, segments: int, horizon: float) -> Pie
     return PiecewiseControl(float(horizon), tuple(vals.tolist()))
 
 
-def _certificate_rows(inst: ProblemInstance, cfg: CertificateConfig) -> list[dict]:
-    """One row per probe direction: forms, differentials and Taylor fit.
-
-    Every direction goes through the forms and the contour together, one
-    stacked pass each.
+def _certificate_rows(inst: ProblemInstance, probes: list[PiecewiseControl], seed: int) -> list[dict]:
+    """One row per probe direction probes[i] = probe_direction(seed, i, M, T):
+    forms, differentials and Taylor fit, each one stacked pass over all.
     """
     sys = inst.system
     nlev = sys.levels
     n_top = 2 * nlev - 2
-    probes = [probe_direction(cfg.seed, i, cfg.segments, sys.horizon) for i in range(cfg.directions)]
 
     forms = dyson_forms(sys, probes, n_max=n_top)
     diffs = np.stack([differential(inst, forms, n) for n in range(1, n_top + 1)], axis=1)
@@ -466,7 +481,7 @@ def _certificate_rows(inst: ProblemInstance, cfg: CertificateConfig) -> list[dic
         rows.append(
             {
                 "index": index,
-                "seed": probe_seed(cfg.seed, index),
+                "seed": probe_seed(seed, index),
                 "mean_zero": mean_zero,
                 "offset": offset,
                 "norm": norm(f),
@@ -605,6 +620,9 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
         "segments": cfg.segments,
     }
 
+    def probes_at(horizon: float) -> list[PiecewiseControl]:
+        return [probe_direction(cfg.seed, i, cfg.segments, horizon) for i in range(cfg.directions)]
+
     stage = "directions"
     rows: list[dict] = []
     checks: list[CheckResult] = []
@@ -612,7 +630,8 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
     lie_row: dict = {}
     failed_stage = None
     try:
-        rows = _certificate_rows(inst, cfg)
+        probes = probes_at(sys.horizon)
+        rows = _certificate_rows(inst, probes, cfg.seed)
 
         stage = "checks"
         checks.extend(_direction_checks(rows, nlev))
@@ -631,17 +650,18 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
         )
 
         stage = "witness"
-        for k, horizon in enumerate(cfg.witness_horizons or (sys.horizon,)):
+        for horizon in cfg.witness_horizons or (sys.horizon,):
             winst = ProblemInstance(replace(sys, horizon=float(horizon)), inst.observable)
-            wseed = cfg.seed + WITNESS_SEED_OFFSET + k
-            res = witness_search(winst, seed=wseed, budget=cfg.witness_budget, segments=cfg.segments)
+            wprobes = probes if horizon == sys.horizon else probes_at(horizon)
+            res = witness_search(winst, wprobes, cfg.witness_budget)
             witness_rows.append(
                 {
                     "horizon": float(horizon),
-                    "best_j": res.j_value,
+                    "j_value": res.j_value,
                     "success": res.success,
                     "evaluations": res.evaluations,
-                    "seed": wseed,
+                    "probe": res.probe,
+                    "amplitude": res.amplitude,
                 }
             )
         lam = inst.observable.eigenvalues
@@ -649,7 +669,7 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
             CheckResult(
                 name="witness_found",
                 passed=any(w["success"] for w in witness_rows),
-                measured=max(w["best_j"] for w in witness_rows),
+                measured=max(w["j_value"] for w in witness_rows),
                 threshold=WITNESS_MARGIN * (lam[0] - lam[-1]),
                 description="best-effort evidence that the zero control is not a global "
                 "maximum (excluded from the verdict: the minimal sufficient horizon is "

@@ -6,10 +6,10 @@ right: a complex-Hermitian eigendecomposition and the unitary exponential
 built on it, element-wise interaction-picture matrices, the closed forms of
 the low orders, a brute-force enumeration and a plain midpoint quadrature of
 the max-kernel integral for A^{N-1}_1, the resummation of the forms
-against the propagator, a plain Taylor-action loop for the |N> column, and
-the witness search drawing from numpy's own generator.  The control
-builders constant and zero and the control-file writer live here too, as
-only the tests use them.  Test files import it as `from oracles import
+against the propagator, and a plain Taylor-action loop for the |N>
+column.  The control builders constant and zero, the control-file writer
+and a seeded family of random instances live here too, as only the tests
+use them.  Test files import it as `from oracles import
 ...`.  Only numpy and the package are imported, so the suite needs nothing
 beyond numpy and pytest.
 """
@@ -20,20 +20,25 @@ import math
 
 import numpy as np
 
-from trapscope import landscape
 from trapscope.controls import PiecewiseControl, integral
 from trapscope.dynamics import (
     _check_horizon,
     _taylor_substeps,
     _taylor_terms,
-    block_controls,
     dyson_forms,
-    objective,
     propagate,
-    propagate_batch,
 )
 from trapscope.errors import BadDimension, DomainError, TrapscopeError
-from trapscope.model import SystemSpec, energies, h0_matrix, v_matrix
+from trapscope.model import (
+    ProblemInstance,
+    SystemSpec,
+    build_instance,
+    build_observable,
+    build_system,
+    energies,
+    h0_matrix,
+    v_matrix,
+)
 
 
 class NotHermitian(TrapscopeError):
@@ -357,44 +362,29 @@ def column_reference(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.n
     return np.ascontiguousarray(psi.T).reshape(*z.shape, sys.levels)
 
 
-# ---------------------------------------------------------------- witness
+# ---------------------------------------------------------------- instances
 
 
-def witness_search_reference(inst, seed: int, budget: int, segments: int) -> landscape.WitnessResult:
-    """landscape.witness_search with its draws from np.random.default_rng.
+def random_instances(count: int = 120) -> list[tuple[ProblemInstance, int]]:
+    """`count` random instances with their certificate seeds, from default_rng(12345).
 
-    The search loop as it stood before the package drew from its own
-    stream: per control one scalar uniform for the log-amplitude, then M
-    values, in blocks of block_controls(M).  The landscape constants are
-    read at call time, so a test that patches them patches both searches.
+    Each instance draws, in this order: N uniform in 3..10; a, then b,
+    uniform in [-3, 3]; the signs of its N - 1 couplings, then their
+    magnitudes log-uniform in [0.2, 3]; T log-uniform in [pi/2, 8 pi]; the
+    N - 3 inner eigenvalues uniform in (-0.9, 0.9), sorted descending
+    between lambda_1 = 1 and lambda_{N-1}, lambda_N = -1, 0; and the
+    certificate seed uniform in 0..999.
     """
-    sys = inst.system
-    scale = 1.0 / (float(np.linalg.norm(v_matrix(sys), 2)) * sys.horizon)
-    log_lo, log_hi = (math.log(x) for x in landscape.WITNESS_AMPLITUDE_SCALE)
-    lam = inst.observable.eigenvalues
-    j_zero = objective(propagate(sys, PiecewiseControl(sys.horizon, (0.0,) * segments)), inst)
-    threshold = j_zero + landscape.WITNESS_MARGIN * (lam[0] - lam[-1])
-
-    rng = np.random.default_rng(int(seed))
-    best_vals, best_j, evals = None, -math.inf, budget
-    rows = block_controls(segments)
-    for start in range(0, budget, rows):
-        block = np.empty((min(rows, budget - start), segments))
-        for draw in block:
-            amp = scale * math.exp(rng.uniform(log_lo, log_hi))
-            draw[:] = rng.uniform(-amp, amp, segments)
-        js = objective(propagate_batch(sys, block), inst)
-        hits = np.flatnonzero(js > threshold)
-        # A hit beats every earlier draw, as none of them cleared the threshold.
-        k = int(hits[0]) if hits.size else int(np.argmax(js))
-        if js[k] > best_j:
-            best_j, best_vals = float(js[k]), block[k]
-        if hits.size:
-            evals = start + k + 1
-            break
-    return landscape.WitnessResult(
-        control=PiecewiseControl(sys.horizon, tuple(float(x) for x in best_vals)),
-        j_value=best_j,
-        success=best_j > threshold,
-        evaluations=evals,
-    )
+    rng = np.random.default_rng(12345)
+    out = []
+    for _ in range(count):
+        levels = int(rng.integers(3, 11))
+        a, b = float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))
+        sign = rng.choice([-1.0, 1.0], levels - 1)
+        couplings = sign * np.exp(rng.uniform(math.log(0.2), math.log(3.0), levels - 1))
+        horizon = float(np.exp(rng.uniform(math.log(math.pi / 2), math.log(8 * math.pi))))
+        inner = np.sort(rng.uniform(-0.9, 0.9, levels - 3))[::-1]
+        seed = int(rng.integers(0, 1000))
+        system = build_system(levels, a, b, tuple(couplings.tolist()), horizon)
+        out.append((build_instance(system, build_observable((1.0, *inner.tolist(), -1.0, 0.0))), seed))
+    return out

@@ -145,7 +145,7 @@ def test_certify_reference_instance(tmp_path, capsys):
     assert code == 0
     assert "overall: PASS" in captured.out
     payload = json.loads(out.read_text())
-    assert payload["schema"] == "trapscope/3"
+    assert payload["schema"] == "trapscope/4"
     assert payload["claimed_order"] == 3
     assert payload["passed"] is True
 
@@ -220,13 +220,19 @@ def test_certify_unresolvable_couplings_fail_their_stage(tmp_path, capsys, v, st
 @pytest.mark.parametrize(
     "budget, line",
     [
-        # seed 7's first two witness draws miss and its third hits
-        ("2", "  witness horizon 6.28319: best J -2.23531e-05 of 2 draws (miss)"),
-        ("3", "  witness horizon 6.28319: first hit J 0.267357 after 3 draws"),
+        # On T = 0.5 the walk of seed 7's two probes misses at amplitude
+        # tau = 1000; with budget 10 it steps tau over 1000, 178, 32, 5.6, 1
+        # and hits on probe 1 at tau = 178, its 4th control.
+        pytest.param(
+            "2", "  witness horizon 0.5: best J 0.00363029 on probe 0 at t 3311.02 of 2 evaluations (miss)", id="miss"
+        ),
+        pytest.param(
+            "10", "  witness horizon 0.5: first hit J 0.996001 on probe 1 at t 340.667 after 4 evaluations", id="hit"
+        ),
     ],
 )
 def test_certify_summary_names_the_witness_outcome(tmp_path, capsys, budget, line):
-    cfg = write_config(tmp_path / "n3.cfg", witness_budget=budget)
+    cfg = write_config(tmp_path / "n3.cfg", T="0.5", witness_budget=budget)
     assert main(["certify", cfg, "--out", str(tmp_path / "r.json")]) == 0
     assert line in capsys.readouterr().out.splitlines()
 

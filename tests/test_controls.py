@@ -151,23 +151,6 @@ def test_stream_is_numpys_pcg64(seed):
         assert stream.uniform(0.5, 3.0, n).tobytes() == rng.uniform(0.5, 3.0, n).tobytes(), n
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2**64 + 1])
-@pytest.mark.parametrize("segments", [8, 64, 100])
-def test_stream_gives_the_witness_draws(seed, segments):
-    # The witness draws rows x (1 + M) doubles in one call and forms each
-    # control's amplitude and values from them as numpy's scalar and array
-    # uniform calls do, one amplitude then M values per control.
-    lo, hi, scale = math.log(0.1), math.log(100.0), 0.37
-    rng, stream = np.random.default_rng(seed), _PCG64(seed)
-    for rows in (3, 1, 2):
-        u = stream.random(rows * (1 + segments)).reshape(rows, 1 + segments)
-        for row in u:
-            amp = scale * math.exp(rng.uniform(lo, hi))
-            assert scale * math.exp(lo + (hi - lo) * float(row[0])) == amp
-            values = -amp + (2.0 * amp) * row[1:]
-            assert values.tobytes() == rng.uniform(-amp, amp, segments).tobytes()
-
-
 def test_stream_refuses_a_negative_seed():
     with pytest.raises(ValueError):
         np.random.default_rng(-1)

@@ -35,7 +35,7 @@ from trapscope.landscape import (
 )
 from trapscope.model import build_instance, build_observable, build_system, v_matrix
 
-from oracles import constant, sample_midpoints, witness_search_reference
+from oracles import constant, random_instances, sample_midpoints
 
 TWO_PI = 2 * math.pi
 
@@ -391,7 +391,8 @@ def test_certificate_rows_match_a_per_direction_loop(levels):
     v_norm = float(np.linalg.norm(v_matrix(inst.system), 2))
     orders = np.arange(n_top + 1)
     rel = 1e-10 if levels < 8 else 1e-8
-    rows = landscape._certificate_rows(inst, cfg)
+    probes = [probe_direction(cfg.seed, i, cfg.segments, TWO_PI) for i in range(cfg.directions)]
+    rows = landscape._certificate_rows(inst, probes, cfg.seed)
     for row, (ref, forms, f) in zip(rows, reference_rows(inst, cfg), strict=True):
         assert row.keys() == ref.keys()
         for key in ("index", "seed", "mean_zero", "offset", "norm", "integral", "substeps_used",
@@ -477,9 +478,17 @@ def test_lie_rank_invariant_under_coupling_rescale():
 # ---------------------------------------------------------------- witness
 
 
+_RANDOM = random_instances()
+
+
+def probes_for(inst, seed=20240901, directions=8, segments=64):
+    """The certificate's probe directions on the instance's horizon."""
+    return [probe_direction(seed, i, segments, inst.system.horizon) for i in range(directions)]
+
+
 def test_witness_respects_kinematic_bound():
     inst = n3_instance()
-    res = witness_search(inst, seed=7, budget=40, segments=32)
+    res = witness_search(inst, probes_for(inst, seed=7, segments=32), budget=40)
     assert res.j_value <= 1.0 + 1e-12
     if res.success:
         assert res.evaluations <= 40
@@ -489,55 +498,72 @@ def test_witness_respects_kinematic_bound():
 
 def test_witness_deterministic():
     inst = n3_instance()
-    a = witness_search(inst, seed=11, budget=25, segments=16)
-    b = witness_search(inst, seed=11, budget=25, segments=16)
-    assert a.j_value == b.j_value
-    assert a.control.values == b.control.values
+    probes = probes_for(inst, seed=11, segments=16)
+    a = witness_search(inst, probes, budget=25)
+    b = witness_search(inst, probes, budget=25)
+    assert a == b
 
 
-def serial_witness_search(inst, seed, budget, segments):
-    """The witness search as one propagate per draw, stopping at the first hit."""
+def serial_witness_walk(inst, probes, budget):
+    """The witness walk as one propagate per control, stopping at the first hit.
+
+    (probe, amplitude, J, success, evaluations) of the first hit, or of the
+    best control on a miss.
+    """
     sys = inst.system
-    scale = 1.0 / (float(np.linalg.norm(v_matrix(sys), 2)) * sys.horizon)
-    lo, hi = (math.log(x) for x in landscape.WITNESS_AMPLITUDE_SCALE)
+    lo, hi = landscape.WITNESS_AMPLITUDE_SCALE
+    v_norm = float(np.linalg.norm(v_matrix(sys), 2))
     lam = inst.observable.eigenvalues
-    zero = PiecewiseControl(sys.horizon, (0.0,) * segments)
+    zero = PiecewiseControl(sys.horizon, (0.0,) * probes[0].segments)
     threshold = objective(propagate(sys, zero), inst) + 0.01 * (lam[0] - lam[-1])
-    rng = np.random.default_rng(seed)
-    best_vals, best_j = None, -math.inf
-    for draw in range(1, budget + 1):
-        amp = scale * math.exp(rng.uniform(lo, hi))
-        vals = rng.uniform(-amp, amp, segments)
-        j = objective(propagate(sys, PiecewiseControl(sys.horizon, tuple(float(x) for x in vals))), inst)
+    taus = np.geomspace(hi, lo, -(-budget // len(probes)))
+    walk = [(k, tau) for tau in taus for k in range(len(probes))][:budget]
+    best = (None, None, -math.inf, False, budget)
+    for count, (k, tau) in enumerate(walk, start=1):
+        f = probes[k]
+        t = tau / (v_norm * float(np.sum(np.abs(f.as_array())) * (sys.horizon / f.segments)))
+        j = objective(propagate(sys, f.scaled(t)), inst)
         if j > threshold:
-            return vals, j, True, draw
-        if j > best_j:
-            best_vals, best_j = vals, j
-    return best_vals, best_j, False, budget
+            return k, t, j, True, count
+        if j > best[2]:
+            best = (k, t, j, False, budget)
+    return best
 
 
-@pytest.mark.parametrize("seed", [3, 611, 20240901, 0])
-def test_witness_batched_draws_match_serial_search(seed):
-    # Blocks of 16 draws.  The first hit falls at draw 5 (seed 3), 2 (611),
-    # 17, the first of the second block (20240901), and 22, mid second block
-    # (0).  A budget that ends just before the hit exhausts it: a miss.
-    inst = n4_instance()
-    segments = 16
-    assert block_controls(segments) == 16
+@pytest.mark.parametrize(
+    "index, segments, budget, first_hit",
+    [(50, 16, 160, 22), (62, 16, 160, 31), (16, 16, 160, 71), (6, 16, 160, None), (41, 64, 5, 5)],
+)
+def test_witness_blocks_match_serial_walk(index, segments, budget, first_hit):
+    # Six probes, so the blocks of block_controls(M) controls (16 on 16
+    # segments, 4 on 64) end in the middle of an amplitude's six.  The first
+    # hits fall mid-block (22, 31) and in the fifth block (71); instance 6
+    # misses all 160 and returns its best.  The amplitudes depend on the
+    # budget, through ceil(budget / 6); instance 41 hits at the last of 5
+    # controls, in a second block, so a budget of 4 walks the same
+    # amplitudes one control short of the hit, and misses.
+    inst, seed = _RANDOM[index]
+    probes = probes_for(inst, seed=seed, directions=6, segments=segments)
+    assert block_controls(segments) == {16: 16, 64: 4}[segments]
 
     def check(budget):
-        res = witness_search(inst, seed=seed, budget=budget, segments=segments)
-        vals, j, success, evals = serial_witness_search(inst, seed, budget, segments)
-        assert res.control.values == tuple(float(x) for x in vals)
-        assert res.j_value == j
-        assert res.success == success
-        assert res.evaluations == evals
+        res = witness_search(inst, probes, budget)
+        probe, t, j, success, evals = serial_witness_walk(inst, probes, budget)
+        assert (res.probe, res.success, res.evaluations) == (probe, success, evals)
+        assert res.amplitude == pytest.approx(t, rel=1e-15)
+        assert res.j_value == pytest.approx(j, rel=1e-12, abs=1e-15)
+        assert res.control == probes[probe].scaled(res.amplitude)
+        j_control = objective(propagate(inst.system, res.control), inst)
+        assert j_control == pytest.approx(res.j_value, rel=1e-12, abs=1e-15)
         return res
 
-    hit = check(3 * 16 + 5)
-    assert hit.success and hit.evaluations == {3: 5, 611: 2, 20240901: 17, 0: 22}[seed]
-    miss = check(hit.evaluations - 1)
-    assert not miss.success and miss.evaluations == hit.evaluations - 1
+    res = check(budget)
+    assert res.success == (first_hit is not None)
+    if res.success:
+        assert res.evaluations == first_hit
+    if first_hit == budget:
+        miss = check(budget - 1)
+        assert not miss.success and miss.evaluations == budget - 1
 
 
 def test_probe_direction_is_the_shifted_draw():
@@ -549,55 +575,54 @@ def test_probe_direction_is_the_shifted_draw():
         assert probe_direction(611, index, 64, TWO_PI) == (f.shifted(offset) if offset else f)
 
 
-@pytest.mark.parametrize("segments, rows, budget", [(8, 32, 45), (64, 4, 37), (100, 2, 7)])
-def test_witness_miss_matches_numpy_draws(monkeypatch, segments, rows, budget):
-    # With a margin nothing can clear, every draw is propagated and scored,
-    # over blocks of `rows`, draws taken ahead over several blocks, and a
-    # last partial block; the best control, its J and the count must be
-    # those of the search drawing from numpy one block at a time.
-    monkeypatch.setattr(landscape, "WITNESS_MARGIN", 1e9)
-    assert block_controls(segments) == rows
-    inst = n4_instance()
-    res = witness_search(inst, seed=20240901 + landscape.WITNESS_SEED_OFFSET, budget=budget, segments=segments)
-    ref = witness_search_reference(inst, 20240901 + landscape.WITNESS_SEED_OFFSET, budget, segments)
-    assert not res.success and not ref.success
-    assert res.control.values == ref.control.values
-    assert res.j_value == ref.j_value
-    assert res.evaluations == ref.evaluations == budget
+def witness_ladder(levels, horizon, coupling):
+    sys = build_system(levels, 1.0, 0.0, (coupling,) * (levels - 1), horizon)
+    return build_instance(sys, build_observable((1.0, *np.linspace(0.5, 0.1, levels - 3), -1.0, 0.0)))
+
+
+# Instances of random_instances(), N = 3..10 in order.  On those with
+# N = 6..10, budget-500 searches over random controls of amplitude
+# [0.1, 100] / (||V||_2 T) missed.  Some hit late in the walk (evaluation
+# 132 on instance 16, 101 on 85), at its smaller amplitudes.
+WITNESS_RANDOM = (2, 16, 82, 79, 31, 7, 35, 107, 29, 100, 13, 67, 85)
 
 
 @pytest.mark.parametrize(
-    "levels, horizon, coupling",
+    "inst, seed",
     [
-        (4, TWO_PI, 1.0),
-        (8, TWO_PI, 1.0),
-        (10, TWO_PI, 1.0),
-        (12, TWO_PI, 1.0),
-        (4, math.pi / 2, 1.0),
-        (12, math.pi, 1.0),
-        (8, TWO_PI, 0.5),
-        (4, 4 * TWO_PI, 4.0),
-    ],
+        pytest.param(witness_ladder(levels, horizon, coupling), 20240901, id=f"{levels}-{horizon}-{coupling}")
+        for levels, horizon, coupling in [
+            (4, TWO_PI, 1.0),
+            (8, TWO_PI, 1.0),
+            (10, TWO_PI, 1.0),
+            (12, TWO_PI, 1.0),
+            (4, math.pi / 2, 1.0),
+            (12, math.pi, 1.0),
+            (8, TWO_PI, 0.5),
+            (4, 4 * TWO_PI, 4.0),
+        ]
+    ]
+    + [pytest.param(*_RANDOM[k], id=f"random-{k}") for k in WITNESS_RANDOM],
 )
-def test_witness_hits_at_the_horizon(levels, horizon, coupling):
-    # The certificate's witness search at T (default seed, budget and
-    # segments) clears the threshold on every instance, from short horizons
-    # and weak coupling to N = 12.
-    sys = build_system(levels, 1.0, 0.0, (coupling,) * (levels - 1), horizon)
-    lam = (1.0, *np.linspace(0.5, 0.1, levels - 3), -1.0, 0.0)
-    inst = build_instance(sys, build_observable(lam))
-    cfg = CertificateConfig()
-    res = witness_search(
-        inst, seed=cfg.seed + landscape.WITNESS_SEED_OFFSET, budget=cfg.witness_budget, segments=cfg.segments
-    )
+def test_witness_hits_at_the_horizon(inst, seed):
+    # The certificate's witness at T (its probes, budget and segments)
+    # clears the threshold on every instance, from short horizons and weak
+    # coupling to N = 12, and on random instances up to N = 10.
+    cfg = CertificateConfig(seed=seed)
+    res = witness_search(inst, probes_for(inst, seed, cfg.directions, cfg.segments), cfg.witness_budget)
+    lam = inst.observable.eigenvalues
     assert res.success and res.j_value > 0.01 * (lam[0] - lam[-1])
     assert res.evaluations <= cfg.witness_budget
 
 
 def test_witness_budget_validation():
-    for budget, segments in ((0, 16), (1, 0), (1, -3)):
-        with pytest.raises(DomainError):
-            witness_search(n3_instance(), seed=1, budget=budget, segments=segments)
+    inst = n3_instance()
+    with pytest.raises(DomainError):
+        witness_search(inst, probes_for(inst, segments=16), budget=0)
+    with pytest.raises(DomainError):
+        witness_search(inst, [], budget=1)
+    with pytest.raises(DomainError):
+        witness_search(inst, [constant(0.0, TWO_PI, 16)], budget=1)
 
 
 # ---------------------------------------------------------------- certificate
@@ -771,13 +796,33 @@ def test_certificate_failed_stage_keeps_earlier_checks(monkeypatch):
     json.dumps(report.as_dict(), sort_keys=True)
 
 
-def test_certificate_witness_miss_does_not_fail_verdict():
-    # the single witness draw of this seed misses, but the witness outcome
-    # is informational and the certificate still passes
+def test_certificate_witness_miss_does_not_fail_verdict(monkeypatch):
+    # with a margin no control can clear, the single witness evaluation
+    # misses, but the witness outcome is informational and the certificate
+    # still passes
+    monkeypatch.setattr(landscape, "WITNESS_MARGIN", 1e9)
     report = trap_certificate(n3_instance(), quick_config(witness_budget=1))
     assert report.witness[0]["evaluations"] == 1
     assert not report.check("witness_found").passed
     assert report.passed
+
+
+def test_certificate_witness_walks_each_horizons_probes():
+    # At T the witness walks the certificate's own probes; at 2T, the probes
+    # of the same seed and segments rebuilt on 2T.
+    cfg = quick_config(segments=32, witness_horizons=(TWO_PI, 2 * TWO_PI))
+    report = trap_certificate(n3_instance(), cfg)
+    for row, horizon in zip(report.witness, cfg.witness_horizons, strict=True):
+        inst = n3_instance(horizon=horizon)
+        res = witness_search(inst, probes_for(inst, cfg.seed, cfg.directions, cfg.segments), cfg.witness_budget)
+        assert row == {
+            "horizon": horizon,
+            "j_value": res.j_value,
+            "success": res.success,
+            "evaluations": res.evaluations,
+            "probe": res.probe,
+            "amplitude": res.amplitude,
+        }
 
 
 def test_certificate_kernel_agrees_with_order_value():

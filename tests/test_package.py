@@ -33,7 +33,7 @@ def test_cli_import_leaves_the_oracles_out():
 
 
 def test_commands_never_load_numpy_random(tmp_path):
-    # The package draws from its own copy of numpy's PCG64 stream; loading
+    # The probe directions draw from the package's own copy of numpy's PCG64 stream; loading
     # numpy.random (and OpenSSL with it) would cost every process 10-15 ms.
     example = os.path.join(os.path.dirname(TESTS), "examples", "n3.cfg")
     control = tmp_path / "f.ctl"
