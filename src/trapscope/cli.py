@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys as _sys
-import tempfile
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
@@ -231,13 +230,12 @@ def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0,
     # The rows go to a temporary file beside out, which replaces out only once
     # every block is written: a scan that fails keeps any earlier file at out
     # and leaves no partial one.  Rows are written as they come, so memory
-    # stays flat in the number of rows.  The file gets the mode open() would
-    # give it, not mkstemp's 0600.
-    fd, tmp = tempfile.mkstemp(prefix=".scan-", suffix=".csv", dir=os.path.dirname(os.path.abspath(out)))
+    # stays flat in the number of rows.  The file is created new under a
+    # random name with mode 0666, which the kernel reduces by the umask, as
+    # open() would.
+    tmp = os.path.join(os.path.dirname(os.path.abspath(out)), f".scan-{os.urandom(8).hex()}.csv")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("seed,mean_zero,t,J\n")
             for lo in range(0, len(values), rows):

@@ -324,6 +324,12 @@ _SERIES_CHECK_TOL = 1e-12
 
 
 @lru_cache(maxsize=16)
+def _v_norm(sys: SystemSpec) -> float:
+    """||V||_2, the spectral norm of the coupling operator, once per system."""
+    return float(np.linalg.norm(v_matrix(sys), 2))
+
+
+@lru_cache(maxsize=16)
 def _segment_series(sys: SystemSpec, dt: float, n_max: int) -> np.ndarray:
     """Coefficients C_0..C_{n_max} of the segment step, as a read-only stack.
 
@@ -338,7 +344,7 @@ def _segment_series(sys: SystemSpec, dt: float, n_max: int) -> np.ndarray:
     v = v_matrix(sys)
     # The natural size of C_k is s^k / k!, s = ||dt V||_2; it is log-concave in
     # k and 1 at k = 0, so its smallest value on 0..n_max is that of k = n_max.
-    s = dt * float(np.linalg.norm(v, 2))
+    s = dt * _v_norm(sys)
     log_size = n_max * math.log(s) - math.lgamma(n_max + 1) if s > 0.0 else -math.inf
     if log_size < math.log(np.finfo(float).tiny):
         raise DomainError(
@@ -396,7 +402,7 @@ def _taylor_substeps(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> tupl
     """
     dt = sys.horizon / values.shape[1]
     peaks = np.max(np.abs(values) * np.max(np.abs(z), axis=1)[:, None], axis=0)
-    theta = dt * (abs(sys.omega) + peaks * float(np.linalg.norm(v_matrix(sys), 2)))
+    theta = dt * (abs(sys.omega) + peaks * _v_norm(sys))
     return theta, np.maximum(1.0, np.ceil(2.0 * theta))
 
 

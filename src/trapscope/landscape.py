@@ -49,6 +49,7 @@ from .dynamics import (
     _as_stack,
     _column_at,
     _taylor_substeps,
+    _v_norm,
     block_controls,
     direction_block,
     dyson_forms,
@@ -130,14 +131,14 @@ def order_2N2_value(inst: ProblemInstance, forms: DysonForms) -> float | np.ndar
     return float(value) if value.ndim == 0 else value
 
 
-def _line_amplitude(sys: SystemSpec, values: np.ndarray, tau) -> np.ndarray:
-    """tau / (||V||_2 int|f_d|), shape tau.shape + (D,), for the rows f_d of a (D, M) stack.
+def _line_scale(sys: SystemSpec, values: np.ndarray) -> np.ndarray:
+    """||V||_2 int|f_d| for the rows f_d of a (D, M) stack.
 
-    The coupling's exponent int ||t f V|| is then tau; a zero control gets inf.
+    Along the line t f_d the coupling's exponent int ||t f_d V|| is t times
+    this, so the amplitude tau / scale puts it at tau; a zero control has
+    scale 0.
     """
-    mass = np.abs(values).sum(axis=1) * (sys.horizon / values.shape[1])
-    with np.errstate(divide="ignore"):
-        return np.asarray(tau)[..., None] / (float(np.linalg.norm(v_matrix(sys), 2)) * mass)
+    return _v_norm(sys) * (np.abs(values).sum(axis=1) * (sys.horizon / values.shape[1]))
 
 
 def _sample_lines(inst: ProblemInstance, values: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -192,7 +193,7 @@ def taylor_fit(inst: ProblemInstance, controls) -> TaylorFit:
     continues the objective to complex z.  It is sampled at the
     K = 2N + CONTOUR_EXTRA_POINTS points z_k = r e^{2 pi i (k + 1/2) / K},
     where conj z_k = z_{K-1-k}, and c_n = Re mean_k J(z_k) z_k^{-n}.  On the
-    radius r = 2 / (||V||_2 int|f|) (_line_amplitude) J stays of order one
+    radius r = 2 / (||V||_2 int|f|) (_line_scale) J stays of order one
     (Bornemann, Found. Comput. Math. 11, 2011), so one radius serves all.
 
     controls is one control, or a sequence on one grid whose contours, each
@@ -203,7 +204,8 @@ def taylor_fit(inst: ProblemInstance, controls) -> TaylorFit:
     sys = inst.system
     values, single = _as_stack(sys, controls)
     max_order = 2 * sys.levels
-    radius = _line_amplitude(sys, values, 2.0)
+    with np.errstate(divide="ignore"):
+        radius = 2.0 / _line_scale(sys, values)
     live = np.flatnonzero(radius < math.inf)
     points = max_order + CONTOUR_EXTRA_POINTS
     unit = np.exp(2j * np.pi * (np.arange(points) + 0.5) / points)
@@ -325,18 +327,24 @@ def witness_search(inst: ProblemInstance, probes, budget: int) -> WitnessResult:
     values, _ = _as_stack(sys, probes)
     directions, segments = values.shape
     lo, hi = WITNESS_AMPLITUDE_SCALE
-    amplitude = _line_amplitude(sys, values, np.geomspace(hi, lo, -(-budget // directions))).reshape(-1)
-    if not np.all(amplitude < math.inf):
-        raise DomainError("a zero probe has no amplitude scale")
-    probe = np.arange(len(amplitude)) % directions
+    scale = _line_scale(sys, values)
+    with np.errstate(divide="ignore"):
+        if not np.all(hi / scale < math.inf):
+            raise DomainError("a zero probe has no amplitude scale")
+    taus = np.geomspace(hi, lo, -(-budget // directions))
+
+    def walked(i):
+        """Probe index and amplitude of control(s) i of the walk."""
+        return i % directions, taus[i // directions] / scale[i % directions]
+
     lam = inst.observable.eigenvalues
     j_zero = objective(propagate(sys, PiecewiseControl(sys.horizon, (0.0,) * segments)), inst)
     threshold = j_zero + WITNESS_MARGIN * (lam[0] - lam[-1])
     best, best_j, evals = 0, -math.inf, budget
     rows = block_controls(segments)
     for start in range(0, budget, rows):
-        walk = slice(start, min(start + rows, budget))
-        js = _sample_lines(inst, values[probe[walk]], amplitude[walk, None])[:, 0]
+        probe, amplitude = walked(np.arange(start, min(start + rows, budget)))
+        js = _sample_lines(inst, values[probe], amplitude[:, None])[:, 0]
         hits = np.flatnonzero(js > threshold)
         # A hit beats every earlier control, as none of them cleared the threshold.
         k = int(hits[0]) if hits.size else int(np.argmax(js))
@@ -345,14 +353,14 @@ def witness_search(inst: ProblemInstance, probes, budget: int) -> WitnessResult:
         if hits.size:
             evals = best + 1
             break
-    t = float(amplitude[best])
+    probe, t = walked(best)
     return WitnessResult(
-        control=PiecewiseControl(sys.horizon, tuple((t * values[probe[best]]).tolist())),
+        control=PiecewiseControl(sys.horizon, tuple((t * values[probe]).tolist())),
         j_value=best_j,
         success=best_j > threshold,
         evaluations=evals,
-        probe=int(probe[best]),
-        amplitude=t,
+        probe=probe,
+        amplitude=float(t),
     )
 
 

@@ -375,6 +375,19 @@ def test_scan_row_count_and_determinism(tmp_path):
     assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
+def test_scan_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    # The kernel applies the umask when the rows' file is created, so scan
+    # never reads it by setting it, which would change it process-wide.
+    cfg = write_config(tmp_path / "c.cfg")
+
+    def refuse(mask):
+        raise AssertionError(f"scan called os.umask({mask:#o})")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    assert main(["scan", cfg, "--out", str(tmp_path / "scan.csv"), "--points", "3"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "scan.csv"]
+
+
 @pytest.mark.parametrize("tmax", ["nan", "inf", "0"])
 def test_scan_rejects_bad_tmax_before_writing(tmp_path, capsys, tmax):
     cfg = write_config(tmp_path / "c.cfg")

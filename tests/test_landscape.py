@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -623,6 +624,26 @@ def test_witness_budget_validation():
         witness_search(inst, [], budget=1)
     with pytest.raises(DomainError):
         witness_search(inst, [constant(0.0, TWO_PI, 16)], budget=1)
+
+
+
+def test_witness_memory_does_not_grow_with_the_budget():
+    # On the n4 example the walk hits on its first control.  It forms each
+    # block's amplitudes as it reaches them, so a budget of 10^7 allocates
+    # only its tau grid up front, 8 bytes per ceil(budget / D) values, and
+    # peaks near 20 MB; holding every control's amplitude and probe index
+    # peaked at 240 MB.
+    inst = n4_instance()
+    probes = probes_for(inst)
+    first = witness_search(inst, probes, budget=1)
+    tracemalloc.start()
+    try:
+        res = witness_search(inst, probes, budget=10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == first and res.evaluations == 1
+    assert peak < 40e6
 
 
 # ---------------------------------------------------------------- certificate
