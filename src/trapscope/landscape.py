@@ -235,32 +235,48 @@ class LieAlgebraResult:
     tolerance: float
 
 
-def lie_rank_matrices(gen_a, gen_b) -> LieAlgebraResult:
-    """Real dimension of the Lie algebra generated by two skew-Hermitian matrices.
+def lie_rank_matrices(h_a, h_b) -> LieAlgebraResult:
+    """Real dimension of the Lie algebra generated by i h_a and i h_b.
 
-    Breadth-first closure under commutators with the (normalized) generators
-    over the real vector space of dimension 2 N^2.  The basis is one matrix
-    of orthonormal rows.  Each level forms all its commutators in one
-    broadcast product, generator-major; each candidate, normalized, is
-    projected twice against the whole basis (v -= (B v) B) and joins it if
-    its residual norm exceeds TOLERANCES["lie_tol"].  The level's new rows
-    are the next frontier.  Saturated means dimension >= N^2 - 1, full su(N)
-    up to the global phase quotiented out in the controllability definition.
-    The closure ends when a level adds nothing or the dimension reaches N^2,
-    so it needs no depth cap.
+    The domain is two real symmetric N x N matrices h_a, h_b, the
+    Hamiltonians themselves; a complex, non-finite or non-symmetric
+    generator raises DomainError.  Every nested commutator of i h_a and
+    i h_b is i S for a real symmetric S (odd depth) or a real antisymmetric
+    A (even depth).  The map i S -> S, A -> A is a Frobenius isometry that
+    takes the commutator with i h to the one with h, up to sign.  So the
+    closure runs on real N x N matrices, as vectors of length N^2, and finds
+    the dimension of the algebra over u(N).
+
+    Breadth-first closure under commutators with the (normalized) generators.
+    The basis is one (N^2, N^2) matrix of orthonormal rows.  Each level forms
+    all its commutators in one broadcast product, generator-major; each
+    candidate, normalized, is projected twice against the whole basis
+    (v -= (B v) B) and joins it if its residual norm exceeds
+    TOLERANCES["lie_tol"].  The level's new rows are the next frontier.
+    Saturated means dimension >= N^2 - 1, full su(N) up to the global phase
+    quotiented out in the controllability definition.  The closure ends when
+    a level adds nothing or the dimension reaches N^2, so it needs no depth
+    cap.
     """
     tol = TOLERANCES["lie_tol"]
-    gens = np.array([gen_a, gen_b], dtype=np.complex128)
+    gens = np.array([h_a, h_b])
+    if np.iscomplexobj(gens):
+        raise DomainError("Lie generators must be real symmetric matrices, got complex ones")
+    gens = gens.astype(np.float64)
+    if not np.isfinite(gens).all():
+        raise DomainError("Lie generators must be finite")
+    if gens.ndim != 3 or not np.array_equal(gens, gens.swapaxes(1, 2)):
+        raise DomainError("Lie generators must be real symmetric matrices")
     n = gens.shape[-1]
     size = n * n
-    # Orthonormal rows in R^{2 N^2}: never more than 2 N^2 of them.
-    basis = np.empty((2 * size, 2 * size))
+    # Orthonormal rows in R^{N^2}: never more than N^2 of them.
+    basis = np.empty((size, size))
     dim = 0
 
     def extend(candidates: np.ndarray) -> np.ndarray:
         nonlocal dim
         start = dim
-        vecs = candidates.reshape(-1, size).view(np.float64)  # (Re, Im) interleaved
+        vecs = candidates.reshape(-1, size)
         nrm = np.linalg.norm(vecs, axis=1)
         keep = nrm >= 1e-300
         for v in vecs[keep] / nrm[keep, None]:
@@ -270,13 +286,13 @@ def lie_rank_matrices(gen_a, gen_b) -> LieAlgebraResult:
             if res > tol:
                 basis[dim] = v / res
                 dim += 1
-        return basis[start:dim].view(np.complex128).reshape(-1, n, n)
+        return basis[start:dim].reshape(-1, n, n)
 
     gnrm = np.linalg.norm(gens, axis=(1, 2))
     gens = gens[gnrm > 0.0] / gnrm[gnrm > 0.0, None, None]
     frontier = extend(gens)
     depth = 1
-    # span of skew-Hermitian matrices can never exceed dim u(N) = N^2
+    # real N x N matrices span at most N^2 dimensions
     while len(frontier) and dim < size:
         depth += 1
         frontier = extend((gens[:, None] @ frontier - frontier @ gens[:, None]).reshape(-1, n, n))
@@ -290,7 +306,7 @@ def lie_rank_matrices(gen_a, gen_b) -> LieAlgebraResult:
 
 def lie_rank(sys: SystemSpec) -> LieAlgebraResult:
     """Rank test for the controlled pair: algebra generated by iH0 and iV."""
-    return lie_rank_matrices(1j * h0_matrix(sys), 1j * v_matrix(sys))
+    return lie_rank_matrices(h0_matrix(sys).real, v_matrix(sys).real)
 
 
 @dataclass(frozen=True)

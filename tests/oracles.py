@@ -5,11 +5,11 @@ whose agreement with the package is the evidence that its analytic forms are
 right: a complex-Hermitian eigendecomposition and the unitary exponential
 built on it, element-wise interaction-picture matrices, the closed forms of
 the low orders, a brute-force enumeration and a plain midpoint quadrature of
-the max-kernel integral for A^{N-1}_1, the resummation of the forms
-against the propagator, and a plain Taylor-action loop for the |N>
-column.  The control builders constant and zero, the control-file writer
-and a seeded family of random instances live here too, as only the tests
-use them.  Test files import it as `from oracles import
+the max-kernel integral for A^{N-1}_1, the resummation of the forms against
+the propagator, a plain Taylor-action loop for the |N> column, and the
+complex Lie closure over u(N).  The control builders constant and zero, the
+control-file writer and a seeded family of random instances live here too,
+as only the tests use them.  Test files import it as `from oracles import
 ...`.  Only numpy and the package are imported, so the suite needs nothing
 beyond numpy and pytest.
 """
@@ -29,6 +29,7 @@ from trapscope.dynamics import (
     propagate,
 )
 from trapscope.errors import BadDimension, DomainError, TrapscopeError
+from trapscope.landscape import TOLERANCES, LieAlgebraResult
 from trapscope.model import (
     ProblemInstance,
     SystemSpec,
@@ -360,6 +361,55 @@ def column_reference(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.n
                 term += vt
                 psi += term
     return np.ascontiguousarray(psi.T).reshape(*z.shape, sys.levels)
+
+
+# ---------------------------------------------------------------- lie rank
+
+
+def lie_rank_reference(gen_a, gen_b) -> LieAlgebraResult:
+    """The complex closure landscape.lie_rank_matrices replaced, kept verbatim.
+
+    It takes the skew-Hermitian generators i h_a, i h_b and runs on interleaved
+    (Re, Im) vectors of length 2 N^2; the package runs on h_a, h_b themselves
+    in R^{N^2}.  Both must give the same (dimension, saturated, depth_reached).
+    """
+    tol = TOLERANCES["lie_tol"]
+    gens = np.array([gen_a, gen_b], dtype=np.complex128)
+    n = gens.shape[-1]
+    size = n * n
+    # Orthonormal rows in R^{2 N^2}: never more than 2 N^2 of them.
+    basis = np.empty((2 * size, 2 * size))
+    dim = 0
+
+    def extend(candidates: np.ndarray) -> np.ndarray:
+        nonlocal dim
+        start = dim
+        vecs = candidates.reshape(-1, size).view(np.float64)  # (Re, Im) interleaved
+        nrm = np.linalg.norm(vecs, axis=1)
+        keep = nrm >= 1e-300
+        for v in vecs[keep] / nrm[keep, None]:
+            for _ in range(2):  # twice, for orthogonality to roundoff
+                v -= (basis[:dim] @ v) @ basis[:dim]
+            res = float(np.linalg.norm(v))
+            if res > tol:
+                basis[dim] = v / res
+                dim += 1
+        return basis[start:dim].view(np.complex128).reshape(-1, n, n)
+
+    gnrm = np.linalg.norm(gens, axis=(1, 2))
+    gens = gens[gnrm > 0.0] / gnrm[gnrm > 0.0, None, None]
+    frontier = extend(gens)
+    depth = 1
+    # span of skew-Hermitian matrices can never exceed dim u(N) = N^2
+    while len(frontier) and dim < size:
+        depth += 1
+        frontier = extend((gens[:, None] @ frontier - frontier @ gens[:, None]).reshape(-1, n, n))
+    return LieAlgebraResult(
+        dimension=dim,
+        saturated=dim >= size - 1,
+        depth_reached=depth,
+        tolerance=tol,
+    )
 
 
 # ---------------------------------------------------------------- instances

@@ -34,9 +34,9 @@ from trapscope.landscape import (
     trap_certificate,
     witness_search,
 )
-from trapscope.model import build_instance, build_observable, build_system, v_matrix
+from trapscope.model import build_instance, build_observable, build_system, h0_matrix, v_matrix
 
-from oracles import constant, random_instances, sample_midpoints
+from oracles import constant, lie_rank_reference, random_instances, sample_midpoints
 
 TWO_PI = 2 * math.pi
 
@@ -432,7 +432,7 @@ def test_lie_rank_reference_chains():
 
 def test_lie_rank_saturates_past_depth_twelve():
     # saturation needs depth 2N - 1, beyond the old fixed cap of 12
-    for nlev in range(3, 13):
+    for nlev in range(3, 21):
         res = lie_rank(build_system(nlev, 1.0, 0.0, (1.0,) * (nlev - 1), TWO_PI))
         assert res.saturated
         assert res.dimension == nlev * nlev
@@ -446,13 +446,13 @@ def test_lie_rank_mixed_sign_couplings_below_the_gap():
 
 
 def test_lie_rank_degenerate_pair():
-    g = 1j * np.eye(3)
+    g = np.eye(3)
     res = lie_rank_matrices(g, g)
     assert res.dimension == 1
     assert not res.saturated
 
 
-_V4 = 1j * v_matrix(build_system(4, 1.0, 0.0, (1.0, 1.0, 1.0), TWO_PI))
+_V4 = v_matrix(build_system(4, 1.0, 0.0, (1.0, 1.0, 1.0), TWO_PI)).real
 
 
 @pytest.mark.parametrize(
@@ -461,13 +461,49 @@ _V4 = 1j * v_matrix(build_system(4, 1.0, 0.0, (1.0, 1.0, 1.0), TWO_PI))
         # a zero generator spans nothing and commutes with everything
         ((_V4, 0 * _V4), (1, False, 2)),
         ((0 * _V4, _V4), (1, False, 2)),
-        ((1j * np.diag([1.0, 2.0, 3.0]), 1j * np.diag([0.0, 1.0, -1.0])), (2, False, 2)),
+        ((np.diag([1.0, 2.0, 3.0]), np.diag([0.0, 1.0, -1.0])), (2, False, 2)),
     ],
     ids=["zero-second", "zero-first", "commuting-diagonal"],
 )
 def test_lie_rank_pairs_that_stop_at_depth_two(pair, expected):
     res = lie_rank_matrices(*pair)
     assert (res.dimension, res.saturated, res.depth_reached) == expected
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(1j * _V4, _V4), (_V4, np.where(_V4 > 0, np.inf, 0.0)), (_V4, np.triu(_V4))],
+    ids=["complex", "non-finite", "non-symmetric"],
+)
+def test_lie_rank_matrices_takes_real_symmetric_generators(pair):
+    # i H passed where H is meant would otherwise lose its imaginary part to a
+    # float cast and leave the closure with zero generators
+    with pytest.raises(DomainError):
+        lie_rank_matrices(*pair)
+
+
+def _lie_sweep_systems():
+    ladder = [build_system(n, 1.0, 0.0, (1.0,) * (n - 1), TWO_PI) for n in range(3, 21)]
+    small = range(3, 11)
+    return (
+        [inst.system for inst, _ in random_instances()]
+        + ladder
+        + [build_system(5, 0.0, 1.5, (1.0, -2.0, 0.5, -1.0), TWO_PI)]
+        + [build_system(n, 1.0, 0.0, (1e-5,) * (n - 1), TWO_PI) for n in small]
+        + [build_system(n, gap, 0.0, (1.0,) * (n - 1), TWO_PI) for gap in (1e6, 1e-6) for n in small]
+        + [build_system(n, 1.0, 0.0, tuple(np.geomspace(1e-3, 1e3, n - 1)), TWO_PI) for n in small]
+    )
+
+
+def test_lie_rank_matches_the_complex_closure():
+    systems = _lie_sweep_systems()
+    assert len(systems) == 171
+    for sys_ in systems:
+        res = lie_rank(sys_)
+        ref = lie_rank_reference(1j * h0_matrix(sys_), 1j * v_matrix(sys_))
+        got = (res.dimension, res.saturated, res.depth_reached)
+        assert got == (ref.dimension, ref.saturated, ref.depth_reached), sys_
+        assert res.dimension <= sys_.levels**2
 
 
 def test_lie_rank_invariant_under_coupling_rescale():
