@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys as _sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -39,7 +39,7 @@ from .landscape import (
     _sample_lines,
     differential,
     lie_rank,
-    probe_direction,
+    probe_directions,
     probe_offset,
     probe_seed,
     taylor_fit,
@@ -55,7 +55,8 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 # Config key -> (field, parser).  Fields of CertificateConfig are the
-# sampling budget; every other field belongs to RunConfig and is required.
+# sampling budget; every other field is a required argument of build_system
+# (levels .. horizon) or of build_observable (eigenvalues).
 _KEYS = {
     "N": ("levels", int),
     "a": ("a", float),
@@ -74,22 +75,24 @@ _BUDGET_FIELDS = {f.name for f in fields(CertificateConfig)}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed run configuration: the instance and the certificate's sampling
-    budget."""
+    """Parsed run configuration: the validated instance and the certificate's
+    sampling budget, each built once by parse_config."""
 
     substeps: ClassVar[int] = 8  # not a config key: the forms are exact; bench/run.py reads it
 
-    levels: int
-    a: float
-    b: float
-    couplings: tuple[float, ...]
-    horizon: float
-    eigenvalues: tuple[float, ...]
-    certificate: CertificateConfig = field(default_factory=CertificateConfig)
+    instance: ProblemInstance
+    certificate: CertificateConfig
 
 
 def parse_config(path: str) -> RunConfig:
-    """Strictly parse a flat key = value config file."""
+    """Strictly parse a flat key = value config file into a RunConfig.
+
+    A malformed, unknown, duplicate, missing or out-of-range key raises
+    ConfigError, naming its line where it has one.  Once every line is read,
+    build_system, build_observable and build_instance make the instance, and
+    their own errors (DegenerateSpectrum, BadDimension, ...) pass through
+    unchanged.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -97,7 +100,7 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
     first_line: dict[str, int] = {}
-    run: dict = {}  # RunConfig fields
+    run: dict = {}  # arguments of build_system and build_observable
     budget: dict = {}  # CertificateConfig fields
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -125,13 +128,17 @@ def parse_config(path: str) -> RunConfig:
     for key, (name, _) in _KEYS.items():
         if name not in run and name not in _BUDGET_FIELDS:
             raise ConfigError(f"missing required key {key!r}")
-    return RunConfig(certificate=CertificateConfig(**budget), **run)
+    eigenvalues = run.pop("eigenvalues")
+    instance = build_instance(build_system(**run), build_observable(eigenvalues))
+    return RunConfig(instance, CertificateConfig(**budget))
 
 
 def build_problem(cfg: RunConfig) -> ProblemInstance:
-    system = build_system(cfg.levels, cfg.a, cfg.b, cfg.couplings, cfg.horizon)
-    observable = build_observable(cfg.eigenvalues)
-    return build_instance(system, observable)
+    """The instance that parse_config built, for main to hand to a command.
+
+    bench/launch.py marks the end of set-up where this returns.
+    """
+    return cfg.instance
 
 
 def _fmt(x: float) -> str:
@@ -184,7 +191,8 @@ def cmd_differential(
         f = read_control_file(control)
     except ValueError as exc:
         raise ConfigError(f"bad control file: {exc}") from exc
-    n_top = 2 * cfg.levels - 2
+    nlev = inst.system.levels
+    n_top = 2 * nlev - 2
     if order > n_top:
         raise InsufficientOrder(f"forms are computed to order {n_top}, requested {order}")
     forms = dyson_forms(inst.system, f, n_max=n_top)
@@ -202,7 +210,7 @@ def cmd_differential(
             if fresh:
                 fh.write("N,order,analytic,fitted,discrepancy\n")
             fh.write(
-                f"{cfg.levels},{order},{_fmt(analytic)},{_fmt(fitted)},{_fmt(discrepancy)}\n"
+                f"{nlev},{order},{_fmt(analytic)},{_fmt(fitted)},{_fmt(discrepancy)}\n"
             )
     return 0
 
@@ -221,8 +229,7 @@ def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0,
     # (see the dynamics module docstring), so only t >= 0 is sampled and each
     # t < 0 row repeats its mirror's J.
     z = np.array(ts[half:])
-    probes = [probe_direction(budget.seed, i, budget.segments, sys_.horizon) for i in range(budget.directions)]
-    values, _ = _as_stack(sys_, probes)
+    values, _ = _as_stack(sys_, probe_directions(budget, sys_.horizon))
     zs = np.broadcast_to(z, (len(values), z.size))
     rows = direction_block(z.size * sys_.levels, sys_.levels)
     t_text = [_fmt(t) for t in ts]
@@ -254,7 +261,7 @@ def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0,
 
 def cmd_controllability(cfg: RunConfig, inst: ProblemInstance) -> int:
     res = lie_rank(inst.system)
-    target = cfg.levels * cfg.levels - 1
+    target = inst.system.levels**2 - 1
     print(f"Lie algebra dimension: {res.dimension} (saturation threshold {target})")
     print(f"saturated: {'yes' if res.saturated else 'no'}   depth reached: {res.depth_reached}")
     return 0 if res.saturated else 2

@@ -54,9 +54,10 @@ from .dynamics import (
     direction_block,
     dyson_forms,
     objective,
-    propagate,
     propagate_batch,
 )
+# propagate is not called here; bench/launch.py rebinds it by name.
+from .dynamics import propagate  # noqa: F401
 from .errors import (
     ConfigError,
     DomainError,
@@ -75,7 +76,12 @@ CONTOUR_EXTRA_POINTS = 16  # contour points beyond the 2N sampled orders
 # The witness walks tau log-spaced from the top of this range down to its
 # bottom, at amplitudes tau / (||V||_2 int|f|) along each probe f.
 WITNESS_AMPLITUDE_SCALE = (0.1, 1000.0)
-# A witness must score above J(0) + WITNESS_MARGIN (lambda_1 - lambda_N).
+# The witness builds its whole tau grid before the first evaluation: at this
+# budget the n4 example peaks at about 20 MB, at 10^10 it would need about
+# 20 GB.  CertificateConfig refuses a larger witness_budget.
+MAX_WITNESS_BUDGET = 10**7
+# A witness must score above J(0) + WITNESS_MARGIN (lambda_1 - lambda_N),
+# where J(0) = lambda_N: the zero control's propagator is diagonal.
 WITNESS_MARGIN = 0.01
 # Check thresholds; every report carries a copy under "tolerances".
 TOLERANCES = {
@@ -332,10 +338,12 @@ def witness_search(inst: ProblemInstance, probes, budget: int) -> WitnessResult:
     `budget` controls go through _sample_lines in blocks of
     block_controls(M); the first with J > J(0) + WITNESS_MARGIN
     (lambda_1 - lambda_N) is returned, or on a miss the best, with success
-    False.  There is no local refinement: ascent from near zero is pulled
-    onto the zero control's plateau (Pechen & Tannor, PRL 106, 120402,
-    2011).  A miss is an outcome, not an error: the minimal horizon with
-    good controls is unknown.  A zero probe has no scale: DomainError.
+    False.  J(0) is not computed: the zero control's propagator is
+    diagonal, so J(0) = lambda_N.  There is no local refinement: ascent
+    from near zero is pulled onto the zero control's plateau (Pechen &
+    Tannor, PRL 106, 120402, 2011).  A miss is an outcome, not an error:
+    the minimal horizon with good controls is unknown.  A zero probe has no
+    scale: DomainError.
     """
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
@@ -354,8 +362,7 @@ def witness_search(inst: ProblemInstance, probes, budget: int) -> WitnessResult:
         return i % directions, taus[i // directions] / scale[i % directions]
 
     lam = inst.observable.eigenvalues
-    j_zero = objective(propagate(sys, PiecewiseControl(sys.horizon, (0.0,) * segments)), inst)
-    threshold = j_zero + WITNESS_MARGIN * (lam[0] - lam[-1])
+    threshold = lam[-1] + WITNESS_MARGIN * (lam[0] - lam[-1])
     best, best_j, evals = 0, -math.inf, budget
     rows = block_controls(segments)
     for start in range(0, budget, rows):
@@ -388,9 +395,11 @@ class CertificateConfig:
 
     At T the witness walks the certificate's own probes; at any other
     horizon in witness_horizons, the probe directions of the same seed and
-    segments on that horizon.  The defaults and range checks here are the
-    only ones; an out-of-range field raises ConfigError naming it.
-    Everything else about the certificate is fixed by the module constants.
+    segments on that horizon (probe_directions).  The defaults and range
+    checks here are the only ones, witness_budget's upper bound
+    MAX_WITNESS_BUDGET among them; an out-of-range field raises ConfigError
+    naming it.  Everything else about the certificate is fixed by the
+    module constants.
     """
 
     amplitude: ClassVar[float] = PROBE_AMPLITUDE  # for callers that regenerate probe directions
@@ -406,6 +415,10 @@ class CertificateConfig:
             value = getattr(self, name)
             if value < minimum:
                 raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+        if self.witness_budget > MAX_WITNESS_BUDGET:
+            raise ConfigError(
+                f"witness_budget must be <= {MAX_WITNESS_BUDGET}, got {self.witness_budget!r}"
+            )
         horizons = self.witness_horizons
         if horizons is not None and not (horizons and all(0.0 < h < math.inf for h in horizons)):
             raise ConfigError(
@@ -473,7 +486,7 @@ def probe_direction(seed: int, index: int, segments: int, horizon: float) -> Pie
     PROBE_AMPLITUDE sqrt(T); on odd indices it is shifted by
     +-PROBE_OFFSET_FRACTION * PROBE_AMPLITUDE, the sign alternating between
     consecutive odd indices.  The certificate and `trapscope scan` both
-    probe these directions.
+    probe these directions, drawn by probe_directions.
     """
     vals = _direction_values(probe_seed(seed, index), segments, horizon, True, PROBE_AMPLITUDE)
     offset = probe_offset(index)
@@ -482,9 +495,16 @@ def probe_direction(seed: int, index: int, segments: int, horizon: float) -> Pie
     return PiecewiseControl(float(horizon), tuple(vals.tolist()))
 
 
+def probe_directions(budget: CertificateConfig, horizon: float) -> list[PiecewiseControl]:
+    """The probe family of a sampling budget on `horizon`: probe_direction(budget.seed,
+    i, budget.segments, horizon) for i in range(budget.directions)."""
+    return [probe_direction(budget.seed, i, budget.segments, horizon) for i in range(budget.directions)]
+
+
 def _certificate_rows(inst: ProblemInstance, probes: list[PiecewiseControl], seed: int) -> list[dict]:
-    """One row per probe direction probes[i] = probe_direction(seed, i, M, T):
-    forms, differentials and Taylor fit, each one stacked pass over all.
+    """One row per probe direction of probes, the family probe_directions draws
+    from base seed `seed`: forms, differentials and Taylor fit, each one
+    stacked pass over all.
     """
     sys = inst.system
     nlev = sys.levels
@@ -644,9 +664,6 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
         "segments": cfg.segments,
     }
 
-    def probes_at(horizon: float) -> list[PiecewiseControl]:
-        return [probe_direction(cfg.seed, i, cfg.segments, horizon) for i in range(cfg.directions)]
-
     stage = "directions"
     rows: list[dict] = []
     checks: list[CheckResult] = []
@@ -654,7 +671,7 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
     lie_row: dict = {}
     failed_stage = None
     try:
-        probes = probes_at(sys.horizon)
+        probes = probe_directions(cfg, sys.horizon)
         rows = _certificate_rows(inst, probes, cfg.seed)
 
         stage = "checks"
@@ -676,7 +693,7 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
         stage = "witness"
         for horizon in cfg.witness_horizons or (sys.horizon,):
             winst = ProblemInstance(replace(sys, horizon=float(horizon)), inst.observable)
-            wprobes = probes if horizon == sys.horizon else probes_at(horizon)
+            wprobes = probes if horizon == sys.horizon else probe_directions(cfg, horizon)
             res = witness_search(winst, wprobes, cfg.witness_budget)
             witness_rows.append(
                 {

@@ -6,12 +6,13 @@ right: a complex-Hermitian eigendecomposition and the unitary exponential
 built on it, element-wise interaction-picture matrices, the closed forms of
 the low orders, a brute-force enumeration and a plain midpoint quadrature of
 the max-kernel integral for A^{N-1}_1, the resummation of the forms against
-the propagator, a plain Taylor-action loop for the |N> column, and the
-complex Lie closure over u(N).  The control builders constant and zero, the
-control-file writer and a seeded family of random instances live here too,
-as only the tests use them.  Test files import it as `from oracles import
-...`.  Only numpy and the package are imported, so the suite needs nothing
-beyond numpy and pytest.
+the propagator, a plain Taylor-action loop for the |N> column and its
+extended-precision (clongdouble) copy, and the complex Lie closure over
+u(N).  The control builders constant and zero, the control-file writer and
+a seeded family of random instances live here too, as only the tests use
+them.  Test files import it as `from oracles import ...`.  Only numpy and
+the package are imported, so the suite needs nothing beyond numpy and
+pytest.
 """
 
 from __future__ import annotations
@@ -359,6 +360,44 @@ def column_reference(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.n
                 np.multiply(hm * zf, vt, out=vt)
                 np.multiply(hm * e, term, out=term)
                 term += vt
+                psi += term
+    return np.ascontiguousarray(psi.T).reshape(*z.shape, sys.levels)
+
+
+def column_reference_ld(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The |N> column of dynamics._column_at in clongdouble, to measure float64's error.
+
+    The same arguments and substep plan (_taylor_substeps and _taylor_terms,
+    computed in float64), but every number the loop touches is extended
+    precision, and each term is the naive h/m (H0 - b I + zf V) term.  numpy
+    has no BLAS for clongdouble, so V, which is tridiagonal, is applied
+    through its two off-diagonals: three times faster than its dense
+    matmul, and the same sums, as V's other entries are zero.  The result
+    is a (D, K, N) clongdouble array.  Where longdouble is no finer than
+    float64 (MSVC, some ARM builds) the oracle measures nothing, so it
+    fails instead of skipping.
+    """
+    eps = np.finfo(np.longdouble).eps
+    assert eps < 1e-18, f"longdouble eps is {eps}: no extended precision on this platform"
+    z = np.asarray(z, dtype=np.complex128)
+    z_ld = z.astype(np.clongdouble)
+    dt = np.longdouble(sys.horizon) / values.shape[1]
+    e = np.zeros((sys.levels, 1), dtype=np.longdouble)
+    e[0] = np.longdouble(sys.a) - np.longdouble(sys.b)
+    v = np.array(sys.couplings, dtype=np.longdouble)[:, None]
+    psi = np.zeros((sys.levels, z.size), dtype=np.clongdouble)
+    psi[-1] = 1
+    for fj, theta, substeps in zip(values.T, *_taylor_substeps(sys, values, z)):
+        h = -1j * dt / np.longdouble(substeps)
+        zf = (z_ld * fj.astype(np.longdouble)[:, None]).reshape(-1)
+        terms = _taylor_terms(theta / substeps)
+        for _ in range(int(substeps)):
+            term = psi.copy()
+            for m in range(1, terms + 1):
+                v_term = np.zeros_like(term)
+                v_term[:-1] = v * term[1:]
+                v_term[1:] += v * term[:-1]
+                term = (h / m) * (e * term + zf * v_term)
                 psi += term
     return np.ascontiguousarray(psi.T).reshape(*z.shape, sys.levels)
 

@@ -34,8 +34,8 @@ witness_budget = 2
     [
         (
             ["certify"],
+            # dynamics.propagate is not among them: certify takes J(0) = lambda_N.
             {
-                "dynamics.propagate",
                 "dynamics.objective",
                 "dynamics.dyson_forms",
                 "landscape.taylor_fit",

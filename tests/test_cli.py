@@ -4,15 +4,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from trapscope import dynamics
-from trapscope.cli import build_problem, main, parse_config
+from trapscope.cli import RunConfig, build_problem, main, parse_config
 from trapscope.dynamics import objective, propagate
 from trapscope.errors import ConfigError
-from trapscope.landscape import probe_direction
+from trapscope.landscape import probe_directions
 
 from oracles import constant, write_control_file
 
@@ -63,10 +64,14 @@ def write_config(path, **overrides):
 
 
 def test_parse_config_round_trip(tmp_path):
+    # parse_config builds the instance once; build_problem hands it on.
     cfg = parse_config(write_config(tmp_path / "ok.cfg"))
-    assert cfg.levels == 3
-    assert cfg.couplings == (1.0, 1.0)
-    assert cfg.eigenvalues == (1.0, -1.0, 0.0)
+    assert [f.name for f in fields(RunConfig)] == ["instance", "certificate"]
+    sys_ = cfg.instance.system
+    assert (sys_.levels, sys_.a, sys_.b, sys_.horizon) == (3, 1.0, 0.0, 6.283185307179586)
+    assert sys_.couplings == (1.0, 1.0)
+    assert cfg.instance.observable.eigenvalues == (1.0, -1.0, 0.0)
+    assert build_problem(cfg) is cfg.instance
     assert cfg.certificate.segments == 16
     assert cfg.certificate.witness_horizons is None
 
@@ -127,6 +132,7 @@ def test_certify_writes_report_json_by_default(tmp_path, monkeypatch, capsys):
         ("witness_horizons", ""),
         ("witness_horizons", "0"),
         ("witness_budget", "0"),
+        ("witness_budget", "10000001"),
     ],
 )
 def test_parse_config_rejects_out_of_range_values_by_line(tmp_path, key, value):
@@ -155,7 +161,8 @@ def test_certify_degenerate_spectrum_is_usage_error(tmp_path, capsys):
     code = main(["certify", cfg, "--out", str(tmp_path / "r.json")])
     captured = capsys.readouterr()
     assert code == 1
-    assert "DegenerateSpectrum" in captured.err
+    assert captured.err == "error: DegenerateSpectrum: a=1.0 and b=1.0 must differ\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_certify_ordering_violation_is_usage_error(tmp_path, capsys):
@@ -433,7 +440,7 @@ def test_scan_rows_probe_the_certificate_directions(tmp_path):
         cfg = parse_config(cfg_path)
         inst = build_problem(cfg)
         sys_ = inst.system
-        probes = [probe_direction(cfg.certificate.seed, i, int(segments), cfg.horizon) for i in range(4)]
+        probes = probe_directions(cfg.certificate, sys_.horizon)
         out = tmp_path / "scan.csv"
         for points, tmax in (("5", "0.5"), ("11", "0.7")):
             assert main(["scan", cfg_path, "--out", str(out), "--points", points, "--tmax", tmax]) == 0
@@ -443,10 +450,10 @@ def test_scan_rows_probe_the_certificate_directions(tmp_path):
             zs = np.broadcast_to(z, (4, z.size))
             values, _ = dynamics._as_stack(sys_, probes)
             assert (max(dynamics._taylor_substeps(sys_, values, zs)[1]) == 1) == column_route
-            block = dynamics.direction_block(z.size * cfg.levels, cfg.levels)
+            block = dynamics.direction_block(z.size * sys_.levels, sys_.levels)
             assert block >= 4  # one _column_at call holds all four directions
             psi = dynamics._column_at(sys_, values, zs)
-            direct = objective(psi.reshape(-1, cfg.levels, 1), inst).reshape(4, z.size)
+            direct = objective(psi.reshape(-1, sys_.levels, 1), inst).reshape(4, z.size)
             for seed, mz, t, j in rows:
                 index = int(seed) - cfg.certificate.seed
                 assert mz == str(int(index % 2 == 0))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trapscope import landscape
+from trapscope import dynamics, landscape
 from trapscope.controls import (
     PiecewiseControl,
     integral,
@@ -23,11 +23,13 @@ from trapscope.dynamics import (
 from trapscope.errors import ConfigError, DomainError, GridMismatch, InsufficientOrder
 from trapscope.landscape import (
     CertificateConfig,
+    _line_scale,
     differential,
     lie_rank,
     lie_rank_matrices,
     order_2N2_value,
     probe_direction,
+    probe_directions,
     probe_offset,
     probe_seed,
     taylor_fit,
@@ -36,7 +38,14 @@ from trapscope.landscape import (
 )
 from trapscope.model import build_instance, build_observable, build_system, h0_matrix, v_matrix
 
-from oracles import constant, lie_rank_reference, random_instances, sample_midpoints
+from oracles import (
+    column_reference_ld,
+    constant,
+    lie_rank_reference,
+    random_instances,
+    sample_midpoints,
+    zero,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -420,6 +429,44 @@ def test_certificate_rows_match_a_per_direction_loop(levels):
         assert abs(row["fit_coefficients"][checked - 1] - want) <= rel * abs(want)
 
 
+def contour_top_coefficient(inst, psi, z):
+    """c_{2N-2} = Re mean_k J(z_k) z_k^{-(2N-2)} from the |N> columns psi at
+    the (D, K) contour points z, in the precision of psi and z."""
+    lam = np.asarray(inst.observable.eigenvalues).astype(psi.real.dtype)
+    j = np.sum(lam * psi * np.conj(psi[:, ::-1]), axis=-1)
+    return np.mean(j * z ** -(2 * inst.system.levels - 2), axis=-1).real
+
+
+def float64_top_error(levels, radius_scale):
+    """Relative error of float64's sampled c_{2N-2} against the longdouble oracle.
+
+    On the 4 mean-zero default probes of a uniform ladder whose middle
+    lambda are spread evenly from 0.5 to -0.4, each sampled at the same
+    K = 4(2N - 2) points of radius radius_scale / (||V||_2 int|f|) by
+    dynamics._column_at and by oracles.column_reference_ld.
+    """
+    sys = build_system(levels, 1.0, 0.0, (1.0,) * (levels - 1), TWO_PI)
+    inst = build_instance(sys, build_observable((1.0, *np.linspace(0.5, -0.4, levels - 3), -1.0, 0.0)))
+    values, _ = dynamics._as_stack(sys, probe_directions(CertificateConfig(), TWO_PI)[::2])
+    points = 4 * (2 * levels - 2)
+    radius = radius_scale / _line_scale(sys, values)
+    z = radius[:, None] * np.exp(2j * np.pi * (np.arange(points) + 0.5) / points)
+    c64 = contour_top_coefficient(inst, dynamics._column_at(sys, values, z), z)
+    c_ld = contour_top_coefficient(inst, column_reference_ld(sys, values, z), z.astype(np.clongdouble))
+    return (np.abs(c64 - c_ld) / np.abs(c_ld)).astype(float)
+
+
+def test_longdouble_column_oracle_measures_the_contour_error():
+    # The column half of an extended-precision oracle: _column_at in
+    # clongdouble (eps 1.1e-19 on x86-64) separates float64's contour error
+    # from the analytic side's.  At N = 8 on r_top = (2N - 2) / (||V||_2
+    # int|f|), where float64 is good, the two agree (measured at most
+    # 1.5e-14).  At N = 12 on the contour's radius r_0 = 2 / (||V||_2
+    # int|f|), float64's c_{2N-2} is roundoff (measured up to 6.3e4 relative).
+    assert np.max(float64_top_error(8, 2 * 8 - 2)) <= 1e-13
+    assert np.max(float64_top_error(12, 2.0)) >= 1e3
+
+
 # ---------------------------------------------------------------- lie rank
 
 
@@ -612,6 +659,11 @@ def test_probe_direction_is_the_shifted_draw():
         assert probe_direction(611, index, 64, TWO_PI) == (f.shifted(offset) if offset else f)
 
 
+def test_probe_directions_enumerate_the_family():
+    budget = CertificateConfig(directions=5, seed=611, segments=32)
+    assert probe_directions(budget, 3.0) == [probe_direction(611, i, 32, 3.0) for i in range(5)]
+
+
 def witness_ladder(levels, horizon, coupling):
     sys = build_system(levels, 1.0, 0.0, (coupling,) * (levels - 1), horizon)
     return build_instance(sys, build_observable((1.0, *np.linspace(0.5, 0.1, levels - 3), -1.0, 0.0)))
@@ -668,18 +720,45 @@ def test_witness_memory_does_not_grow_with_the_budget():
     # block's amplitudes as it reaches them, so a budget of 10^7 allocates
     # only its tau grid up front, 8 bytes per ceil(budget / D) values, and
     # peaks near 20 MB; holding every control's amplitude and probe index
-    # peaked at 240 MB.
+    # peaked at 240 MB.  10^7 is the largest budget a certificate accepts.
+    budget = CertificateConfig(witness_budget=landscape.MAX_WITNESS_BUDGET).witness_budget
+    assert budget == 10**7
     inst = n4_instance()
     probes = probes_for(inst)
     first = witness_search(inst, probes, budget=1)
     tracemalloc.start()
     try:
-        res = witness_search(inst, probes, budget=10**7)
+        res = witness_search(inst, probes, budget=budget)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert res == first and res.evaluations == 1
     assert peak < 40e6
+
+
+def zero_control_cases():
+    """The 410 (instance, M) pairs of the J(0) sweep: the random instances at
+    M = 8, 64 and 1024, and unit-coupled ladders at five gaps, N = 3, 4, 8,
+    16 and 32, M = 8 and 64."""
+    cases = [(inst, segments) for inst, _ in _RANDOM for segments in (8, 64, 1024)]
+    for a, b in ((1e6, 0.0), (1e-6, 0.0), (0.0, 1.5), (3.0, -2.0), (1e3, 1e3 - 1)):
+        for levels in (3, 4, 8, 16, 32):
+            sys = build_system(levels, a, b, (1.0,) * (levels - 1), TWO_PI)
+            inst = build_instance(sys, build_observable((1.0, *np.linspace(0.5, 0.1, levels - 3), -1.0, 0.0)))
+            cases += [(inst, segments) for segments in (8, 64)]
+    return cases
+
+
+def test_zero_control_objective_is_lambda_N_exactly():
+    # witness_search takes J(0) = lambda_N = 0.0 without propagating: the
+    # zero control's propagator is diagonal, so |N> only gains a phase.  The
+    # eigenvalue route must give exactly that, on every random instance and
+    # at gaps from 1e-6 to 1e6.
+    cases = zero_control_cases()
+    assert len(cases) == 410
+    for inst, segments in cases:
+        assert inst.observable.eigenvalues[-1] == 0.0
+        assert objective(propagate(inst.system, zero(inst.system.horizon, segments)), inst) == 0.0
 
 
 # ---------------------------------------------------------------- certificate
@@ -702,11 +781,32 @@ def quick_config(**kw):
         ("witness_horizons", (0.0,)),
         ("witness_horizons", (math.inf,)),
         ("witness_horizons", (math.nan,)),
+        ("witness_budget", 10**7 + 1),
     ],
 )
 def test_certificate_config_rejects_out_of_range_fields(field, value):
     with pytest.raises(ConfigError, match=f"^{field} "):
         CertificateConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "inst, horizons",
+    [(n3_instance(), None), (n4_instance(), (TWO_PI, 2 * TWO_PI))],
+    ids=["n3", "n4"],
+)
+def test_certificate_never_calls_propagate(monkeypatch, inst, horizons):
+    # The witness measures against J(0) = lambda_N instead of propagating the
+    # zero control, and every other stage samples through its own kernels,
+    # so with landscape.propagate refusing every call the report is the
+    # same.  The n4 run also walks a second horizon, on probes rebuilt there.
+    config = CertificateConfig(witness_horizons=horizons)
+    expected = json.dumps(trap_certificate(inst, config).as_dict(), sort_keys=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("trap_certificate called propagate")
+
+    monkeypatch.setattr(landscape, "propagate", refuse)
+    assert json.dumps(trap_certificate(inst, config).as_dict(), sort_keys=True) == expected
 
 
 def test_certificate_n3_reference_passes():
