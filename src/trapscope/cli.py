@@ -205,7 +205,7 @@ def cmd_differential(
     print(f"  fitted    {_fmt(fitted)}   (contour radius {_fmt(fit.radius)})")
     print(f"  |analytic - fitted| = {_fmt(discrepancy)}")
     if csv is not None:
-        fresh = not os.path.exists(csv)
+        fresh = not os.path.exists(csv) or os.path.getsize(csv) == 0
         with open(csv, "a", encoding="utf-8", newline="\n") as fh:
             if fresh:
                 fh.write("N,order,analytic,fitted,discrepancy\n")

@@ -95,7 +95,7 @@ import numpy as np
 
 from .controls import PiecewiseControl, _check_grid
 from .errors import DomainError, GridMismatch, NotUnitary, SeriesCheckFailed
-from .model import ProblemInstance, SystemSpec, energies, h0_matrix, v_matrix
+from .model import ProblemInstance, SystemSpec, _v_norm, energies, h0_matrix, v_matrix
 
 
 # Segment matrices per block of propagate_batch.  The working set (the
@@ -128,7 +128,7 @@ def _segment_steps(sys: SystemSpec, values: np.ndarray, dt: float) -> np.ndarray
     U_T(-f) = P U_T(f) P and J(-f) = J(f), hold bit for bit on any LAPACK.
     """
     parity = (-1.0) ** np.arange(sys.levels)
-    w, q = np.linalg.eigh(h0_matrix(sys).real + np.abs(values)[..., None, None] * v_matrix(sys).real)
+    w, q = np.linalg.eigh(h0_matrix(sys) + np.abs(values)[..., None, None] * v_matrix(sys))
     q = np.where((values < 0)[..., None, None], parity[:, None] * q, q)
     qt = np.ascontiguousarray(q.swapaxes(-1, -2))  # a strided Q^T makes matmul about 1.4x slower
     phase = dt * w[..., None, :]
@@ -324,12 +324,6 @@ _SERIES_CHECK_TOL = 1e-12
 
 
 @lru_cache(maxsize=16)
-def _v_norm(sys: SystemSpec) -> float:
-    """||V||_2, the spectral norm of the coupling operator, once per system."""
-    return float(np.linalg.norm(v_matrix(sys), 2))
-
-
-@lru_cache(maxsize=16)
 def _segment_series(sys: SystemSpec, dt: float, n_max: int) -> np.ndarray:
     """Coefficients C_0..C_{n_max} of the segment step, as a read-only stack.
 
@@ -420,11 +414,11 @@ def _column_at(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.ndarray
     whole stack.  The shift -b I is a global phase.  All R = D K columns
     advance in one pass, held level-major as one (N, R) array.  Term m of a
     substep is h/m (H0 - b I + zf V) applied to term m - 1, h = -i dt /
-    substeps: V being real, V term is one real (N, N) x (N, 2R) product on
-    the float view, scaled per column by (h/m) zf.  H0 - b I is
-    diag(omega, 0, ..., 0), so only level 1 adds (h/m) omega times its own
-    entry; on levels 2..N that product would be an exact zero, and it is
-    skipped.  The new term takes the old one's buffer for the next V
+    substeps: V is model's real matrix, so V term is one real (N, N) x
+    (N, 2R) product on the float view, scaled per column by (h/m) zf.
+    H0 - b I is diag(omega, 0, ..., 0) with omega = sys.omega, so only
+    level 1 adds (h/m) omega times its own entry; on levels 2..N that
+    product would be an exact zero, and it is skipped.  The new term takes the old one's buffer for the next V
     product, so a term costs three passes over the columns (the product,
     the scale and psi += term) and allocates nothing of size N R.  Each
     column of V has at most two nonzeros, so every entry of V psi sums the
@@ -439,8 +433,8 @@ def _column_at(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.ndarray
     """
     z = np.asarray(z, dtype=np.complex128)
     dt = sys.horizon / values.shape[1]
-    omega = (energies(sys) - sys.b).astype(np.complex128)[0]
-    v = np.ascontiguousarray(v_matrix(sys).real)
+    omega = sys.omega
+    v = v_matrix(sys)
     psi = np.zeros((sys.levels, z.size), dtype=np.complex128)
     psi[-1] = 1.0
     # Every term reuses these buffers: fresh temporaries this large go back to

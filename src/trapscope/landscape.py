@@ -49,7 +49,6 @@ from .dynamics import (
     _as_stack,
     _column_at,
     _taylor_substeps,
-    _v_norm,
     block_controls,
     direction_block,
     dyson_forms,
@@ -64,7 +63,7 @@ from .errors import (
     InsufficientOrder,
     TrapscopeError,
 )
-from .model import ProblemInstance, SystemSpec, h0_matrix, v_matrix
+from .model import ProblemInstance, SystemSpec, _v_norm, h0_matrix, v_matrix
 
 # Mean-zero probe directions have L2 norm PROBE_AMPLITUDE sqrt(T); odd-index
 # probes add a constant +-PROBE_OFFSET_FRACTION * PROBE_AMPLITUDE, so their
@@ -311,8 +310,12 @@ def lie_rank_matrices(h_a, h_b) -> LieAlgebraResult:
 
 
 def lie_rank(sys: SystemSpec) -> LieAlgebraResult:
-    """Rank test for the controlled pair: algebra generated by iH0 and iV."""
-    return lie_rank_matrices(h0_matrix(sys).real, v_matrix(sys).real)
+    """Rank test for the controlled pair: algebra generated by iH0 and iV.
+
+    The closure runs on the real symmetric H0 and V exactly as model hands
+    them out.
+    """
+    return lie_rank_matrices(h0_matrix(sys), v_matrix(sys))
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,16 @@ The controlled pair is a ladder system on N levels:
     V  = tridiagonal, V[k,k+1] = V[k+1,k] = v_k, all v_k real and nonzero
 
 with a != b.  Only the gap omega = a - b enters the interaction-picture
-dynamics.  Level indices are 1-based in every public interface; internal
-arrays are 0-based.
+dynamics.  Both generators are real symmetric, and this module is the one
+place that materializes them: h0_matrix and v_matrix hand them out as
+float64 arrays, and _v_norm gives ||V||_2.  Level indices are 1-based in
+every public interface; internal arrays are 0-based.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,7 +53,8 @@ def build_system(levels: int, a: float, b: float, couplings, horizon: float) -> 
     """Validate and construct a SystemSpec.
 
     Raises BadDimension, DegenerateSpectrum, DomainError or ZeroCoupling on
-    invalid input.
+    invalid input.  A gap a - b that overflows is a DomainError, not a
+    degenerate spectrum.
     """
     levels = int(levels)
     v = tuple(float(x) for x in couplings)
@@ -62,6 +66,8 @@ def build_system(levels: int, a: float, b: float, couplings, horizon: float) -> 
     b = float(b)
     if not (np.isfinite(a) and np.isfinite(b)):
         raise DomainError(f"energies must be finite, got a={a!r}, b={b!r}")
+    if not np.isfinite(a - b):
+        raise DomainError(f"gap a - b must be finite, got a={a!r}, b={b!r}")
     if abs(a - b) <= TOL_GAP * (1.0 + abs(a) + abs(b)):
         raise DegenerateSpectrum(f"a={a!r} and b={b!r} must differ")
     for k, vk in enumerate(v, start=1):
@@ -81,18 +87,26 @@ def energies(sys: SystemSpec) -> np.ndarray:
 
 
 def h0_matrix(sys: SystemSpec) -> np.ndarray:
-    """Materialize H0 = diag(a, b, ..., b) as a complex matrix."""
-    return np.diag(energies(sys)).astype(np.complex128)
+    """Materialize H0 = diag(a, b, ..., b), real symmetric, as a float64 matrix."""
+    return np.diag(energies(sys))
 
 
 def v_matrix(sys: SystemSpec) -> np.ndarray:
-    """Materialize the tridiagonal coupling operator V."""
+    """Materialize the tridiagonal coupling operator V, real symmetric, as a float64 matrix."""
     n = sys.levels
-    m = np.zeros((n, n), dtype=np.complex128)
+    m = np.zeros((n, n), dtype=np.float64)
     for k, vk in enumerate(sys.couplings):
         m[k, k + 1] = vk
         m[k + 1, k] = vk
     return m
+
+
+@lru_cache(maxsize=16)
+def _v_norm(sys: SystemSpec) -> float:
+    """||V||_2, the spectral norm of the coupling operator, once per system."""
+    # The complex SVD, not the real one: every contour radius and witness
+    # amplitude carries its bits, and the two differ in the last bits.
+    return float(np.linalg.norm(v_matrix(sys).astype(np.complex128), 2))
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ the low orders, a brute-force enumeration and a plain midpoint quadrature of
 the max-kernel integral for A^{N-1}_1, the resummation of the forms against
 the propagator, a plain Taylor-action loop for the |N> column and its
 extended-precision (clongdouble) copy, and the complex Lie closure over
-u(N).  The control builders constant and zero, the control-file writer and
-a seeded family of random instances live here too, as only the tests use
-them.  Test files import it as `from oracles import ...`.  Only numpy and
+u(N).  The control builders constant and zero, the control-file writer,
+the shared test instances (n3_instance, n4_instance and the unit ladders)
+and a seeded family of random instances live here too, as only the tests
+use them.  Test files import it as `from oracles import ...`.  Only numpy and
 the package are imported, so the suite needs nothing beyond numpy and
 pytest.
 """
@@ -344,7 +345,7 @@ def column_reference(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.n
     z = np.asarray(z, dtype=np.complex128)
     dt = sys.horizon / values.shape[1]
     e = (energies(sys) - sys.b).astype(np.complex128)[:, None]
-    v = np.ascontiguousarray(v_matrix(sys).real)
+    v = v_matrix(sys)
     psi = np.zeros((sys.levels, z.size), dtype=np.complex128)
     psi[-1] = 1.0
     term, vt = np.empty_like(psi), np.empty_like(psi)
@@ -452,6 +453,30 @@ def lie_rank_reference(gen_a, gen_b) -> LieAlgebraResult:
 
 
 # ---------------------------------------------------------------- instances
+
+TWO_PI = 2 * math.pi
+
+
+def n3_instance(omega: float = 1.0, horizon: float = TWO_PI) -> ProblemInstance:
+    """N = 3 ladder with a = omega, b = 0, unit couplings and lambda = (1, -1, 0)."""
+    sys = build_system(3, omega, 0.0, (1.0, 1.0), horizon)
+    return build_instance(sys, build_observable((1.0, -1.0, 0.0)))
+
+
+def n4_instance(horizon: float = TWO_PI) -> ProblemInstance:
+    """N = 4 unit ladder with lambda = (1, 0.3, -1, 0)."""
+    return build_instance(ladder(4, horizon), build_observable((1.0, 0.3, -1.0, 0.0)))
+
+
+def ladder(levels: int, horizon: float = TWO_PI, coupling: float = 1.0) -> SystemSpec:
+    """The ladder with a = 1, b = 0 and every coupling equal to `coupling`."""
+    return build_system(levels, 1.0, 0.0, (coupling,) * (levels - 1), horizon)
+
+
+def ladder_instance(levels: int, horizon: float = TWO_PI, coupling: float = 1.0) -> ProblemInstance:
+    """ladder(levels, horizon, coupling) with lambda = (1, 0.5 .. 0.1, -1, 0)."""
+    lam = (1.0, *np.linspace(0.5, 0.1, levels - 3), -1.0, 0.0)
+    return build_instance(ladder(levels, horizon, coupling), build_observable(lam))
 
 
 def random_instances(count: int = 120) -> list[tuple[ProblemInstance, int]]:

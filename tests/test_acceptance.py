@@ -18,27 +18,26 @@ from trapscope.landscape import (
     differential,
     lie_rank,
     order_2N2_value,
-    probe_direction,
+    probe_directions,
     taylor_fit,
     trap_certificate,
     witness_search,
 )
-from trapscope.model import build_instance, build_observable, build_system, v_matrix
+from trapscope.model import v_matrix
 
-from oracles import dyson_resum_defect, kernel_bruteforce_A1N, sample_midpoints, spectral_norm_hermitian
+from oracles import (
+    TWO_PI,
+    dyson_resum_defect,
+    kernel_bruteforce_A1N,
+    ladder,
+    ladder_instance,
+    n3_instance,
+    n4_instance,
+    sample_midpoints,
+    spectral_norm_hermitian,
+)
 
-TWO_PI = 2 * math.pi
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def n3_instance(horizon=TWO_PI):
-    sys_ = build_system(3, 1.0, 0.0, (1.0, 1.0), horizon)
-    return build_instance(sys_, build_observable((1.0, -1.0, 0.0)))
-
-
-def n4_instance(horizon=TWO_PI):
-    sys_ = build_system(4, 1.0, 0.0, (1.0, 1.0, 1.0), horizon)
-    return build_instance(sys_, build_observable((1.0, 0.3, -1.0, 0.0)))
 
 
 def mixed_directions(count, amplitude=0.5, segments=64, horizon=TWO_PI, seed0=100):
@@ -123,8 +122,8 @@ def test_criterion_3_flatness_window():
 def test_criterion_4_leading_positive_order():
     start = time.time()
     # N=3 resonant cosine: analytic value pi^2/4
-    sys3 = build_system(3, 2.0, 0.0, (1.0, 1.0), TWO_PI)
-    inst3 = build_instance(sys3, build_observable((1.0, -1.0, 0.0)))
+    inst3 = n3_instance(omega=2.0)
+    sys3 = inst3.system
     f3 = sample_midpoints(math.cos, TWO_PI, 256)
     forms3 = dyson_forms(sys3, f3, n_max=2)
     val3 = order_2N2_value(inst3, forms3)
@@ -164,7 +163,7 @@ def test_criterion_5_kernel_triple_consistency():
     worst_bf = 0.0
     worst_dy = 0.0
     for nlev in (3, 4):
-        sys_ = build_system(nlev, 1.0, 0.0, (1.0,) * (nlev - 1), TWO_PI)
+        sys_ = ladder(nlev)
         for seed in range(10):
             f = random_direction(700 + seed, 32, TWO_PI, mean_zero=True, amplitude=0.8)
             a_kernel = kernel_form_A1N(sys_, f)
@@ -205,8 +204,7 @@ def test_criterion_7_controllability_rank():
     start = time.time()
     dims = []
     for nlev in (3, 4, 5, 6):
-        sys_ = build_system(nlev, 1.0, 0.0, (1.0,) * (nlev - 1), TWO_PI)
-        res = lie_rank(sys_)
+        res = lie_rank(ladder(nlev))
         assert res.saturated, f"N={nlev} did not saturate"
         assert res.dimension >= nlev * nlev - 1
         dims.append(res.dimension)
@@ -252,8 +250,8 @@ def test_criterion_9_witness_soft():
     start = time.time()
     found = []
     for horizon in (TWO_PI, 2 * TWO_PI):
-        inst = n3_instance(horizon)
-        probes = [probe_direction(7, i, 64, horizon) for i in range(8)]
+        inst = n3_instance(horizon=horizon)
+        probes = probe_directions(CertificateConfig(directions=8, seed=7, segments=64), horizon)
         res = witness_search(inst, probes, budget=500)
         assert res.j_value <= 1.0 + 1e-12  # kinematic bound
         found.append(res.j_value)
@@ -275,9 +273,7 @@ def test_criterion_10_certificate_sweep_n5_to_n8():
     worst = 0.0
     config = CertificateConfig(directions=4, seed=1000, segments=32, witness_budget=1)
     for nlev in range(5, 9):
-        sys_ = build_system(nlev, 1.0, 0.0, (1.0,) * (nlev - 1), TWO_PI)
-        lam = (1.0, *np.linspace(0.5, 0.1, nlev - 3), -1.0, 0.0)
-        doc = trap_certificate(build_instance(sys_, build_observable(lam)), config)
+        doc = trap_certificate(ladder_instance(nlev), config)
         assert doc.failed_stage is None
         failing = [c.name for c in doc.checks if not c.passed and c.name != "witness_found"]
         assert not failing, f"N={nlev}: {failing}"

@@ -17,7 +17,6 @@ from trapscope.landscape import probe_directions
 
 from oracles import constant, write_control_file
 
-TWO_PI = 2 * math.pi
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -133,6 +132,7 @@ def test_certify_writes_report_json_by_default(tmp_path, monkeypatch, capsys):
         ("witness_horizons", "0"),
         ("witness_budget", "0"),
         ("witness_budget", "10000001"),
+        ("N", "three"),
     ],
 )
 def test_parse_config_rejects_out_of_range_values_by_line(tmp_path, key, value):
@@ -181,6 +181,7 @@ def test_certify_ordering_violation_is_usage_error(tmp_path, capsys):
         ({"T": "inf"}, "BadDimension"),
         ({"lambda": "1, nan, -1, 0"}, "DomainError"),
         ({"lambda": "1, inf, -1, 0"}, "DomainError"),
+        ({"a": "1e308", "b": "-1e308"}, "DomainError"),
     ],
 )
 def test_certify_non_finite_instance_value_is_usage_error(tmp_path, capsys, overrides, error):
@@ -353,15 +354,18 @@ def test_differential_command_malformed_control_is_usage_error(tmp_path, capsys)
 
 
 def test_differential_command_appends_csv(tmp_path):
+    # The header goes to a file that is absent or empty, once.
     cfg = write_config(tmp_path / "c.cfg", T="1")
     control = tmp_path / "f.txt"
     write_control_file(control, constant(1.0, 1.0, 16))
-    csv_path = tmp_path / "rows.csv"
-    assert main(["differential", cfg, "--control", str(control), "--order", "2", "--csv", str(csv_path)]) == 0
-    assert main(["differential", cfg, "--control", str(control), "--order", "1", "--csv", str(csv_path)]) == 0
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "N,order,analytic,fitted,discrepancy"
-    assert len(lines) == 3
+    (tmp_path / "empty.csv").touch()
+    for name in ("rows.csv", "empty.csv"):
+        csv_path = tmp_path / name
+        assert main(["differential", cfg, "--control", str(control), "--order", "2", "--csv", str(csv_path)]) == 0
+        assert main(["differential", cfg, "--control", str(control), "--order", "1", "--csv", str(csv_path)]) == 0
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "N,order,analytic,fitted,discrepancy", name
+        assert [line.split(",")[:2] for line in lines[1:]] == [["3", "2"], ["3", "1"]], name
 
 
 def test_scan_row_count_and_determinism(tmp_path):
@@ -534,6 +538,32 @@ def test_scan_mean_zero_rows_flat_to_leading_order(tmp_path):
     assert j1 is not None and j2 is not None
     slope = math.log(j2 / j1) / math.log(2.0)
     assert slope >= 3.3
+
+
+@pytest.mark.parametrize(
+    "command, head",
+    [
+        (["controllability", "{tmp}/missing.cfg"], "error: ConfigError: cannot read config "),
+        (["differential", "{cfg}", "--control", "{control}", "--order", "0"],
+         "error: ConfigError: order must be >= 1, got 0"),
+        (["differential", "{cfg}", "--control", "{tmp}/missing.txt", "--order", "2"],
+         "error: [Errno 2] No such file or directory: "),
+        (["scan", "{cfg}", "--out", "{tmp}/scan.csv", "--points", "1"],
+         "error: ConfigError: points must be >= 2, got 1"),
+    ],
+    ids=["unreadable-config", "order-0", "missing-control", "one-point"],
+)
+def test_usage_errors_exit_1_with_one_line(tmp_path, capsys, command, head):
+    cfg = write_config(tmp_path / "c.cfg", T="1")
+    control = tmp_path / "f.txt"
+    write_control_file(control, constant(1.0, 1.0, 16))
+    args = [arg.format(tmp=tmp_path, cfg=cfg, control=control) for arg in command]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(head)
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "f.txt"]
 
 
 def test_controllability_command(tmp_path, capsys):

@@ -127,6 +127,28 @@ def test_control_file_strict_parsing(tmp_path):
     path.write_text("T 1.0\nM 2\n0.5\nnot-a-number\n")
     with pytest.raises(ValueError):
         read_control_file(path)
+    path.write_text("T 1.0\nM two\n0.5\n0.5\n")
+    with pytest.raises(ValueError, match=r"bad\.txt: bad header: invalid literal for int"):
+        read_control_file(path)
+
+
+@pytest.mark.parametrize(
+    "horizon, values, head",
+    [
+        (0.0, (1.0,), "horizon must be positive, got 0.0"),
+        (1.0, (), "need at least one segment"),
+        (1.0, (0.5, math.inf), "control values must be finite"),
+    ],
+    ids=["zero-horizon", "no-segments", "non-finite"],
+)
+def test_piecewise_control_refuses_bad_fields(horizon, values, head):
+    with pytest.raises(ValueError, match=f"^{head}"):
+        PiecewiseControl(horizon, values)
+
+
+def test_random_direction_refuses_a_zero_amplitude():
+    with pytest.raises(ValueError, match=r"^amplitude must be positive, got 0"):
+        random_direction(1, 8, 1.0, amplitude=0)
 
 
 # ---------------------------------------------------------------- stream

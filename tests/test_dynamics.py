@@ -16,9 +16,10 @@ from trapscope.dynamics import (
 )
 from trapscope.errors import DomainError, GridMismatch, NotUnitary, SeriesCheckFailed
 from trapscope.landscape import taylor_fit
-from trapscope.model import build_instance, build_observable, build_system, energies, v_matrix
+from trapscope.model import _v_norm, build_instance, build_observable, build_system, energies, v_matrix
 
 from oracles import (
+    TWO_PI,
     TooExpensive,
     _kernel_midpoint_A1N,
     closed_form_AlN,
@@ -27,55 +28,42 @@ from oracles import (
     dyson_resum_defect,
     expm_mih,
     kernel_bruteforce_A1N,
+    ladder,
+    n3_instance,
     sample_midpoints,
     spectral_norm_hermitian,
     zero,
 )
 
-TWO_PI = 2 * math.pi
-
-
-def n3_system(omega=1.0, horizon=TWO_PI):
-    return build_system(3, omega, 0.0, (1.0, 1.0), horizon)
-
-
-def n3_instance(omega=1.0, horizon=TWO_PI):
-    return build_instance(n3_system(omega, horizon), build_observable((1.0, -1.0, 0.0)))
-
-
-def n4_system(horizon=TWO_PI):
-    return build_system(4, 1.0, 0.0, (1.0, 1.0, 1.0), horizon)
-
-
 # ---------------------------------------------------------------- propagate
 
 
 def test_propagate_free_evolution_is_diagonal_phase():
-    sys = n3_system()
+    sys = ladder(3)
     u = propagate(sys, zero(TWO_PI, 32))
     expected = np.diag(np.exp(-1j * TWO_PI * np.array([1.0, 0.0, 0.0])))
     assert np.max(np.abs(u - expected)) <= 1e-12
 
 
 def test_propagate_initial_state_is_free_eigenstate():
-    sys = n3_system(horizon=math.pi)
+    sys = ladder(3, math.pi)
     u = propagate(sys, zero(math.pi, 16))
     assert abs(abs(u[2, 2]) - 1.0) <= 1e-12
 
 
 def test_propagate_short_horizon_near_identity():
-    sys = n3_system(horizon=1e-9)
+    sys = ladder(3, 1e-9)
     u = propagate(sys, constant(1.0, 1e-9, 1))
     assert np.max(np.abs(u - np.eye(3))) <= 1e-8
 
 
 def test_propagate_grid_mismatch():
     with pytest.raises(GridMismatch):
-        propagate(n3_system(), zero(1.0, 8))
+        propagate(ladder(3), zero(1.0, 8))
 
 
 def test_propagate_unitarity_random_controls():
-    sys = n3_system()
+    sys = ladder(3)
     for seed in range(25):
         f = random_direction(seed, 64, TWO_PI, amplitude=2.0)
         assert unitarity_defect(propagate(sys, f)) <= 1e-10 * 3 * 64
@@ -85,7 +73,7 @@ def test_propagate_unitarity_random_controls():
 def test_propagate_batch_rows_equal_single_control_propagation(segments):
     # Odd segment counts leave a carried factor at some tree level; B is not a
     # multiple of the per-block count, so the last block is partial.
-    sys = n4_system()
+    sys = ladder(4)
     batch = 2 * block_controls(segments) + 1
     values = np.random.default_rng(segments).uniform(-2.0, 2.0, (batch, segments))
     stack = propagate_batch(sys, values)
@@ -97,7 +85,7 @@ def test_propagate_batch_rows_equal_single_control_propagation(segments):
 
 
 def test_propagate_batch_matches_sequential_product():
-    sys = n3_system()
+    sys = ladder(3)
     values = np.random.default_rng(3).uniform(-1.5, 1.5, (5, 9))
     dt = TWO_PI / 9
     h0 = np.diag([1.0, 0.0, 0.0])
@@ -154,7 +142,7 @@ def test_propagate_batch_zero_row_scores_exactly_zero():
 )
 def test_propagate_batch_rejects_bad_values(values):
     with pytest.raises(DomainError):
-        propagate_batch(n3_system(), values)
+        propagate_batch(ladder(3), values)
 
 
 @pytest.mark.parametrize("segments", [0, -1])
@@ -225,7 +213,7 @@ def test_column_at_returns_c_contiguous_level_minor_arrays():
     # the kernel works level-major and transposes back on return: the layout
     # of the result sets the summation order, and so the bits, of taylor_fit's
     # sum over levels and of scan's objective, so it must stay C-contiguous
-    sys = n4_system()
+    sys = ladder(4)
     fs = [random_direction(seed, 16, TWO_PI, amplitude=0.7) for seed in (5, 6, 7)]
     z = 0.4 * np.exp(1j * np.linspace(0.1, 6.0, 12))
     stack = dynamics._column_at(sys, dynamics._as_stack(sys, fs)[0], np.tile(z, (3, 1)))
@@ -331,13 +319,13 @@ def test_objective_within_kinematic_bounds():
 
 
 def test_dyson_zero_control_vanishes():
-    forms = dyson_forms(n3_system(), zero(TWO_PI, 32), n_max=4)
+    forms = dyson_forms(ladder(3), zero(TWO_PI, 32), n_max=4)
     assert np.max(np.abs(forms.table[1:])) == 0.0
     assert list(forms.table[0]) == [0.0, 0.0, 1.0]
 
 
 def test_dyson_first_order_nearest_neighbour():
-    sys = n3_system()
+    sys = ladder(3)
     for seed in (0, 5):
         f = random_direction(seed, 64, TWO_PI, amplitude=1.3)
         forms = dyson_forms(sys, f, n_max=1)
@@ -348,14 +336,14 @@ def test_dyson_first_order_nearest_neighbour():
 def test_dyson_matches_kernel_value_for_cos():
     # continuum value of the order-2 form at omega=2 is i*pi/2; the
     # midpoint-sampled control reproduces it to its own O(h^2) sampling error
-    sys = build_system(3, 2.0, 0.0, (1.0, 1.0), TWO_PI)
+    sys = n3_instance(2.0).system
     f = sample_midpoints(math.cos, TWO_PI, 256)
     forms = dyson_forms(sys, f, n_max=2)
     assert abs(forms.table[2, 0] - 1j * math.pi / 2) <= 1e-4
 
 
 def test_dyson_homogeneity():
-    sys = n3_system()
+    sys = ladder(3)
     f = random_direction(21, 32, TWO_PI, amplitude=0.9)
     base = dyson_forms(sys, f, n_max=4)
     for t in (-1.0, 0.5, 2.0):
@@ -369,7 +357,7 @@ def test_dyson_homogeneity():
 
 def test_dyson_top_row_vanishes_below_reach():
     # A^n at l = 1 requires at least N-1 interaction steps
-    for sys, top in ((n3_system(), 2), (n4_system(), 3)):
+    for sys, top in ((ladder(3), 2), (ladder(4), 3)):
         f = random_direction(33, 32, TWO_PI, amplitude=1.0)
         forms = dyson_forms(sys, f, n_max=top)
         for n in range(0, top):
@@ -377,7 +365,7 @@ def test_dyson_top_row_vanishes_below_reach():
 
 
 def test_dyson_matches_closed_forms_below_threshold():
-    for sys in (n3_system(), n4_system()):
+    for sys in (ladder(3), ladder(4)):
         nlev = sys.levels
         for seed in (2, 3):
             f = random_direction(seed, 32, TWO_PI, amplitude=0.8)
@@ -389,7 +377,7 @@ def test_dyson_matches_closed_forms_below_threshold():
 
 
 def test_dyson_parameter_validation():
-    sys = n3_system()
+    sys = ladder(3)
     f = zero(TWO_PI, 8)
     with pytest.raises(DomainError):
         dyson_forms(sys, f, n_max=0)
@@ -400,7 +388,7 @@ def test_dyson_parameter_validation():
 def test_dyson_matches_kernel_oracles_to_roundoff():
     # the series is exact, so it meets both independent oracles at roundoff
     for nlev in (3, 4, 5, 6, 7, 8):
-        sys = build_system(nlev, 1.0, 0.0, (1.0,) * (nlev - 1), TWO_PI)
+        sys = ladder(nlev)
         for seed, offset in ((60, 0.0), (61, 0.3), (62, -0.3)):
             f = random_direction(seed, 64, TWO_PI, mean_zero=True, amplitude=0.5).shifted(offset)
             a_dyson = dyson_forms(sys, f, n_max=2 * nlev - 2).table[nlev - 1, 0]
@@ -413,10 +401,6 @@ def test_dyson_matches_kernel_oracles_to_roundoff():
             assert abs(a_dyson - a_brute) <= 1e-12 * abs(a_brute)
 
 
-def ladder_system(levels):
-    return build_system(levels, 1.0, 0.0, (1.0,) * (levels - 1), TWO_PI)
-
-
 def stack_probes(count, segments=64):
     """Mean-zero draws, every odd one shifted off the mean-zero subspace."""
     return [
@@ -426,7 +410,7 @@ def stack_probes(count, segments=64):
 
 
 def test_stack_of_one_equals_single_call_bit_for_bit():
-    sys = n4_system()
+    sys = ladder(4)
     f = random_direction(9, 32, TWO_PI, amplitude=0.7)
     assert np.array_equal(dyson_forms(sys, [f], n_max=6).table[0], dyson_forms(sys, f, n_max=6).table)
 
@@ -434,7 +418,7 @@ def test_stack_of_one_equals_single_call_bit_for_bit():
 @pytest.mark.parametrize("levels, count", [(n, 16) for n in range(3, 9)] + [(3, 40)])
 def test_stacked_forms_match_single_calls(levels, count):
     # all but N = 3, 4 with 16 directions span more than one block
-    sys = ladder_system(levels)
+    sys = ladder(levels)
     n_max = 2 * levels - 2
     fs = stack_probes(count)
     stacked = dyson_forms(sys, fs, n_max=n_max)
@@ -444,14 +428,14 @@ def test_stacked_forms_match_single_calls(levels, count):
     orders = np.arange(n_max + 1)
     for row, f in zip(stacked.table, fs):
         single = dyson_forms(sys, f, n_max=n_max).table
-        mass = float(np.linalg.norm(v_matrix(sys), 2)) * f.dt * float(np.sum(np.abs(f.as_array())))
+        mass = _v_norm(sys) * f.dt * float(np.sum(np.abs(f.as_array())))
         scale = np.array([mass**n / math.factorial(n) for n in orders])[:, None]
         assert np.all(np.abs(row - single) <= 1e-14 * scale)
 
 
 def test_stacked_forms_of_a_zero_control_vanish():
     f = random_direction(4, 32, TWO_PI, amplitude=0.8)
-    forms = dyson_forms(n3_system(), [f, zero(TWO_PI, 32), f], n_max=4)
+    forms = dyson_forms(ladder(3), [f, zero(TWO_PI, 32), f], n_max=4)
     assert np.max(np.abs(forms.table[1, 1:])) == 0.0
     assert list(forms.table[1, 0]) == [0.0, 0.0, 1.0]
     assert forms.table[1, 2, 0] == 0.0
@@ -476,8 +460,8 @@ def test_forms_refuse_an_overflowing_control_before_computing():
     # no numpy overflow warning (an error under this suite's settings) fires.
     f = PiecewiseControl(TWO_PI, (1e200, 0.5, -0.5, -1.0))
     with pytest.raises(DomainError, match="not resolvable"):
-        dyson_forms(n3_system(), [zero(TWO_PI, 4), f], n_max=4)
-    assert np.isfinite(dyson_forms(n3_system(), f.scaled(1e-130), n_max=4).table).all()
+        dyson_forms(ladder(3), [zero(TWO_PI, 4), f], n_max=4)
+    assert np.isfinite(dyson_forms(ladder(3), f.scaled(1e-130), n_max=4).table).all()
 
 
 def test_dyson_series_self_check_rejects_wrong_coefficients(monkeypatch):
@@ -492,13 +476,13 @@ def test_dyson_series_self_check_rejects_wrong_coefficients(monkeypatch):
     dynamics._segment_series.cache_clear()
     monkeypatch.setattr(dynamics, "_exp_series", corrupted)
     with pytest.raises(SeriesCheckFailed):
-        dyson_forms(n3_system(), random_direction(1, 16, TWO_PI), n_max=4)
+        dyson_forms(ladder(3), random_direction(1, 16, TWO_PI), n_max=4)
 
 
 def test_dyson_series_self_check_rejects_overflowed_coefficients():
     # At a = 1e20 the series coefficients overflow to NaN, which a plain
     # "defect > tol" test lets through.
-    sys = build_system(3, 1e20, 0.0, (1.0, 1.0), TWO_PI)
+    sys = n3_instance(1e20).system
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SeriesCheckFailed, match="nan"):
         dyson_forms(sys, random_direction(1, 8, TWO_PI), n_max=4)
 
@@ -507,7 +491,7 @@ def test_dyson_series_self_check_rejects_overflowed_coefficients():
 
 
 def test_closed_form_vanishes_on_mean_zero():
-    sys = n3_system()
+    sys = ladder(3)
     f = random_direction(4, 32, TWO_PI, mean_zero=True)
     for l in (2, 3):
         for n in (1, 2):
@@ -515,20 +499,20 @@ def test_closed_form_vanishes_on_mean_zero():
 
 
 def test_closed_form_single_step():
-    sys = n3_system()
+    sys = ladder(3)
     f = random_direction(6, 32, TWO_PI, amplitude=1.0)
     assert closed_form_AlN(sys, f, 2, 1) == pytest.approx(integral(f), abs=1e-15)
 
 
 def test_closed_form_four_level_example():
-    sys = build_system(4, 1.0, 0.0, (1.0, 1.0, 1.0), 1.0)
+    sys = ladder(4, 1.0)
     f = constant(1.0, 1.0, 16)
     # <2|V^2|4> = v_2 v_3 = 1, so the value is 1/2! * (int f)^2 = 1/2
     assert closed_form_AlN(sys, f, 2, 2) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_closed_form_domain_errors():
-    sys = n3_system()
+    sys = ladder(3)
     f = zero(TWO_PI, 8)
     with pytest.raises(DomainError):
         closed_form_AlN(sys, f, 1, 2)
@@ -540,7 +524,7 @@ def test_closed_form_domain_errors():
 
 
 def test_kernel_form_zero_control():
-    assert kernel_form_A1N(n3_system(), zero(TWO_PI, 32)) == 0.0
+    assert kernel_form_A1N(ladder(3), zero(TWO_PI, 32)) == 0.0
 
 
 def test_kernel_forms_reject_a_control_on_another_horizon():
@@ -548,26 +532,26 @@ def test_kernel_forms_reject_a_control_on_another_horizon():
     f = random_direction(5, 16, 3.0, amplitude=1.0)
     for route in (kernel_form_A1N, kernel_bruteforce_A1N):
         with pytest.raises(GridMismatch):
-            route(n3_system(), f)
+            route(ladder(3), f)
 
 
 def test_kernel_form_cos_frequency_orthogonality():
     # int_0^{2pi} e^{is} cos(s) sin(s) ds = 0
-    sys = n3_system(omega=1.0)
+    sys = ladder(3)
     f = sample_midpoints(math.cos, TWO_PI, 256)
     assert abs(kernel_form_A1N(sys, f)) <= 1e-4
 
 
 def test_kernel_form_cos_resonant():
     # int_0^{2pi} e^{2is} cos(s) sin(s) ds = i pi / 2
-    sys = build_system(3, 2.0, 0.0, (1.0, 1.0), TWO_PI)
+    sys = n3_instance(2.0).system
     f = sample_midpoints(math.cos, TWO_PI, 256)
     assert abs(kernel_form_A1N(sys, f) - 1j * math.pi / 2) <= 1e-4
 
 
 def test_bruteforce_matches_kernel_form():
     for nlev in (3, 4):
-        sys = build_system(nlev, 1.0, 0.0, (1.0,) * (nlev - 1), TWO_PI)
+        sys = ladder(nlev)
         for seed in range(5):
             f = random_direction(seed, 32, TWO_PI, mean_zero=True, amplitude=0.9)
             a = kernel_form_A1N(sys, f)
@@ -577,7 +561,7 @@ def test_bruteforce_matches_kernel_form():
 
 def test_bruteforce_matches_plain_midpoint_quadrature():
     # the exact-per-cell enumeration against a no-tricks O(h^2) midpoint rule
-    sys = n3_system()
+    sys = ladder(3)
     for seed in (1, 8):
         f = random_direction(seed, 16, TWO_PI, mean_zero=True, amplitude=1.0)
         exact = kernel_bruteforce_A1N(sys, f)
@@ -586,16 +570,16 @@ def test_bruteforce_matches_plain_midpoint_quadrature():
 
 
 def test_bruteforce_cost_guard():
-    sys = build_system(6, 1.0, 0.0, (1.0,) * 5, TWO_PI)
+    sys = ladder(6)
     with pytest.raises(TooExpensive):
         kernel_bruteforce_A1N(sys, zero(TWO_PI, 8))
     with pytest.raises(TooExpensive):
-        kernel_bruteforce_A1N(n3_system(), zero(TWO_PI, 128))
+        kernel_bruteforce_A1N(ladder(3), zero(TWO_PI, 128))
 
 
 def test_triple_consistency_dyson_kernel_bruteforce():
     for nlev in (3, 4):
-        sys = build_system(nlev, 1.0, 0.0, (1.0,) * (nlev - 1), TWO_PI)
+        sys = ladder(nlev)
         f = random_direction(50 + nlev, 32, TWO_PI, mean_zero=True, amplitude=0.8)
         forms = dyson_forms(sys, f, n_max=nlev - 1)
         a_dyson = forms.table[nlev - 1, 0]
@@ -609,11 +593,11 @@ def test_triple_consistency_dyson_kernel_bruteforce():
 
 
 def test_resum_defect_zero_control():
-    assert dyson_resum_defect(n3_system(), zero(TWO_PI, 32), n_max=4) <= 1e-12
+    assert dyson_resum_defect(ladder(3), zero(TWO_PI, 32), n_max=4) <= 1e-12
 
 
 def test_resum_defect_small_control_under_remainder_bound():
-    sys = n3_system()
+    sys = ladder(3)
     vnorm = spectral_norm_hermitian(v_matrix(sys))
     for seed in range(3):
         f = random_direction(seed, 64, TWO_PI, amplitude=0.1)
@@ -625,7 +609,7 @@ def test_resum_defect_small_control_under_remainder_bound():
 
 
 def test_resum_defect_decreases_with_order():
-    sys = n3_system()
+    sys = ladder(3)
     f = random_direction(12, 64, TWO_PI, amplitude=0.3)
     defects = [dyson_resum_defect(sys, f, n_max=n) for n in (2, 4, 6, 8)]
     for lo, hi in zip(defects[1:], defects[:-1]):

@@ -36,28 +36,21 @@ from trapscope.landscape import (
     trap_certificate,
     witness_search,
 )
-from trapscope.model import build_instance, build_observable, build_system, h0_matrix, v_matrix
+from trapscope.model import _v_norm, build_instance, build_observable, build_system, h0_matrix, v_matrix
 
 from oracles import (
+    TWO_PI,
     column_reference_ld,
     constant,
+    ladder,
+    ladder_instance,
     lie_rank_reference,
+    n3_instance,
+    n4_instance,
     random_instances,
     sample_midpoints,
     zero,
 )
-
-TWO_PI = 2 * math.pi
-
-
-def n3_instance(omega=1.0, horizon=TWO_PI):
-    sys = build_system(3, omega, 0.0, (1.0, 1.0), horizon)
-    return build_instance(sys, build_observable((1.0, -1.0, 0.0)))
-
-
-def n4_instance(horizon=TWO_PI):
-    sys = build_system(4, 1.0, 0.0, (1.0, 1.0, 1.0), horizon)
-    return build_instance(sys, build_observable((1.0, 0.3, -1.0, 0.0)))
 
 
 def forms_for(inst, f, n_max=None):
@@ -79,8 +72,7 @@ def test_first_differential_vanishes():
 
 def test_second_differential_closed_form():
     # N=3, lambda=(1,-1,0), v=(1,1), f == 1 on [0,1]: value -1
-    sys = build_system(3, 1.0, 0.0, (1.0, 1.0), 1.0)
-    inst = build_instance(sys, build_observable((1.0, -1.0, 0.0)))
+    inst = n3_instance(horizon=1.0)
     f = constant(1.0, 1.0, 64)
     forms = forms_for(inst, f)
     assert differential(inst, forms, 2) == pytest.approx(-1.0, abs=1e-12)
@@ -184,8 +176,8 @@ def test_forms_and_odd_differentials_vanish_by_ladder_parity(levels):
     ]
     for a, b, horizon, couplings in instances:
         inst = build_instance(build_system(levels, a, b, couplings, horizon), build_observable(lam))
-        for index in range(4):  # even indices are mean-zero, odd ones offset
-            f = probe_direction(11, index, 16, horizon)
+        # even indices are mean-zero, odd ones offset
+        for f in probe_directions(CertificateConfig(directions=4, seed=11, segments=16), horizon):
             forms = forms_for(inst, f)
             for n in range(forms.n_max + 1):
                 for l in range(1, levels + 1):
@@ -206,8 +198,7 @@ def test_order_value_zero_control():
 
 def test_order_value_resonant_cos():
     # |i pi/2|^2 = pi^2/4 with lambda_1 = 1
-    sys = build_system(3, 2.0, 0.0, (1.0, 1.0), TWO_PI)
-    inst = build_instance(sys, build_observable((1.0, -1.0, 0.0)))
+    inst = n3_instance(2.0)
     f = sample_midpoints(math.cos, TWO_PI, 256)
     forms = forms_for(inst, f)
     assert order_2N2_value(inst, forms) == pytest.approx(math.pi**2 / 4, rel=1e-3)
@@ -237,6 +228,13 @@ def test_taylor_fit_zero_direction():
     assert max(abs(c) for c in fit.coefficients) <= 1e-12
 
 
+def test_taylor_fit_coefficients_start_at_order_one():
+    fit = taylor_fit(n3_instance(), constant(0.1, TWO_PI, 32))
+    assert fit.accepted is True  # bench/launch.py reads the name
+    with pytest.raises(DomainError, match=r"^coefficient index 0 outside 1\.\.6"):
+        fit.coefficient(0)
+
+
 def test_taylor_fit_constant_direction_c2():
     # f == 1/sqrt(2 pi) on [0, 2 pi]: c2 = lambda_2 v_2^2 (int f)^2 = -2 pi
     inst = n3_instance()
@@ -246,21 +244,13 @@ def test_taylor_fit_constant_direction_c2():
 
 
 def test_taylor_fit_resonant_cos_leading_order():
-    sys = build_system(3, 2.0, 0.0, (1.0, 1.0), TWO_PI)
-    inst = build_instance(sys, build_observable((1.0, -1.0, 0.0)))
+    inst = n3_instance(2.0)
     f = sample_midpoints(math.cos, TWO_PI, 256)
     fit = taylor_fit(inst, f)
     scale = max(1.0, norm(f))
     for k in (1, 2, 3):
         assert abs(fit.coefficient(k)) <= 1e-6 * scale**k
     assert fit.coefficient(4) == pytest.approx(math.pi**2 / 4, rel=1e-3)
-
-
-def ladder_instance(nlev):
-    """Unit couplings, lambda = 1, 0.5 .. 0.1, -1, 0."""
-    sys = build_system(nlev, 1.0, 0.0, (1.0,) * (nlev - 1), TWO_PI)
-    lam = (1.0, *np.linspace(0.5, 0.1, nlev - 3), -1.0, 0.0)
-    return build_instance(sys, build_observable(lam))
 
 
 def test_taylor_fit_cross_validates_differentials():
@@ -327,7 +317,7 @@ def test_stacked_taylor_fit_matches_single_calls(levels, count):
     # c_{2N-2} on it) stay within the bounds of the cross-check above.  At
     # N = 3 the 40 directions span two contour blocks.
     inst = ladder_instance(levels)
-    fs = [probe_direction(5, i, 64, TWO_PI) for i in range(count)]
+    fs = probe_directions(CertificateConfig(directions=count, seed=5, segments=64), TWO_PI)
     fits = taylor_fit(inst, fs)
     assert fits.coefficients.shape == (count, 2 * levels)
     rel = 1e-10 if levels < 8 else 1e-8
@@ -342,7 +332,7 @@ def test_stacked_taylor_fit_matches_single_calls(levels, count):
 
 def test_zero_control_inside_a_stack_gets_zeros_and_infinite_radius():
     inst = n4_instance()
-    f, g = (probe_direction(3, i, 32, TWO_PI) for i in (0, 1))
+    f, g = probe_directions(CertificateConfig(directions=2, seed=3, segments=32), TWO_PI)
     fits = taylor_fit(inst, [f, constant(0.0, TWO_PI, 32), g])
     assert np.all(fits.coefficients[1] == 0.0)
     assert fits.radius[1] == math.inf
@@ -398,10 +388,10 @@ def test_certificate_rows_match_a_per_direction_loop(levels):
     n_top = 2 * levels - 2
     cfg = CertificateConfig(directions=16, seed=611, segments=64)
     lam = np.abs(np.asarray(inst.observable.eigenvalues[:-1]))
-    v_norm = float(np.linalg.norm(v_matrix(inst.system), 2))
+    v_norm = _v_norm(inst.system)
     orders = np.arange(n_top + 1)
     rel = 1e-10 if levels < 8 else 1e-8
-    probes = [probe_direction(cfg.seed, i, cfg.segments, TWO_PI) for i in range(cfg.directions)]
+    probes = probe_directions(cfg, TWO_PI)
     rows = landscape._certificate_rows(inst, probes, cfg.seed)
     for row, (ref, forms, f) in zip(rows, reference_rows(inst, cfg), strict=True):
         assert row.keys() == ref.keys()
@@ -445,7 +435,7 @@ def float64_top_error(levels, radius_scale):
     K = 4(2N - 2) points of radius radius_scale / (||V||_2 int|f|) by
     dynamics._column_at and by oracles.column_reference_ld.
     """
-    sys = build_system(levels, 1.0, 0.0, (1.0,) * (levels - 1), TWO_PI)
+    sys = ladder(levels)
     inst = build_instance(sys, build_observable((1.0, *np.linspace(0.5, -0.4, levels - 3), -1.0, 0.0)))
     values, _ = dynamics._as_stack(sys, probe_directions(CertificateConfig(), TWO_PI)[::2])
     points = 4 * (2 * levels - 2)
@@ -471,16 +461,16 @@ def test_longdouble_column_oracle_measures_the_contour_error():
 
 
 def test_lie_rank_reference_chains():
-    res3 = lie_rank(build_system(3, 1.0, 0.0, (1.0, 1.0), TWO_PI))
+    res3 = lie_rank(ladder(3))
     assert res3.dimension >= 8 and res3.saturated
-    res4 = lie_rank(build_system(4, 1.0, 0.0, (1.0, 1.0, 1.0), TWO_PI))
+    res4 = lie_rank(ladder(4))
     assert res4.dimension >= 15 and res4.saturated
 
 
 def test_lie_rank_saturates_past_depth_twelve():
     # saturation needs depth 2N - 1, beyond the old fixed cap of 12
     for nlev in range(3, 21):
-        res = lie_rank(build_system(nlev, 1.0, 0.0, (1.0,) * (nlev - 1), TWO_PI))
+        res = lie_rank(ladder(nlev))
         assert res.saturated
         assert res.dimension == nlev * nlev
         assert res.depth_reached == 2 * nlev - 1
@@ -499,7 +489,7 @@ def test_lie_rank_degenerate_pair():
     assert not res.saturated
 
 
-_V4 = v_matrix(build_system(4, 1.0, 0.0, (1.0, 1.0, 1.0), TWO_PI)).real
+_V4 = v_matrix(ladder(4))
 
 
 @pytest.mark.parametrize(
@@ -530,11 +520,10 @@ def test_lie_rank_matrices_takes_real_symmetric_generators(pair):
 
 
 def _lie_sweep_systems():
-    ladder = [build_system(n, 1.0, 0.0, (1.0,) * (n - 1), TWO_PI) for n in range(3, 21)]
     small = range(3, 11)
     return (
         [inst.system for inst, _ in random_instances()]
-        + ladder
+        + [ladder(n) for n in range(3, 21)]
         + [build_system(5, 0.0, 1.5, (1.0, -2.0, 0.5, -1.0), TWO_PI)]
         + [build_system(n, 1.0, 0.0, (1e-5,) * (n - 1), TWO_PI) for n in small]
         + [build_system(n, gap, 0.0, (1.0,) * (n - 1), TWO_PI) for gap in (1e6, 1e-6) for n in small]
@@ -554,8 +543,8 @@ def test_lie_rank_matches_the_complex_closure():
 
 
 def test_lie_rank_invariant_under_coupling_rescale():
-    base = lie_rank(build_system(4, 1.0, 0.0, (1.0, 1.0, 1.0), TWO_PI))
-    scaled = lie_rank(build_system(4, 1.0, 0.0, (3.0, 3.0, 3.0), TWO_PI))
+    base = lie_rank(ladder(4))
+    scaled = lie_rank(ladder(4, coupling=3.0))
     assert base.dimension == scaled.dimension
 
 
@@ -565,14 +554,9 @@ def test_lie_rank_invariant_under_coupling_rescale():
 _RANDOM = random_instances()
 
 
-def probes_for(inst, seed=20240901, directions=8, segments=64):
-    """The certificate's probe directions on the instance's horizon."""
-    return [probe_direction(seed, i, segments, inst.system.horizon) for i in range(directions)]
-
-
 def test_witness_respects_kinematic_bound():
     inst = n3_instance()
-    res = witness_search(inst, probes_for(inst, seed=7, segments=32), budget=40)
+    res = witness_search(inst, probe_directions(CertificateConfig(seed=7, segments=32), TWO_PI), budget=40)
     assert res.j_value <= 1.0 + 1e-12
     if res.success:
         assert res.evaluations <= 40
@@ -582,7 +566,7 @@ def test_witness_respects_kinematic_bound():
 
 def test_witness_deterministic():
     inst = n3_instance()
-    probes = probes_for(inst, seed=11, segments=16)
+    probes = probe_directions(CertificateConfig(seed=11, segments=16), TWO_PI)
     a = witness_search(inst, probes, budget=25)
     b = witness_search(inst, probes, budget=25)
     assert a == b
@@ -596,7 +580,7 @@ def serial_witness_walk(inst, probes, budget):
     """
     sys = inst.system
     lo, hi = landscape.WITNESS_AMPLITUDE_SCALE
-    v_norm = float(np.linalg.norm(v_matrix(sys), 2))
+    v_norm = _v_norm(sys)
     lam = inst.observable.eigenvalues
     zero = PiecewiseControl(sys.horizon, (0.0,) * probes[0].segments)
     threshold = objective(propagate(sys, zero), inst) + 0.01 * (lam[0] - lam[-1])
@@ -627,7 +611,7 @@ def test_witness_blocks_match_serial_walk(index, segments, budget, first_hit):
     # controls, in a second block, so a budget of 4 walks the same
     # amplitudes one control short of the hit, and misses.
     inst, seed = _RANDOM[index]
-    probes = probes_for(inst, seed=seed, directions=6, segments=segments)
+    probes = probe_directions(CertificateConfig(directions=6, seed=seed, segments=segments), inst.system.horizon)
     assert block_controls(segments) == {16: 16, 64: 4}[segments]
 
     def check(budget):
@@ -664,11 +648,6 @@ def test_probe_directions_enumerate_the_family():
     assert probe_directions(budget, 3.0) == [probe_direction(611, i, 32, 3.0) for i in range(5)]
 
 
-def witness_ladder(levels, horizon, coupling):
-    sys = build_system(levels, 1.0, 0.0, (coupling,) * (levels - 1), horizon)
-    return build_instance(sys, build_observable((1.0, *np.linspace(0.5, 0.1, levels - 3), -1.0, 0.0)))
-
-
 # Instances of random_instances(), N = 3..10 in order.  On those with
 # N = 6..10, budget-500 searches over random controls of amplitude
 # [0.1, 100] / (||V||_2 T) missed.  Some hit late in the walk (evaluation
@@ -679,7 +658,7 @@ WITNESS_RANDOM = (2, 16, 82, 79, 31, 7, 35, 107, 29, 100, 13, 67, 85)
 @pytest.mark.parametrize(
     "inst, seed",
     [
-        pytest.param(witness_ladder(levels, horizon, coupling), 20240901, id=f"{levels}-{horizon}-{coupling}")
+        pytest.param(ladder_instance(levels, horizon, coupling), 20240901, id=f"{levels}-{horizon}-{coupling}")
         for levels, horizon, coupling in [
             (4, TWO_PI, 1.0),
             (8, TWO_PI, 1.0),
@@ -698,7 +677,7 @@ def test_witness_hits_at_the_horizon(inst, seed):
     # clears the threshold on every instance, from short horizons and weak
     # coupling to N = 12, and on random instances up to N = 10.
     cfg = CertificateConfig(seed=seed)
-    res = witness_search(inst, probes_for(inst, seed, cfg.directions, cfg.segments), cfg.witness_budget)
+    res = witness_search(inst, probe_directions(cfg, inst.system.horizon), cfg.witness_budget)
     lam = inst.observable.eigenvalues
     assert res.success and res.j_value > 0.01 * (lam[0] - lam[-1])
     assert res.evaluations <= cfg.witness_budget
@@ -707,7 +686,7 @@ def test_witness_hits_at_the_horizon(inst, seed):
 def test_witness_budget_validation():
     inst = n3_instance()
     with pytest.raises(DomainError):
-        witness_search(inst, probes_for(inst, segments=16), budget=0)
+        witness_search(inst, probe_directions(CertificateConfig(segments=16), TWO_PI), budget=0)
     with pytest.raises(DomainError):
         witness_search(inst, [], budget=1)
     with pytest.raises(DomainError):
@@ -724,7 +703,7 @@ def test_witness_memory_does_not_grow_with_the_budget():
     budget = CertificateConfig(witness_budget=landscape.MAX_WITNESS_BUDGET).witness_budget
     assert budget == 10**7
     inst = n4_instance()
-    probes = probes_for(inst)
+    probes = probe_directions(CertificateConfig(), TWO_PI)
     first = witness_search(inst, probes, budget=1)
     tracemalloc.start()
     try:
@@ -830,6 +809,8 @@ def test_certificate_n4_claims_order_five():
     assert report.claimed_order == 5
     assert report.passed
     assert report.check("flatness_3_to_2N-3").extras["orders"] == [3, 4, 5]
+    with pytest.raises(KeyError, match="nope"):
+        report.check("nope")
 
 
 def test_certificate_strong_coupling_n4_passes():
@@ -971,7 +952,7 @@ def test_certificate_witness_walks_each_horizons_probes():
     report = trap_certificate(n3_instance(), cfg)
     for row, horizon in zip(report.witness, cfg.witness_horizons, strict=True):
         inst = n3_instance(horizon=horizon)
-        res = witness_search(inst, probes_for(inst, cfg.seed, cfg.directions, cfg.segments), cfg.witness_budget)
+        res = witness_search(inst, probe_directions(cfg, horizon), cfg.witness_budget)
         assert row == {
             "horizon": horizon,
             "j_value": res.j_value,

@@ -6,6 +6,7 @@ import pytest
 from trapscope.errors import (
     BadDimension,
     DegenerateSpectrum,
+    DomainError,
     OrderingViolation,
     ZeroCoupling,
 )
@@ -26,8 +27,8 @@ def reference_system():
 
 def test_build_system_reference_matrices():
     sys = reference_system()
-    assert np.array_equal(h0_matrix(sys), np.diag([1.0, 0.0, 0.0]).astype(complex))
-    expected_v = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
+    assert np.array_equal(h0_matrix(sys), np.diag([1.0, 0.0, 0.0]))
+    expected_v = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
     assert np.array_equal(v_matrix(sys), expected_v)
     assert sys.omega == 1.0
 
@@ -50,10 +51,16 @@ def test_build_system_rejects_bad_input():
         build_system(4, 1.0, 0.0, (1.0, 1.0), 1.0)
     with pytest.raises(BadDimension):
         build_system(3, 1.0, 0.0, (1.0, 1.0), 0.0)
+    # a and b are finite but their gap overflows: not a degenerate spectrum
+    with pytest.raises(DomainError, match=r"^gap a - b must be finite"):
+        build_system(3, 1e308, -1e308, (1.0, 1.0), 1.0)
 
 
 def test_materialized_matrices_exactly_hermitian():
     sys = build_system(5, 0.7, -0.2, (0.3, -1.1, 2.0, 0.25), 3.0)
+    for m in (h0_matrix(sys), v_matrix(sys)):
+        assert m.dtype == np.float64
+        assert np.array_equal(m, m.T)
     assert hermiticity_defect(h0_matrix(sys)) == 0.0
     assert hermiticity_defect(v_matrix(sys)) == 0.0
 
@@ -68,6 +75,11 @@ def test_observable_shift_recorded():
     obs = build_observable((2.0, 0.0, 1.0))
     assert obs.eigenvalues == (1.0, -1.0, 0.0)
     assert obs.shift == 1.0
+
+
+def test_observable_needs_three_eigenvalues():
+    with pytest.raises(BadDimension, match=r"^need at least 3 eigenvalues, got 2"):
+        build_observable((1.0, 0.0))
 
 
 def test_observable_ordering_violation():
@@ -154,7 +166,7 @@ def test_v_power_element_tridiagonal_reach():
 
 def test_v_power_element_matches_matrix_power():
     sys = build_system(5, 1.0, 0.0, (0.8, -1.3, 0.6, 1.7), 1.0)
-    v = v_matrix(sys).real
+    v = v_matrix(sys)
     for n in range(0, 6):
         vn = np.linalg.matrix_power(v, n)
         for l in range(1, 6):
