@@ -228,7 +228,7 @@ def unitarity_defect(u):
     m = np.asarray(u, dtype=np.complex128)
     if m.ndim not in (2, 3) or not 1 <= m.shape[-1] <= m.shape[-2]:
         raise ValueError(f"expected an N x k matrix with 1 <= k <= N or a stack of them, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     g = m.conj().swapaxes(-1, -2) @ m
     defect = np.linalg.norm(g - np.eye(m.shape[-1]), "fro", axis=(-2, -1))

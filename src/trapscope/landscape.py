@@ -14,8 +14,9 @@ stationarity (c_1 = 0), strict second-order descent off the mean-zero
 subspace, flatness of orders 3..2N-3 on it, and the non-negative matching
 coefficient at order 2N-2; plus the Lie-rank controllability proxy and a
 best-effort witness that the zero control is not a global maximum: the
-first control t*f along the certificate's own probe lines, walked from the
-largest amplitude down on the contour's scale, that scores well above it.
+first control t*f along the certificate's own probe lines, walked on the
+contour's scale from the largest amplitude into ever finer midpoints below
+it, that scores well above it.
 
 Analytic values (from the forms) are the primary evidence; a Cauchy
 contour of the objective itself, continued to complex amplitudes,
@@ -72,13 +73,11 @@ from .model import ProblemInstance, SystemSpec, _v_norm, h0_matrix, v_matrix
 PROBE_AMPLITUDE = 0.5
 PROBE_OFFSET_FRACTION = 0.6
 CONTOUR_EXTRA_POINTS = 16  # contour points beyond the 2N sampled orders
-# The witness walks tau log-spaced from the top of this range down to its
-# bottom, at amplitudes tau / (||V||_2 int|f|) along each probe f.
+# The witness walks tau over this range on a log scale, at amplitudes
+# tau / (||V||_2 int|f|) along each probe f: first the top, then level by
+# level the midpoints that halve the log-spacing, each level from the top
+# down.  The bottom itself is approached but never walked.
 WITNESS_AMPLITUDE_SCALE = (0.1, 1000.0)
-# The witness builds its whole tau grid before the first evaluation: at this
-# budget the n4 example peaks at about 20 MB, at 10^10 it would need about
-# 20 GB.  CertificateConfig refuses a larger witness_budget.
-MAX_WITNESS_BUDGET = 10**7
 # A witness must score above J(0) + WITNESS_MARGIN (lambda_1 - lambda_N),
 # where J(0) = lambda_N: the zero control's propagator is diagonal.
 WITNESS_MARGIN = 0.01
@@ -321,8 +320,10 @@ def lie_rank(sys: SystemSpec) -> LieAlgebraResult:
 @dataclass(frozen=True)
 class WitnessResult:
     """Outcome of the non-optimality search at one horizon: amplitude * probes[probe],
-    the first control to clear the threshold, or on a miss (success False) the
-    best walked.  `evaluations` counts the controls up to that one, or `budget`."""
+    the first control of the fixed walk to clear the threshold, or on a miss
+    (success False) the best of the `budget` walked.  `evaluations` counts
+    the controls up to that one, or `budget`; a larger budget finds the same
+    hit."""
 
     control: PiecewiseControl
     j_value: float
@@ -335,16 +336,21 @@ class WitnessResult:
 def witness_search(inst: ProblemInstance, probes, budget: int) -> WitnessResult:
     """First of `budget` controls along the probe lines that scores well above the zero control.
 
-    The walk takes ceil(budget / D) values of tau, log-spaced from the top
-    of WITNESS_AMPLITUDE_SCALE down, and at each the D probes (controls on
-    one grid) in index order, at t = tau / (||V||_2 int|f|).  Its first
-    `budget` controls go through _sample_lines in blocks of
-    block_controls(M); the first with J > J(0) + WITNESS_MARGIN
-    (lambda_1 - lambda_N) is returned, or on a miss the best, with success
-    False.  J(0) is not computed: the zero control's propagator is
-    diagonal, so J(0) = lambda_N.  There is no local refinement: ascent
-    from near zero is pulled onto the zero control's plateau (Pechen &
-    Tannor, PRL 106, 120402, 2011).  A miss is an outcome, not an error:
+    The walk is one fixed sequence that the budget only truncates.  Its
+    step i scores probe i % D (of D probes, controls on one grid) at
+    t = tau_k / (||V||_2 int|f|), k = i // D.  With (lo, hi) =
+    WITNESS_AMPLITUDE_SCALE and e the bit length of k, tau_k =
+    hi (lo / hi)^u_k, u_k = (2k - 2^e + 1) / 2^e: tau_0 = hi, and each
+    level e halves the log-spacing of the ones before it, adding its
+    midpoints from the top down.  Each block forms its controls from the
+    walk indices as Python ints, so no walk-sized array exists and memory
+    does not grow with the budget.  The first `budget` controls go through
+    _sample_lines in blocks of block_controls(M); the first with
+    J > J(0) + WITNESS_MARGIN (lambda_1 - lambda_N) is returned, or on a
+    miss the best, with success False.  J(0) is not computed: the zero
+    control's propagator is diagonal, so J(0) = lambda_N.  There is no local
+    refinement: ascent from near zero is pulled onto the zero control's
+    plateau (Pechen & Tannor, PRL 106, 120402, 2011).  A miss is an outcome, not an error:
     the minimal horizon with good controls is unknown.  A zero probe has no
     scale: DomainError.
     """
@@ -358,18 +364,19 @@ def witness_search(inst: ProblemInstance, probes, budget: int) -> WitnessResult:
     with np.errstate(divide="ignore"):
         if not np.all(hi / scale < math.inf):
             raise DomainError("a zero probe has no amplitude scale")
-    taus = np.geomspace(hi, lo, -(-budget // directions))
 
     def walked(i):
-        """Probe index and amplitude of control(s) i of the walk."""
-        return i % directions, taus[i // directions] / scale[i % directions]
+        """Probe index and amplitude of control i of the walk."""
+        k, probe = divmod(i, directions)
+        e = k.bit_length()
+        return probe, hi * (lo / hi) ** ((2 * k - (1 << e) + 1) / (1 << e)) / scale[probe]
 
     lam = inst.observable.eigenvalues
     threshold = lam[-1] + WITNESS_MARGIN * (lam[0] - lam[-1])
     best, best_j, evals = 0, -math.inf, budget
     rows = block_controls(segments)
     for start in range(0, budget, rows):
-        probe, amplitude = walked(np.arange(start, min(start + rows, budget)))
+        probe, amplitude = map(np.array, zip(*map(walked, range(start, min(start + rows, budget)))))
         js = _sample_lines(inst, values[probe], amplitude[:, None])[:, 0]
         hits = np.flatnonzero(js > threshold)
         # A hit beats every earlier control, as none of them cleared the threshold.
@@ -399,10 +406,10 @@ class CertificateConfig:
     At T the witness walks the certificate's own probes; at any other
     horizon in witness_horizons, the probe directions of the same seed and
     segments on that horizon (probe_directions).  The defaults and range
-    checks here are the only ones, witness_budget's upper bound
-    MAX_WITNESS_BUDGET among them; an out-of-range field raises ConfigError
-    naming it.  Everything else about the certificate is fixed by the
-    module constants.
+    checks here are the only ones; witness_budget has no upper bound, as the
+    walk's memory does not grow with it.  An out-of-range field raises
+    ConfigError naming it.  Everything else about the certificate is fixed
+    by the module constants.
     """
 
     amplitude: ClassVar[float] = PROBE_AMPLITUDE  # for callers that regenerate probe directions
@@ -418,10 +425,6 @@ class CertificateConfig:
             value = getattr(self, name)
             if value < minimum:
                 raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
-        if self.witness_budget > MAX_WITNESS_BUDGET:
-            raise ConfigError(
-                f"witness_budget must be <= {MAX_WITNESS_BUDGET}, got {self.witness_budget!r}"
-            )
         horizons = self.witness_horizons
         if horizons is not None and not (horizons and all(0.0 < h < math.inf for h in horizons)):
             raise ConfigError(

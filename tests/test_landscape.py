@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -572,25 +573,37 @@ def test_witness_deterministic():
     assert a == b
 
 
-def serial_witness_walk(inst, probes, budget):
-    """The witness walk as one propagate per control, stopping at the first hit.
+def serial_witness_steps(inst, probes):
+    """(probe, amplitude, J) of each control of the witness walk in order, one propagate each.
+
+    The walk enumerates its exponents u level by level: u = 0 first, then at
+    level e = 1, 2, ... the odd multiples j / 2^e in increasing order, each
+    at tau = hi (lo / hi)^u with the probes in index order.
+    """
+    sys = inst.system
+    lo, hi = landscape.WITNESS_AMPLITUDE_SCALE
+    v_norm = _v_norm(sys)
+    levels = (j / 2**e for e in itertools.count(1) for j in range(1, 2**e, 2))
+    for u in itertools.chain([0.0], levels):
+        for k, f in enumerate(probes):
+            t = hi * (lo / hi) ** u / (v_norm * float(np.sum(np.abs(f.as_array())) * (sys.horizon / f.segments)))
+            yield k, t, objective(propagate(sys, f.scaled(t)), inst)
+
+
+def serial_witness_walk(inst, probes, budget, steps=None):
+    """The first `budget` steps of the witness walk (serial_witness_steps, or
+    `steps` computed by it), stopping at the first hit.
 
     (probe, amplitude, J, success, evaluations) of the first hit, or of the
     best control on a miss.
     """
     sys = inst.system
-    lo, hi = landscape.WITNESS_AMPLITUDE_SCALE
-    v_norm = _v_norm(sys)
     lam = inst.observable.eigenvalues
     zero = PiecewiseControl(sys.horizon, (0.0,) * probes[0].segments)
     threshold = objective(propagate(sys, zero), inst) + 0.01 * (lam[0] - lam[-1])
-    taus = np.geomspace(hi, lo, -(-budget // len(probes)))
-    walk = [(k, tau) for tau in taus for k in range(len(probes))][:budget]
+    walk = itertools.islice(serial_witness_steps(inst, probes) if steps is None else steps, budget)
     best = (None, None, -math.inf, False, budget)
-    for count, (k, tau) in enumerate(walk, start=1):
-        f = probes[k]
-        t = tau / (v_norm * float(np.sum(np.abs(f.as_array())) * (sys.horizon / f.segments)))
-        j = objective(propagate(sys, f.scaled(t)), inst)
+    for count, (k, t, j) in enumerate(walk, start=1):
         if j > threshold:
             return k, t, j, True, count
         if j > best[2]:
@@ -598,40 +611,66 @@ def serial_witness_walk(inst, probes, budget):
     return best
 
 
+def check_serial_walk(inst, probes, budget, steps=None):
+    """witness_search at `budget` against serial_witness_walk; returns its result."""
+    res = witness_search(inst, probes, budget)
+    probe, t, j, success, evals = serial_witness_walk(inst, probes, budget, steps)
+    assert (res.probe, res.success, res.evaluations) == (probe, success, evals)
+    assert res.amplitude == pytest.approx(t, rel=1e-15)
+    assert res.j_value == pytest.approx(j, rel=1e-12, abs=1e-15)
+    assert res.control == probes[probe].scaled(res.amplitude)
+    j_control = objective(propagate(inst.system, res.control), inst)
+    assert j_control == pytest.approx(res.j_value, rel=1e-12, abs=1e-15)
+    return res
+
+
 @pytest.mark.parametrize(
     "index, segments, budget, first_hit",
-    [(50, 16, 160, 22), (62, 16, 160, 31), (16, 16, 160, 71), (6, 16, 160, None), (41, 64, 5, 5)],
+    [(50, 16, 160, 8), (62, 16, 160, 13), (16, 16, 160, 71), (6, 16, 160, None), (41, 64, 5, 5)],
 )
 def test_witness_blocks_match_serial_walk(index, segments, budget, first_hit):
     # Six probes, so the blocks of block_controls(M) controls (16 on 16
     # segments, 4 on 64) end in the middle of an amplitude's six.  The first
-    # hits fall mid-block (22, 31) and in the fifth block (71); instance 6
-    # misses all 160 and returns its best.  The amplitudes depend on the
-    # budget, through ceil(budget / 6); instance 41 hits at the last of 5
-    # controls, in a second block, so a budget of 4 walks the same
-    # amplitudes one control short of the hit, and misses.
+    # hits fall mid-block (8, 13) and in the fifth block (71); instance 6
+    # misses all 160 and returns its best.  Instance 41 hits at the last of
+    # 5 controls, in a second block, so a budget of 4 walks the same
+    # controls one short of the hit, and misses.
     inst, seed = _RANDOM[index]
     probes = probe_directions(CertificateConfig(directions=6, seed=seed, segments=segments), inst.system.horizon)
     assert block_controls(segments) == {16: 16, 64: 4}[segments]
-
-    def check(budget):
-        res = witness_search(inst, probes, budget)
-        probe, t, j, success, evals = serial_witness_walk(inst, probes, budget)
-        assert (res.probe, res.success, res.evaluations) == (probe, success, evals)
-        assert res.amplitude == pytest.approx(t, rel=1e-15)
-        assert res.j_value == pytest.approx(j, rel=1e-12, abs=1e-15)
-        assert res.control == probes[probe].scaled(res.amplitude)
-        j_control = objective(propagate(inst.system, res.control), inst)
-        assert j_control == pytest.approx(res.j_value, rel=1e-12, abs=1e-15)
-        return res
-
-    res = check(budget)
+    res = check_serial_walk(inst, probes, budget)
     assert res.success == (first_hit is not None)
     if res.success:
         assert res.evaluations == first_hit
     if first_hit == budget:
-        miss = check(budget - 1)
+        miss = check_serial_walk(inst, probes, budget - 1)
         assert not miss.success and miss.evaluations == budget - 1
+
+
+@pytest.mark.parametrize("index", [6, 16, 60])
+def test_witness_every_budget_truncates_one_walk(index):
+    # The walk is one sequence and the budget only cuts it: every budget
+    # from 1 to 160 gives the serial walk's outcome over the same first
+    # controls.  Instance 6 (N = 5) misses all 160, so each budget returns
+    # the best of its prefix; instances 16 (N = 4) and 60 (N = 5) hit at 71
+    # and 31, and every larger budget returns that hit.
+    inst, seed = _RANDOM[index]
+    probes = probe_directions(CertificateConfig(directions=6, seed=seed, segments=16), inst.system.horizon)
+    steps = list(itertools.islice(serial_witness_steps(inst, probes), 160))
+    for budget in range(1, 161):
+        check_serial_walk(inst, probes, budget, steps)
+
+
+def test_witness_hit_is_not_lost_to_a_larger_budget():
+    # Random instance 61 (N = 9) at the certificate's defaults: its walk
+    # first clears the threshold at its 340th control, so budget 200 misses
+    # and budget 500 must find that hit: a larger budget walks the same
+    # controls and more.
+    inst, seed = _RANDOM[61]
+    probes = probe_directions(CertificateConfig(seed=seed), inst.system.horizon)
+    short, hit = (witness_search(inst, probes, budget) for budget in (200, 500))
+    assert not short.success and short.evaluations == 200
+    assert hit.success and hit.evaluations == 340
 
 
 def test_probe_direction_is_the_shifted_draw():
@@ -650,8 +689,8 @@ def test_probe_directions_enumerate_the_family():
 
 # Instances of random_instances(), N = 3..10 in order.  On those with
 # N = 6..10, budget-500 searches over random controls of amplitude
-# [0.1, 100] / (||V||_2 T) missed.  Some hit late in the walk (evaluation
-# 132 on instance 16, 101 on 85), at its smaller amplitudes.
+# [0.1, 100] / (||V||_2 T) missed.  Some hit late in the walk, on its finer
+# levels of tau (evaluation 174 on instance 85, 140 on 100).
 WITNESS_RANDOM = (2, 16, 82, 79, 31, 7, 35, 107, 29, 100, 13, 67, 85)
 
 
@@ -693,26 +732,24 @@ def test_witness_budget_validation():
         witness_search(inst, [constant(0.0, TWO_PI, 16)], budget=1)
 
 
-
 def test_witness_memory_does_not_grow_with_the_budget():
-    # On the n4 example the walk hits on its first control.  It forms each
-    # block's amplitudes as it reaches them, so a budget of 10^7 allocates
-    # only its tau grid up front, 8 bytes per ceil(budget / D) values, and
-    # peaks near 20 MB; holding every control's amplitude and probe index
-    # peaked at 240 MB.  10^7 is the largest budget a certificate accepts.
-    budget = CertificateConfig(witness_budget=landscape.MAX_WITNESS_BUDGET).witness_budget
-    assert budget == 10**7
+    # On the n4 example the walk hits on its first control.  Each block
+    # forms its controls from their walk indices, so no budget-sized array
+    # exists: at budget 10^7 the search peaks below 1 MB.  Any budget runs,
+    # and a certificate accepts 10^12 as well as a search does 10^30.
     inst = n4_instance()
     probes = probe_directions(CertificateConfig(), TWO_PI)
     first = witness_search(inst, probes, budget=1)
     tracemalloc.start()
     try:
-        res = witness_search(inst, probes, budget=budget)
+        res = witness_search(inst, probes, budget=10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert res == first and res.evaluations == 1
-    assert peak < 40e6
+    assert peak < 1e6
+    for budget in (CertificateConfig(witness_budget=10**12).witness_budget, 10**30):
+        assert witness_search(inst, probes, budget) == first
 
 
 def zero_control_cases():
@@ -760,7 +797,6 @@ def quick_config(**kw):
         ("witness_horizons", (0.0,)),
         ("witness_horizons", (math.inf,)),
         ("witness_horizons", (math.nan,)),
-        ("witness_budget", 10**7 + 1),
     ],
 )
 def test_certificate_config_rejects_out_of_range_fields(field, value):

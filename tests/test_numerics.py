@@ -103,7 +103,14 @@ def test_unitarity_defect_of_isometries():
 
 @pytest.mark.parametrize(
     "bad",
-    [np.zeros(3), np.zeros((2, 3)), np.zeros((2, 2, 3)), np.zeros((1, 2, 2, 2)), np.full((2, 2), np.nan)],
+    [
+        np.zeros(3),
+        np.zeros((2, 3)),
+        np.zeros((2, 2, 3)),
+        np.zeros((1, 2, 2, 2)),
+        np.full((2, 2), np.nan),
+        np.array([[1.0, 0.0], [0.0, complex(0.0, np.inf)]]),  # finite real part, infinite imaginary part
+    ],
 )
 def test_unitarity_defect_rejects_malformed_input(bad):
     with pytest.raises(ValueError):
