@@ -51,7 +51,7 @@ REPORT_SCHEMA = "trapscope/4"
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x.strip()) for x in text.split(",") if x.strip() != "")
+    return tuple(float(x) for x in text.split(","))
 
 
 # Config key -> (field, parser).  Fields of CertificateConfig are the

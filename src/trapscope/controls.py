@@ -29,14 +29,15 @@ from .errors import GridMismatch
 
 @dataclass(frozen=True)
 class PiecewiseControl:
-    """A control f: [0, T] -> R, constant on M equal segments."""
+    """A control f: [0, T] -> R, constant on M equal segments; T is positive
+    and finite, and every value finite."""
 
     horizon: float
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         if len(self.values) < 1:
             raise ValueError("need at least one segment")
         if not all(math.isfinite(x) for x in self.values):
@@ -174,8 +175,10 @@ def _direction_values(seed: int, segments: int, horizon: float, mean_zero: bool,
     if not amplitude > 0.0:
         raise ValueError(f"amplitude must be positive, got {amplitude!r}")
     horizon, segments = float(horizon), int(segments)
-    if not horizon > 0.0 or segments < 1:
-        raise ValueError(f"need a positive horizon and at least one segment, got T={horizon!r}, M={segments!r}")
+    if not 0.0 < horizon < math.inf or segments < 1:
+        raise ValueError(
+            f"need a positive finite horizon and at least one segment, got T={horizon!r}, M={segments!r}"
+        )
     vals = _PCG64(seed).uniform(-amplitude, amplitude, segments)
     if mean_zero:
         # integral, project_mean_zero, norm and scaled, elementwise as they

@@ -263,12 +263,19 @@ class DysonForms:
 
     table[..., n, l-1] = A^n_l(T), with a leading direction axis when the
     forms of several controls were computed together.  Row 0 is the
-    Kronecker row (0, ..., 0, 1).
+    Kronecker row (0, ..., 0, 1).  The table is the only field: n_max and
+    levels are read off its shape, (..., n_max+1, N).
     """
 
-    n_max: int
-    levels: int
     table: np.ndarray
+
+    @property
+    def n_max(self) -> int:
+        return self.table.shape[-2] - 1
+
+    @property
+    def levels(self) -> int:
+        return self.table.shape[-1]
 
     @property
     def substeps(self) -> int:
@@ -504,7 +511,7 @@ def dyson_forms(sys: SystemSpec, controls, n_max: int) -> DysonForms:
     table[..., 0, n - 1] = 1.0
     table = table[0] if single else table
     table.setflags(write=False)
-    return DysonForms(n_max=n_max, levels=n, table=table)
+    return DysonForms(table)
 
 
 @lru_cache(maxsize=None)

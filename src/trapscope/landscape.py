@@ -39,6 +39,7 @@ every report records TOLERANCES.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar
 
@@ -78,8 +79,8 @@ CONTOUR_EXTRA_POINTS = 16  # contour points beyond the 2N sampled orders
 # level the midpoints that halve the log-spacing, each level from the top
 # down.  The bottom itself is approached but never walked.
 WITNESS_AMPLITUDE_SCALE = (0.1, 1000.0)
-# A witness must score above J(0) + WITNESS_MARGIN (lambda_1 - lambda_N),
-# where J(0) = lambda_N: the zero control's propagator is diagonal.
+# A witness must score above _witness_threshold: J(0) + WITNESS_MARGIN
+# (lambda_1 - lambda_N).
 WITNESS_MARGIN = 0.01
 # Check thresholds; every report carries a copy under "tolerances".
 TOLERANCES = {
@@ -168,12 +169,16 @@ class TaylorFit:
     that of t^k, read off a Cauchy contour of radius `radius` (inf for f = 0).
 
     For several directions fitted together, coefficients has shape
-    (D, max_order) and radius shape (D,).
+    (D, max_order) and radius shape (D,).  max_order is read off the
+    coefficients' last axis.
     """
 
-    max_order: int
     coefficients: np.ndarray
     radius: float | np.ndarray
+
+    @property
+    def max_order(self) -> int:
+        return self.coefficients.shape[-1]
 
     @property
     def accepted(self) -> bool:
@@ -225,8 +230,8 @@ def taylor_fit(inst: ProblemInstance, controls) -> TaylorFit:
         coeffs[block] = np.mean(j[:, None, :] * z[:, None, :] ** -orders[:, None], axis=-1).real
     coeffs.setflags(write=False)
     if single:
-        return TaylorFit(max_order, coeffs[0], float(radius[0]))
-    return TaylorFit(max_order, coeffs, radius)
+        return TaylorFit(coeffs[0], float(radius[0]))
+    return TaylorFit(coeffs, radius)
 
 
 @dataclass(frozen=True)
@@ -319,18 +324,28 @@ def lie_rank(sys: SystemSpec) -> LieAlgebraResult:
 
 @dataclass(frozen=True)
 class WitnessResult:
-    """Outcome of the non-optimality search at one horizon: amplitude * probes[probe],
-    the first control of the fixed walk to clear the threshold, or on a miss
-    (success False) the best of the `budget` walked.  `evaluations` counts
-    the controls up to that one, or `budget`; a larger budget finds the same
-    hit."""
+    """Outcome of the non-optimality search at one horizon.  The control is
+    amplitude * probes[probe], recorded by those two fields alone: the first
+    control of the fixed walk to clear the threshold, or on a miss (success
+    False) the best of the `budget` walked.  `evaluations` counts the
+    controls up to that one, or `budget`; a larger budget finds the same
+    hit.  The fields are the report's witness row, after its horizon."""
 
-    control: PiecewiseControl
     j_value: float
     success: bool
     evaluations: int
     probe: int
     amplitude: float
+
+
+def _witness_threshold(inst: ProblemInstance) -> float:
+    """J(0) + WITNESS_MARGIN (lambda_1 - lambda_N), the score a witness must beat.
+
+    J(0) is not computed: the zero control's propagator is diagonal, so
+    J(0) = lambda_N.
+    """
+    lam = inst.observable.eigenvalues
+    return lam[-1] + WITNESS_MARGIN * (lam[0] - lam[-1])
 
 
 def witness_search(inst: ProblemInstance, probes, budget: int) -> WitnessResult:
@@ -346,9 +361,8 @@ def witness_search(inst: ProblemInstance, probes, budget: int) -> WitnessResult:
     walk indices as Python ints, so no walk-sized array exists and memory
     does not grow with the budget.  The first `budget` controls go through
     _sample_lines in blocks of block_controls(M); the first with
-    J > J(0) + WITNESS_MARGIN (lambda_1 - lambda_N) is returned, or on a
-    miss the best, with success False.  J(0) is not computed: the zero
-    control's propagator is diagonal, so J(0) = lambda_N.  There is no local
+    J > _witness_threshold(inst) is returned as its probe index and
+    amplitude, or on a miss the best, with success False.  There is no local
     refinement: ascent from near zero is pulled onto the zero control's
     plateau (Pechen & Tannor, PRL 106, 120402, 2011).  A miss is an outcome, not an error:
     the minimal horizon with good controls is unknown.  A zero probe has no
@@ -371,8 +385,7 @@ def witness_search(inst: ProblemInstance, probes, budget: int) -> WitnessResult:
         e = k.bit_length()
         return probe, hi * (lo / hi) ** ((2 * k - (1 << e) + 1) / (1 << e)) / scale[probe]
 
-    lam = inst.observable.eigenvalues
-    threshold = lam[-1] + WITNESS_MARGIN * (lam[0] - lam[-1])
+    threshold = _witness_threshold(inst)
     best, best_j, evals = 0, -math.inf, budget
     rows = block_controls(segments)
     for start in range(0, budget, rows):
@@ -387,14 +400,7 @@ def witness_search(inst: ProblemInstance, probes, budget: int) -> WitnessResult:
             evals = best + 1
             break
     probe, t = walked(best)
-    return WitnessResult(
-        control=PiecewiseControl(sys.horizon, tuple((t * values[probe]).tolist())),
-        j_value=best_j,
-        success=best_j > threshold,
-        evaluations=evals,
-        probe=probe,
-        amplitude=float(t),
-    )
+    return WitnessResult(best_j, best_j > threshold, evals, probe, float(t))
 
 
 @dataclass(frozen=True)
@@ -407,9 +413,10 @@ class CertificateConfig:
     horizon in witness_horizons, the probe directions of the same seed and
     segments on that horizon (probe_directions).  The defaults and range
     checks here are the only ones; witness_budget has no upper bound, as the
-    walk's memory does not grow with it.  An out-of-range field raises
-    ConfigError naming it.  Everything else about the certificate is fixed
-    by the module constants.
+    walk's memory does not grow with it.  The four counts are integers
+    (numpy integers are stored as int); a non-integer or out-of-range field
+    raises ConfigError naming it.  Everything else about the certificate is
+    fixed by the module constants.
     """
 
     amplitude: ClassVar[float] = PROBE_AMPLITUDE  # for callers that regenerate probe directions
@@ -423,6 +430,11 @@ class CertificateConfig:
     def __post_init__(self):
         for name, minimum in (("directions", 2), ("seed", 0), ("segments", 8), ("witness_budget", 1)):
             value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, value)  # a numpy integer becomes an int
             if value < minimum:
                 raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
         horizons = self.witness_horizons
@@ -653,17 +665,18 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
     being long enough, which is not quantified.  A TrapscopeError in any
     stage fails the verdict and is recorded as `failed_stage`, with the
     checks and rows gathered before it.
+
+    The report copies no field by hand: its instance block is the
+    SystemSpec's fields followed by the observable, the initial level and
+    the segment count, and each witness row is its horizon followed by the
+    WitnessResult's fields.
     """
     cfg = config if config is not None else CertificateConfig()
 
     sys = inst.system
     nlev = sys.levels
     instance_summary = {
-        "levels": nlev,
-        "a": sys.a,
-        "b": sys.b,
-        "couplings": list(sys.couplings),
-        "horizon": sys.horizon,
+        **asdict(sys),
         "eigenvalues": list(inst.observable.eigenvalues),
         "eigenvalue_shift": inst.observable.shift,
         "initial_level": nlev,  # always |N>
@@ -701,23 +714,13 @@ def trap_certificate(inst: ProblemInstance, config: CertificateConfig | None = N
             winst = ProblemInstance(replace(sys, horizon=float(horizon)), inst.observable)
             wprobes = probes if horizon == sys.horizon else probe_directions(cfg, horizon)
             res = witness_search(winst, wprobes, cfg.witness_budget)
-            witness_rows.append(
-                {
-                    "horizon": float(horizon),
-                    "j_value": res.j_value,
-                    "success": res.success,
-                    "evaluations": res.evaluations,
-                    "probe": res.probe,
-                    "amplitude": res.amplitude,
-                }
-            )
-        lam = inst.observable.eigenvalues
+            witness_rows.append({"horizon": float(horizon), **asdict(res)})
         checks.append(
             CheckResult(
                 name="witness_found",
                 passed=any(w["success"] for w in witness_rows),
                 measured=max(w["j_value"] for w in witness_rows),
-                threshold=WITNESS_MARGIN * (lam[0] - lam[-1]),
+                threshold=_witness_threshold(inst),
                 description="best-effort evidence that the zero control is not a global "
                 "maximum (excluded from the verdict: the minimal sufficient horizon is "
                 "unknown)",

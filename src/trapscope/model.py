@@ -14,6 +14,7 @@ every public interface; internal arrays are 0-based.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,10 +54,14 @@ def build_system(levels: int, a: float, b: float, couplings, horizon: float) -> 
     """Validate and construct a SystemSpec.
 
     Raises BadDimension, DegenerateSpectrum, DomainError or ZeroCoupling on
-    invalid input.  A gap a - b that overflows is a DomainError, not a
-    degenerate spectrum.
+    invalid input.  levels must be an integer (numpy integers included): a
+    float such as 3.7 is a BadDimension, not truncated.  A gap a - b that
+    overflows is a DomainError, not a degenerate spectrum.
     """
-    levels = int(levels)
+    try:
+        levels = operator.index(levels)
+    except TypeError:
+        raise BadDimension(f"levels must be an integer, got {levels!r}") from None
     v = tuple(float(x) for x in couplings)
     if levels < 3:
         raise BadDimension(f"need at least 3 levels, got {levels}")

@@ -132,6 +132,9 @@ def test_certify_writes_report_json_by_default(tmp_path, monkeypatch, capsys):
         ("witness_horizons", "0"),
         ("witness_budget", "0"),
         ("N", "three"),
+        ("v", "1,,1"),
+        ("lambda", "1, -1, 0,"),
+        ("witness_horizons", "6.28,"),
     ],
 )
 def test_parse_config_rejects_out_of_range_values_by_line(tmp_path, key, value):

@@ -135,11 +135,12 @@ def test_control_file_strict_parsing(tmp_path):
 @pytest.mark.parametrize(
     "horizon, values, head",
     [
-        (0.0, (1.0,), "horizon must be positive, got 0.0"),
+        (0.0, (1.0,), "horizon must be positive and finite, got 0.0"),
         (1.0, (), "need at least one segment"),
         (1.0, (0.5, math.inf), "control values must be finite"),
+        (math.inf, (1.0, 2.0), "horizon must be positive and finite, got inf"),
     ],
-    ids=["zero-horizon", "no-segments", "non-finite"],
+    ids=["zero-horizon", "no-segments", "non-finite", "infinite-horizon"],
 )
 def test_piecewise_control_refuses_bad_fields(horizon, values, head):
     with pytest.raises(ValueError, match=f"^{head}"):
@@ -201,6 +202,6 @@ def test_random_direction_is_the_numpy_draw(mean_zero):
 
 
 def test_random_direction_refuses_an_empty_grid():
-    for segments, horizon in ((0, 1.0), (-2, 1.0), (4, 0.0), (4, -1.0), (4, math.nan)):
-        with pytest.raises(ValueError):
+    for segments, horizon in ((0, 1.0), (-2, 1.0), (4, 0.0), (4, -1.0), (4, math.nan), (4, math.inf)):
+        with pytest.raises(ValueError, match=r"^need a positive finite horizon and at least one segment"):
             random_direction(1, segments, horizon)

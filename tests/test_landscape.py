@@ -138,6 +138,13 @@ def test_differential_requires_enough_orders():
         differential(inst, forms, 3)
     with pytest.raises(DomainError):
         differential(inst, forms, 0)
+    # the order the forms extend to is read off the table, so a hand-built
+    # table of orders 0..4 cannot claim more
+    forms = DysonForms(np.ones((5, 4), dtype=np.complex128))
+    assert (forms.n_max, forms.levels) == (4, 4)
+    assert isinstance(differential(n4_instance(), forms, 4), float)
+    with pytest.raises(InsufficientOrder, match=r"^forms extend to order 4, requested 6$"):
+        differential(n4_instance(), forms, 6)
 
 
 def test_differential_of_a_complex_table_is_finite_and_real():
@@ -147,7 +154,7 @@ def test_differential_of_a_complex_table_is_finite_and_real():
     rng = np.random.default_rng(3)
     for scale in (1e-150, 1.0, 1e150):
         table = scale * (rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4)))
-        forms = DysonForms(n_max=6, levels=4, table=table)
+        forms = DysonForms(table)
         for n in range(1, 7):
             value = differential(inst, forms, n)
             assert isinstance(value, float) and math.isfinite(value)
@@ -157,7 +164,7 @@ def test_differential_of_a_non_finite_table_is_not_resolvable():
     inst = n4_instance()
     table = np.ones((7, 4), dtype=np.complex128)
     table[2, 1] = np.inf
-    forms = DysonForms(n_max=6, levels=4, table=table)
+    forms = DysonForms(table)
     # inf times the zero imaginary part sets numpy's invalid flag; silence
     # that warning so the raise itself is what is tested
     with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="not resolvable"):
@@ -618,8 +625,8 @@ def check_serial_walk(inst, probes, budget, steps=None):
     assert (res.probe, res.success, res.evaluations) == (probe, success, evals)
     assert res.amplitude == pytest.approx(t, rel=1e-15)
     assert res.j_value == pytest.approx(j, rel=1e-12, abs=1e-15)
-    assert res.control == probes[probe].scaled(res.amplitude)
-    j_control = objective(propagate(inst.system, res.control), inst)
+    control = probes[res.probe].scaled(res.amplitude)
+    j_control = objective(propagate(inst.system, control), inst)
     assert j_control == pytest.approx(res.j_value, rel=1e-12, abs=1e-15)
     return res
 
@@ -797,11 +804,21 @@ def quick_config(**kw):
         ("witness_horizons", (0.0,)),
         ("witness_horizons", (math.inf,)),
         ("witness_horizons", (math.nan,)),
+        ("directions", 2.5),
+        ("seed", 7.0),
+        ("segments", "16"),
+        ("witness_budget", np.float64(25.0)),
     ],
 )
 def test_certificate_config_rejects_out_of_range_fields(field, value):
     with pytest.raises(ConfigError, match=f"^{field} "):
         CertificateConfig(**{field: value})
+
+
+def test_certificate_config_stores_numpy_integers_as_int():
+    cfg = CertificateConfig(directions=np.int64(4), seed=np.uint32(7), segments=np.int16(16), witness_budget=np.int8(3))
+    assert cfg == CertificateConfig(directions=4, seed=7, segments=16, witness_budget=3)
+    assert all(type(getattr(cfg, name)) is int for name in ("directions", "seed", "segments", "witness_budget"))
 
 
 @pytest.mark.parametrize(

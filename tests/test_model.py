@@ -49,6 +49,13 @@ def test_build_system_rejects_bad_input():
         build_system(2, 1.0, 0.0, (1.0,), 1.0)
     with pytest.raises(BadDimension):
         build_system(4, 1.0, 0.0, (1.0, 1.0), 1.0)
+    # levels is an integer, not truncated from a float; numpy integers pass
+    with pytest.raises(BadDimension, match=r"^levels must be an integer, got 3\.7$"):
+        build_system(3.7, 1.0, 0.0, (1.0, 1.0), 1.0)
+    with pytest.raises(BadDimension, match=r"^levels must be an integer"):
+        build_system("3", 1.0, 0.0, (1.0, 1.0), 1.0)
+    sys = build_system(np.int32(3), 1.0, 0.0, (1.0, 1.0), 1.0)
+    assert type(sys.levels) is int and sys == build_system(3, 1.0, 0.0, (1.0, 1.0), 1.0)
     with pytest.raises(BadDimension):
         build_system(3, 1.0, 0.0, (1.0, 1.0), 0.0)
     # a and b are finite but their gap overflows: not a degenerate spectrum
