@@ -33,7 +33,7 @@ from .dynamics import (  # noqa: F401
     objective,
     propagate,
 )
-from .errors import ConfigError, InsufficientOrder, TrapscopeError
+from .errors import ConfigError, InsufficientOrder, TrapscopeError, count
 from .landscape import (
     CertificateConfig,
     _sample_lines,
@@ -185,8 +185,7 @@ def cmd_certify(cfg: RunConfig, inst: ProblemInstance, out: str = "report.json")
 def cmd_differential(
     cfg: RunConfig, inst: ProblemInstance, control: str, order: int, csv: str | None = None
 ) -> int:
-    if order < 1:
-        raise ConfigError(f"order must be >= 1, got {order}")
+    order = count("order", order, 1, ConfigError)
     try:
         f = read_control_file(control)
     except ValueError as exc:
@@ -216,8 +215,7 @@ def cmd_differential(
 
 
 def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0, points: int = 11) -> int:
-    if points < 2:
-        raise ConfigError(f"points must be >= 2, got {points}")
+    points = count("points", points, 2, ConfigError)
     if not 0.0 < tmax < math.inf:
         raise ConfigError(f"tmax must be positive and finite, got {tmax}")
     sys_ = inst.system
@@ -307,7 +305,12 @@ def main(argv=None) -> int:
 
     # What is left after the command, its config and its function are the
     # command's own options, named as its cmd_* parameters.
-    options = vars(parser.parse_args(argv))
+    try:
+        options = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        if exc.code == 0:  # --help
+            raise
+        return 1  # argparse's usage errors exit 2, which here means a failed check
     del options["command"]
     run = options.pop("run")
     try:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import GridMismatch, count
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,10 @@ def _seed_state(seed: int) -> tuple[int, int]:
     the pool into eight output words, and those into PCG64's initial state
     and stream increment (bit_generator.pyx and pcg64.h in numpy's random
     package).  All arithmetic is on Python ints, masked to the C word width.
+    The seed is an integer >= 0 (numpy integers included); a float, even
+    7.0, raises ValueError and is never truncated.
     """
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"expected a non-negative integer seed, got {seed}")
+    seed = count("seed", seed, 0, ValueError)
     words = [(seed >> shift) & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     hc = 0x43B0D7E5
 
@@ -174,7 +174,7 @@ def _direction_values(seed: int, segments: int, horizon: float, mean_zero: bool,
     """The values of random_direction(seed, ...), as one float64 array."""
     if not amplitude > 0.0:
         raise ValueError(f"amplitude must be positive, got {amplitude!r}")
-    horizon, segments = float(horizon), int(segments)
+    horizon, segments = float(horizon), count("segments", segments, None, ValueError)
     if not 0.0 < horizon < math.inf or segments < 1:
         raise ValueError(
             f"need a positive finite horizon and at least one segment, got T={horizon!r}, M={segments!r}"
@@ -203,6 +203,8 @@ def random_direction(
     Values are i.i.d. uniform on [-amplitude, amplitude].  With mean_zero the
     draw is projected onto the mean-zero subspace and rescaled to L2 norm
     amplitude * sqrt(T).  Deterministic in (seed, segments, horizon, flags).
+    seed (>= 0) and segments (>= 1) are integers, numpy integers included;
+    anything else raises ValueError, so no float is truncated to a count.
     """
     vals = _direction_values(seed, segments, horizon, mean_zero, amplitude)
     return PiecewiseControl(float(horizon), tuple(vals.tolist()))

@@ -90,11 +90,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
 from .controls import PiecewiseControl, _check_grid
-from .errors import DomainError, GridMismatch, NotUnitary, SeriesCheckFailed
+from .errors import DomainError, GridMismatch, NotUnitary, SeriesCheckFailed, count
 from .model import ProblemInstance, SystemSpec, _v_norm, energies, h0_matrix, v_matrix
 
 
@@ -107,10 +108,11 @@ BLOCK_MATRICES = 256
 
 
 def block_controls(segments: int) -> int:
-    """How many controls of `segments` segments fill one propagation block."""
-    if segments < 1:
-        raise DomainError(f"segments must be >= 1, got {segments}")
-    return max(1, BLOCK_MATRICES // segments)
+    """How many controls of `segments` segments fill one propagation block.
+
+    segments is an integer >= 1 (numpy integers included), else DomainError.
+    """
+    return max(1, BLOCK_MATRICES // count("segments", segments, 1, DomainError))
 
 
 def _segment_steps(sys: SystemSpec, values: np.ndarray, dt: float) -> np.ndarray:
@@ -267,6 +269,8 @@ class DysonForms:
     levels are read off its shape, (..., n_max+1, N).
     """
 
+    substeps: ClassVar[int] = 0  # not a field: the forms are an exact series; bench/launch.py reads it
+
     table: np.ndarray
 
     @property
@@ -276,14 +280,6 @@ class DysonForms:
     @property
     def levels(self) -> int:
         return self.table.shape[-1]
-
-    @property
-    def substeps(self) -> int:
-        """Always 0: the forms come from an exact series, not time stepping.
-
-        Kept because the benchmark harness under bench/ still reads it.
-        """
-        return 0
 
 
 def _taylor_terms(theta: float) -> int:
@@ -478,10 +474,10 @@ def dyson_forms(sys: SystemSpec, controls, n_max: int) -> DysonForms:
     One control gives a table of shape (n_max+1, N); a sequence of controls
     on one grid gives one DysonForms whose table has a leading direction
     axis, (D, n_max+1, N).  A control whose largest |f_j|^n_max overflows
-    float64 raises DomainError before anything is computed.
+    float64 raises DomainError before anything is computed, as does an
+    n_max that is not an integer >= 1 (numpy integers pass).
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    n_max = count("n_max", n_max, 1, DomainError)
     values, single = _as_stack(sys, controls)
     peak = float(np.max(np.abs(values)))
     if peak > 0.0 and n_max * math.log(peak) > math.log(np.finfo(float).max):

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one check of integer counts."""
+
+import operator
 
 
 class TrapscopeError(Exception):
@@ -43,3 +45,20 @@ class InsufficientOrder(TrapscopeError):
 
 class ConfigError(TrapscopeError):
     """A run configuration file failed to parse or validate."""
+
+
+def count(name: str, value, minimum: int | None, error: type[Exception]) -> int:
+    """value as a Python int, at least `minimum` unless that is None.
+
+    Any integer passes, numpy integers included; anything else, a float
+    such as 2.0 included, raises `error` naming `name` and is never
+    truncated.  A caller whose range check has its own message passes
+    minimum None and checks the returned int itself.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value!r}")
+    return value

@@ -39,7 +39,6 @@ every report records TOLERANCES.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar
 
@@ -64,6 +63,7 @@ from .errors import (
     DomainError,
     InsufficientOrder,
     TrapscopeError,
+    count,
 )
 from .model import ProblemInstance, SystemSpec, _v_norm, h0_matrix, v_matrix
 
@@ -103,10 +103,10 @@ def differential(inst: ProblemInstance, forms: DysonForms, n: int) -> float | np
     (lambda_N = 0), which every Observable built by this package satisfies.
     The double sum is real, as its terms j and n - j are complex conjugates;
     a coefficient that is not finite (forms that overflowed) raises
-    DomainError.
+    DomainError, as does an order n that is not an integer >= 1 (numpy
+    integers pass).
     """
-    if n < 1:
-        raise DomainError(f"order must be >= 1, got {n}")
+    n = count("order", n, 1, DomainError)
     if n > forms.n_max:
         raise InsufficientOrder(f"forms extend to order {forms.n_max}, requested {n}")
     lam = np.asarray(inst.observable.eigenvalues[:-1])  # lambda_N = 0 removes l = N
@@ -173,6 +173,8 @@ class TaylorFit:
     coefficients' last axis.
     """
 
+    accepted: ClassVar[bool] = True  # not a field: the contour has no acceptance test; bench/launch.py reads it
+
     coefficients: np.ndarray
     radius: float | np.ndarray
 
@@ -180,15 +182,10 @@ class TaylorFit:
     def max_order(self) -> int:
         return self.coefficients.shape[-1]
 
-    @property
-    def accepted(self) -> bool:
-        """Always True: the contour has no acceptance test.
-
-        Kept because the benchmark harness under bench/ still reads it.
-        """
-        return True
-
     def coefficient(self, k: int) -> float | np.ndarray:
+        """The coefficient of t^k: k is an integer in 1..max_order (numpy
+        integers included), else DomainError."""
+        k = count("coefficient index", k, None, DomainError)
         if not 1 <= k <= self.max_order:
             raise DomainError(f"coefficient index {k} outside 1..{self.max_order}")
         value = self.coefficients[..., k - 1]
@@ -366,10 +363,10 @@ def witness_search(inst: ProblemInstance, probes, budget: int) -> WitnessResult:
     refinement: ascent from near zero is pulled onto the zero control's
     plateau (Pechen & Tannor, PRL 106, 120402, 2011).  A miss is an outcome, not an error:
     the minimal horizon with good controls is unknown.  A zero probe has no
-    scale: DomainError.
+    scale: DomainError, as is a budget that is not an integer >= 1 (numpy
+    integers pass).
     """
-    if budget < 1:
-        raise DomainError(f"budget must be >= 1, got {budget}")
+    budget = count("budget", budget, 1, DomainError)
     sys = inst.system
     values, _ = _as_stack(sys, probes)
     directions, segments = values.shape
@@ -429,14 +426,8 @@ class CertificateConfig:
 
     def __post_init__(self):
         for name, minimum in (("directions", 2), ("seed", 0), ("segments", 8), ("witness_budget", 1)):
-            value = getattr(self, name)
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-            object.__setattr__(self, name, value)  # a numpy integer becomes an int
-            if value < minimum:
-                raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+            # a numpy integer is stored as an int
+            object.__setattr__(self, name, count(name, getattr(self, name), minimum, ConfigError))
         horizons = self.witness_horizons
         if horizons is not None and not (horizons and all(0.0 < h < math.inf for h in horizons)):
             raise ConfigError(
@@ -504,8 +495,11 @@ def probe_direction(seed: int, index: int, segments: int, horizon: float) -> Pie
     PROBE_AMPLITUDE sqrt(T); on odd indices it is shifted by
     +-PROBE_OFFSET_FRACTION * PROBE_AMPLITUDE, the sign alternating between
     consecutive odd indices.  The certificate and `trapscope scan` both
-    probe these directions, drawn by probe_directions.
+    probe these directions, drawn by probe_directions.  index is an integer
+    >= 0 (numpy integers included), else DomainError; seed and segments are
+    checked as random_direction checks them (ValueError).
     """
+    index = count("index", index, 0, DomainError)
     vals = _direction_values(probe_seed(seed, index), segments, horizon, True, PROBE_AMPLITUDE)
     offset = probe_offset(index)
     if offset:

@@ -14,13 +14,12 @@ every public interface; internal arrays are 0-based.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadDimension, DegenerateSpectrum, DomainError, OrderingViolation, ZeroCoupling
+from .errors import BadDimension, DegenerateSpectrum, DomainError, OrderingViolation, ZeroCoupling, count
 
 # Relative floor below which a and b count as degenerate.
 TOL_GAP = 1e-12
@@ -54,17 +53,12 @@ def build_system(levels: int, a: float, b: float, couplings, horizon: float) -> 
     """Validate and construct a SystemSpec.
 
     Raises BadDimension, DegenerateSpectrum, DomainError or ZeroCoupling on
-    invalid input.  levels must be an integer (numpy integers included): a
-    float such as 3.7 is a BadDimension, not truncated.  A gap a - b that
-    overflows is a DomainError, not a degenerate spectrum.
+    invalid input.  levels must be an integer >= 3 (numpy integers
+    included): a float such as 3.7 is a BadDimension, not truncated.  A gap
+    a - b that overflows is a DomainError, not a degenerate spectrum.
     """
-    try:
-        levels = operator.index(levels)
-    except TypeError:
-        raise BadDimension(f"levels must be an integer, got {levels!r}") from None
+    levels = count("levels", levels, 3, BadDimension)
     v = tuple(float(x) for x in couplings)
-    if levels < 3:
-        raise BadDimension(f"need at least 3 levels, got {levels}")
     if len(v) != levels - 1:
         raise BadDimension(f"need {levels - 1} couplings for {levels} levels, got {len(v)}")
     a = float(a)

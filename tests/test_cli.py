@@ -568,6 +568,35 @@ def test_usage_errors_exit_1_with_one_line(tmp_path, capsys, command, head):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "f.txt"]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["scan", "{cfg}", "--out", "{tmp}/scan.csv", "--points", "abc"],
+        ["differential", "{cfg}", "--control", "{control}", "--order", "2.5"],
+        ["certify"],
+        ["frobnicate", "{cfg}"],
+    ],
+    ids=["points-abc", "order-2.5", "no-config", "unknown-command"],
+)
+def test_argparse_usage_errors_exit_1(tmp_path, capsys, command):
+    # argparse's own exit status is 2, which would read as a failed check
+    cfg = write_config(tmp_path / "c.cfg", T="1")
+    control = tmp_path / "f.txt"
+    write_control_file(control, constant(1.0, 1.0, 16))
+    assert main([arg.format(tmp=tmp_path, cfg=cfg, control=control) for arg in command]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: trapscope") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "f.txt"]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: trapscope")
+
+
 def test_controllability_command(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.cfg")
     code = main(["controllability", cfg])

@@ -147,6 +147,12 @@ def test_piecewise_control_refuses_bad_fields(horizon, values, head):
         PiecewiseControl(horizon, values)
 
 
+def test_random_direction_takes_numpy_integers_bit_for_bit():
+    for mean_zero in (False, True):
+        want = random_direction(7, 8, 1.0, mean_zero=mean_zero)
+        assert random_direction(np.int64(7), np.uint16(8), 1.0, mean_zero=mean_zero) == want
+
+
 def test_random_direction_refuses_a_zero_amplitude():
     with pytest.raises(ValueError, match=r"^amplitude must be positive, got 0"):
         random_direction(1, 8, 1.0, amplitude=0)
@@ -205,3 +211,8 @@ def test_random_direction_refuses_an_empty_grid():
     for segments, horizon in ((0, 1.0), (-2, 1.0), (4, 0.0), (4, -1.0), (4, math.nan), (4, math.inf)):
         with pytest.raises(ValueError, match=r"^need a positive finite horizon and at least one segment"):
             random_direction(1, segments, horizon)
+    # seed and segments are integers, never truncated from a float
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 7\.9$"):
+        random_direction(7.9, 8, 1.0)
+    with pytest.raises(ValueError, match=r"^segments must be an integer, got 8\.7$"):
+        random_direction(1, 8.7, 1.0)

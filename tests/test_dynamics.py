@@ -145,9 +145,9 @@ def test_propagate_batch_rejects_bad_values(values):
         propagate_batch(ladder(3), values)
 
 
-@pytest.mark.parametrize("segments", [0, -1])
+@pytest.mark.parametrize("segments", [0, -1, 2.5])
 def test_block_controls_rejects_nonpositive_segments(segments):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^segments must be "):
         block_controls(segments)
 
 

@@ -808,6 +808,7 @@ def quick_config(**kw):
         ("seed", 7.0),
         ("segments", "16"),
         ("witness_budget", np.float64(25.0)),
+        ("directions", np.int64(1)),
     ],
 )
 def test_certificate_config_rejects_out_of_range_fields(field, value):
@@ -819,6 +820,36 @@ def test_certificate_config_stores_numpy_integers_as_int():
     cfg = CertificateConfig(directions=np.int64(4), seed=np.uint32(7), segments=np.int16(16), witness_budget=np.int8(3))
     assert cfg == CertificateConfig(directions=4, seed=7, segments=16, witness_budget=3)
     assert all(type(getattr(cfg, name)) is int for name in ("directions", "seed", "segments", "witness_budget"))
+
+
+# Each library count argument as a one-argument call on the n3 instance.
+COUNT_ARGUMENTS = {
+    "n_max": lambda n: dyson_forms(n3_instance().system, constant(0.1, TWO_PI, 16), n),
+    "order": lambda n: differential(n3_instance(), forms_for(n3_instance(), constant(0.1, TWO_PI, 16)), n),
+    "budget": lambda n: witness_search(n3_instance(), probe_directions(CertificateConfig(directions=2), TWO_PI), n),
+    "coefficient index": lambda n: taylor_fit(n3_instance(), constant(0.1, TWO_PI, 16)).coefficient(n),
+    "index": lambda n: probe_direction(5, n, 8, 1.0),
+}
+COUNT_IDS = [name.replace(" ", "-") for name in COUNT_ARGUMENTS]
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0])
+@pytest.mark.parametrize("name", list(COUNT_ARGUMENTS), ids=COUNT_IDS)
+def test_count_arguments_refuse_non_integers(name, value):
+    # a DomainError naming the argument: no bare TypeError or IndexError, no truncation
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value!r}$"):
+        COUNT_ARGUMENTS[name](value)
+
+
+@pytest.mark.parametrize("name", list(COUNT_ARGUMENTS), ids=COUNT_IDS)
+def test_count_arguments_take_numpy_integers_bit_for_bit(name):
+    want, got = COUNT_ARGUMENTS[name](3), COUNT_ARGUMENTS[name](np.int64(3))
+    if isinstance(want, DysonForms):
+        assert got.table.tobytes() == want.table.tobytes()
+    elif isinstance(want, float):
+        assert type(got) is float and got.hex() == want.hex()
+    else:
+        assert got == want  # a PiecewiseControl or a WitnessResult, field by field
 
 
 @pytest.mark.parametrize(

@@ -45,7 +45,7 @@ def test_build_system_rejects_bad_input():
         build_system(3, 1.0, 1.0, (1.0, 1.0), 1.0)
     with pytest.raises(ZeroCoupling):
         build_system(3, 1.0, 0.0, (1.0, 0.0), 1.0)
-    with pytest.raises(BadDimension):
+    with pytest.raises(BadDimension, match=r"^levels must be >= 3, got 2$"):
         build_system(2, 1.0, 0.0, (1.0,), 1.0)
     with pytest.raises(BadDimension):
         build_system(4, 1.0, 0.0, (1.0, 1.0), 1.0)
