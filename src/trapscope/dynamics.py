@@ -6,7 +6,8 @@ propagation carries no time-discretization error beyond roundoff.  Two
 routes sample the objective.
 
   * propagate_batch forms full propagators at real amplitude (propagate,
-    and landscape._sample_lines where steps are long): H0 + x V is real
+    the witness walk at every amplitude, and scan's
+    landscape._sample_lines where steps are long): H0 + x V is real
     symmetric, so the steps of a whole stack of controls come from one
     float64 eigendecomposition and two real matrix products, and each
     U_T = S_M ... S_1 is a pairwise tree product (_tree_product) that keeps
@@ -20,11 +21,12 @@ routes sample the objective.
     H0 - b I = diag(omega, 0, ..., 0) only adds to level 1: its rows 2..N
     are zero, so a Taylor term costs three passes over the columns (the V
     product, a per-column scale and the sum into psi).  The
-    Taylor cross-check samples it where the step is not Hermitian, and the
-    line sampler at real t wherever every segment step needs one substep,
-    where it is several times cheaper than an eigendecomposition per step.
-    Its substeps come from one plan, _taylor_substeps(sys, values, z), which
-    the sampler's route guard reads too.  It shares nothing with the forms.
+    Taylor cross-check samples it where the step is not Hermitian, and
+    scan's line sampler at real t wherever every segment step of its wide
+    stack needs one substep, where it is several times cheaper than an
+    eigendecomposition per step.  Its substeps come from one plan,
+    _taylor_substeps(sys, values, z), which that sampler's route guard reads
+    too.  It shares nothing with the forms.
 
 The ladder's parity P = diag(1, -1, 1, ...) (P H0 P = H0, P V P = -V) holds
 exactly on both routes, so U_T(-f) = P U_T(f) P and J(-f) = J(f) hold bit

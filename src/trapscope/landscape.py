@@ -146,10 +146,26 @@ def _line_scale(sys: SystemSpec, values: np.ndarray) -> np.ndarray:
     return _v_norm(sys) * (np.abs(values).sum(axis=1) * (sys.horizon / values.shape[1]))
 
 
+def _log_line_scale(sys: SystemSpec, values: np.ndarray) -> np.ndarray:
+    """log10 of _line_scale(sys, values), -inf for a zero row, formed in log space.
+
+    Each row's peak |f| is factored out before its sum, so no sum or product
+    leaves float64's range, however large or small the row: callers check
+    their radii and amplitudes on this before forming any of them.
+    """
+    peak = np.max(np.abs(values), axis=1)
+    logs = np.full(len(values), -math.inf)
+    live = peak > 0.0
+    shape = (np.abs(values[live]) / peak[live, None]).sum(axis=1)  # in [1, M]
+    width = sys.horizon / values.shape[1]
+    logs[live] = np.log10(peak[live]) + np.log10(shape) + math.log10(_v_norm(sys) * width)
+    return logs
+
+
 def _sample_lines(inst: ProblemInstance, values: np.ndarray, z: np.ndarray) -> np.ndarray:
     """J(z_dk f_d) for the rows f_d of a (D, M) stack of control values at real (D, K) z.
 
-    Scan and the witness sample through it.  Where the plan
+    Scan samples through it, and nothing else does.  Where the plan
     _taylor_substeps(sys, values, z) gives every step one Taylor substep,
     one _column_at pass gives the |N> columns; otherwise (more substeps, or
     a plan that is not finite) propagate_batch, whose eigendecomposition
@@ -205,14 +221,24 @@ def taylor_fit(inst: ProblemInstance, controls) -> TaylorFit:
     controls is one control, or a sequence on one grid whose contours, each
     on its own radius, are sampled in one stacked pass (_column_at); the
     result then has a leading direction axis.  A zero control gets zero
-    coefficients and radius inf.
+    coefficients and radius inf.  A radius whose powers r^n and r^-n,
+    n <= 2N, leave float64's normal range (checked from the logarithm of
+    the scale, _log_line_scale, before any is formed) raises DomainError.
     """
     sys = inst.system
     values, single = _as_stack(sys, controls)
     max_order = 2 * sys.levels
+    log_radius = math.log10(2.0) - _log_line_scale(sys, values)
+    live = np.flatnonzero(log_radius < math.inf)
+    # z^-n is formed for n <= 2N: r^n and r^-n must both be normal floats.
+    worst = max_order * np.max(np.abs(log_radius[live]), initial=0.0)
+    if worst >= -math.log10(np.finfo(float).tiny):
+        raise DomainError(
+            f"a contour radius r has |log10 r^{max_order}| = {worst:.1f}, "
+            "outside float64's normal range: not resolvable"
+        )
     with np.errstate(divide="ignore"):
         radius = 2.0 / _line_scale(sys, values)
-    live = np.flatnonzero(radius < math.inf)
     points = max_order + CONTOUR_EXTRA_POINTS
     unit = np.exp(2j * np.pi * (np.arange(points) + 0.5) / points)
     lam = np.asarray(inst.observable.eigenvalues)
@@ -356,25 +382,33 @@ def witness_search(inst: ProblemInstance, probes, budget: int) -> WitnessResult:
     level e halves the log-spacing of the ones before it, adding its
     midpoints from the top down.  Each block forms its controls from the
     walk indices as Python ints, so no walk-sized array exists and memory
-    does not grow with the budget.  The first `budget` controls go through
-    _sample_lines in blocks of block_controls(M); the first with
+    does not grow with the budget.  The first `budget` controls are scored
+    by full propagators, propagate_batch in blocks of block_controls(M), one
+    route at every amplitude: each J equals objective(propagate(t f))
+    bit for bit, whichever controls share its block.  The first with
     J > _witness_threshold(inst) is returned as its probe index and
     amplitude, or on a miss the best, with success False.  There is no local
     refinement: ascent from near zero is pulled onto the zero control's
     plateau (Pechen & Tannor, PRL 106, 120402, 2011).  A miss is an outcome, not an error:
     the minimal horizon with good controls is unknown.  A zero probe has no
-    scale: DomainError, as is a budget that is not an integer >= 1 (numpy
-    integers pass).
+    scale: DomainError, as are amplitudes outside float64's normal range
+    (checked from _log_line_scale before any is formed) and a budget that is
+    not an integer >= 1 (numpy integers pass).
     """
     budget = count("budget", budget, 1, DomainError)
     sys = inst.system
     values, _ = _as_stack(sys, probes)
     directions, segments = values.shape
     lo, hi = WITNESS_AMPLITUDE_SCALE
+    log_scale = _log_line_scale(sys, values)
+    if not np.all(log_scale > -math.inf):
+        raise DomainError("a zero probe has no amplitude scale")
+    low, high = math.log10(lo) - np.max(log_scale), math.log10(hi) - np.min(log_scale)
+    if not math.log10(np.finfo(float).tiny) < low <= high < math.log10(np.finfo(float).max):
+        raise DomainError(
+            f"witness amplitudes 1e{low:.1f} to 1e{high:.1f} leave float64's normal range: not resolvable"
+        )
     scale = _line_scale(sys, values)
-    with np.errstate(divide="ignore"):
-        if not np.all(hi / scale < math.inf):
-            raise DomainError("a zero probe has no amplitude scale")
 
     def walked(i):
         """Probe index and amplitude of control i of the walk."""
@@ -387,7 +421,7 @@ def witness_search(inst: ProblemInstance, probes, budget: int) -> WitnessResult:
     rows = block_controls(segments)
     for start in range(0, budget, rows):
         probe, amplitude = map(np.array, zip(*map(walked, range(start, min(start + rows, budget)))))
-        js = _sample_lines(inst, values[probe], amplitude[:, None])[:, 0]
+        js = objective(propagate_batch(sys, amplitude[:, None] * values[probe]), inst)
         hits = np.flatnonzero(js > threshold)
         # A hit beats every earlier control, as none of them cleared the threshold.
         k = int(hits[0]) if hits.size else int(np.argmax(js))

@@ -350,6 +350,22 @@ def test_zero_control_inside_a_stack_gets_zeros_and_infinite_radius():
     assert order_2N2_value(inst, forms)[1] == 0.0
 
 
+@pytest.mark.parametrize(
+    "inst, peak",
+    [(n3_instance(), 1e-320), (n4_instance(), 1e45), (n3_instance(), 1e308)],
+    ids=["n3-1e-320", "n4-1e45", "n3-1e308"],
+)
+def test_taylor_fit_refuses_radii_float64_cannot_hold(inst, peak):
+    # The radius r = 2 / (||V||_2 int|f|) and its powers r^-n, n <= 2N, are
+    # checked in log space before any is formed: at 1e-320 r overflows, at
+    # 1e45 r^-8 does on N = 4, and at 1e308 int|f| itself.  Each is refused,
+    # with no warning, alone and in a stack beside a resolvable direction.
+    f = PiecewiseControl(TWO_PI, (peak, -peak, peak, -peak))
+    for controls in (f, [constant(0.1, TWO_PI, 4), f]):
+        with pytest.raises(DomainError, match="not resolvable$"):
+            taylor_fit(inst, controls)
+
+
 def test_taylor_fit_rejects_mixed_grids_and_empty_stacks():
     inst = n3_instance()
     f = random_direction(1, 16, TWO_PI)
@@ -625,15 +641,17 @@ def check_serial_walk(inst, probes, budget, steps=None):
     assert (res.probe, res.success, res.evaluations) == (probe, success, evals)
     assert res.amplitude == pytest.approx(t, rel=1e-15)
     assert res.j_value == pytest.approx(j, rel=1e-12, abs=1e-15)
+    # The walk scores each control by propagate_batch, whose rows equal
+    # propagate's bit for bit, and res.amplitude scales the probe exactly as
+    # the walk's block does: the reported J is the control's J exactly.
     control = probes[res.probe].scaled(res.amplitude)
-    j_control = objective(propagate(inst.system, control), inst)
-    assert j_control == pytest.approx(res.j_value, rel=1e-12, abs=1e-15)
+    assert objective(propagate(inst.system, control), inst) == res.j_value
     return res
 
 
 @pytest.mark.parametrize(
     "index, segments, budget, first_hit",
-    [(50, 16, 160, 8), (62, 16, 160, 13), (16, 16, 160, 71), (6, 16, 160, None), (41, 64, 5, 5)],
+    [(50, 16, 160, 8), (62, 16, 160, 13), (16, 16, 160, 71), (6, 16, 160, None), (41, 64, 5, 5), (9, 256, 40, 29)],
 )
 def test_witness_blocks_match_serial_walk(index, segments, budget, first_hit):
     # Six probes, so the blocks of block_controls(M) controls (16 on 16
@@ -641,10 +659,11 @@ def test_witness_blocks_match_serial_walk(index, segments, budget, first_hit):
     # hits fall mid-block (8, 13) and in the fifth block (71); instance 6
     # misses all 160 and returns its best.  Instance 41 hits at the last of
     # 5 controls, in a second block, so a budget of 4 walks the same
-    # controls one short of the hit, and misses.
+    # controls one short of the hit, and misses.  On 256 segments a block
+    # holds one control, and instance 9 hits in its 29th.
     inst, seed = _RANDOM[index]
     probes = probe_directions(CertificateConfig(directions=6, seed=seed, segments=segments), inst.system.horizon)
-    assert block_controls(segments) == {16: 16, 64: 4}[segments]
+    assert block_controls(segments) == {16: 16, 64: 4, 256: 1}[segments]
     res = check_serial_walk(inst, probes, budget)
     assert res.success == (first_hit is not None)
     if res.success:
@@ -652,6 +671,22 @@ def test_witness_blocks_match_serial_walk(index, segments, budget, first_hit):
     if first_hit == budget:
         miss = check_serial_walk(inst, probes, budget - 1)
         assert not miss.success and miss.evaluations == budget - 1
+
+
+def test_witness_scores_every_control_by_full_propagators(monkeypatch):
+    # The walk takes one route whatever its amplitudes: the eigenvalue route
+    # of propagate_batch.  The column kernel and its substep plan serve scan
+    # and the contour, never the witness.  Instance 6 misses all 160
+    # controls, so the walk crosses every block and amplitude level.
+    def unreachable(*args):
+        raise AssertionError("the witness walk reached the column route")
+
+    monkeypatch.setattr(landscape, "_column_at", unreachable)
+    monkeypatch.setattr(landscape, "_taylor_substeps", unreachable)
+    inst, seed = _RANDOM[6]
+    probes = probe_directions(CertificateConfig(directions=6, seed=seed, segments=16), inst.system.horizon)
+    res = witness_search(inst, probes, 160)
+    assert not res.success and res.evaluations == 160
 
 
 @pytest.mark.parametrize("index", [6, 16, 60])
@@ -727,6 +762,18 @@ def test_witness_hits_at_the_horizon(inst, seed):
     lam = inst.observable.eigenvalues
     assert res.success and res.j_value > 0.01 * (lam[0] - lam[-1])
     assert res.evaluations <= cfg.witness_budget
+
+
+@pytest.mark.parametrize("peak", [1e-320, 1e308])
+def test_witness_refuses_amplitudes_float64_cannot_hold(peak):
+    # Amplitudes tau / (||V||_2 int|f|) beyond float64's normal range are
+    # refused from their logarithms, before any of them is formed, so no
+    # overflow warning is raised (the suite turns warnings into errors): a
+    # subnormal probe is not a zero probe, and a huge one walks no zero
+    # amplitudes.
+    probe = PiecewiseControl(TWO_PI, (peak, -peak, peak, -peak))
+    with pytest.raises(DomainError, match="not resolvable$"):
+        witness_search(n3_instance(), [probe], budget=5)
 
 
 def test_witness_budget_validation():
