@@ -22,17 +22,9 @@ import sys as _sys
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
-import numpy as np
-
 from .controls import read_control_file
 # objective and propagate are not called here; bench/launch.py rebinds both by name.
-from .dynamics import (  # noqa: F401
-    _as_stack,
-    direction_block,
-    dyson_forms,
-    objective,
-    propagate,
-)
+from .dynamics import dyson_forms, objective, propagate  # noqa: F401
 from .errors import ConfigError, InsufficientOrder, TrapscopeError, count
 from .landscape import (
     CertificateConfig,
@@ -156,8 +148,10 @@ def _summary_text(report) -> str:
     for c in report.checks:
         verdict = "PASS" if c.passed else "FAIL"
         note = " (informational)" if c.name == "witness_found" else ""
+        # A check with two halves carries its second half's figures as float extras.
+        extras = "".join(f" {k} {v:.6g}" for k, v in c.extras.items() if isinstance(v, float))
         lines.append(
-            f"  [{verdict}] {c.name}: measured {c.measured:.6g} vs threshold {c.threshold:.6g}{note}"
+            f"  [{verdict}] {c.name}: measured {c.measured:.6g} vs threshold {c.threshold:.6g}{extras}{note}"
         )
     for w in report.witness:
         line = f"probe {w['probe']} at t {w['amplitude']:.6g}"
@@ -218,7 +212,6 @@ def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0,
     points = count("points", points, 2, ConfigError)
     if not 0.0 < tmax < math.inf:
         raise ConfigError(f"tmax must be positive and finite, got {tmax}")
-    sys_ = inst.system
     budget = cfg.certificate
     # Exactly antisymmetric: ts[points - 1 - k] == -ts[k] bit for bit.
     ts = [tmax * (2 * k - (points - 1)) / (points - 1) for k in range(points)]
@@ -226,16 +219,14 @@ def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0,
     # The ladder's parity makes J(-t f) == J(t f) bit for bit on both routes
     # (see the dynamics module docstring), so only t >= 0 is sampled and each
     # t < 0 row repeats its mirror's J.
-    z = np.array(ts[half:])
-    values, _ = _as_stack(sys_, probe_directions(budget, sys_.horizon))
-    zs = np.broadcast_to(z, (len(values), z.size))
-    rows = direction_block(z.size * sys_.levels, sys_.levels)
+    sampled = _sample_lines(inst, probe_directions(budget, inst.system.horizon), ts[half:])
     t_text = [_fmt(t) for t in ts]
     mirror = [max(k, points - 1 - k) - half for k in range(points)]
     # The rows go to a temporary file beside out, which replaces out only once
-    # every block is written: a scan that fails keeps any earlier file at out
-    # and leaves no partial one.  Rows are written as they come, so memory
-    # stays flat in the number of rows.  The file is created new under a
+    # every probe is written: a scan that fails keeps any earlier file at out
+    # and leaves no partial one.  Each probe's rows are written as
+    # _sample_lines yields them, so memory stays flat in the number of
+    # probes; it grows linearly with points.  The file is created new under a
     # random name with mode 0666, which the kernel reduces by the umask, as
     # open() would.
     tmp = os.path.join(os.path.dirname(os.path.abspath(out)), f".scan-{os.urandom(8).hex()}.csv")
@@ -243,12 +234,10 @@ def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0,
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("seed,mean_zero,t,J\n")
-            for lo in range(0, len(values), rows):
-                block = _sample_lines(inst, values[lo : lo + rows], zs[lo : lo + rows])
-                for i, js in enumerate(block, start=lo):
-                    tag = f"{probe_seed(budget.seed, i)},{int(probe_offset(i) == 0.0)}"
-                    j_text = [_fmt(j) for j in js]
-                    fh.write("".join(f"{tag},{t},{j_text[m]}\n" for t, m in zip(t_text, mirror)))
+            for i, js in enumerate(sampled):
+                tag = f"{probe_seed(budget.seed, i)},{int(probe_offset(i) == 0.0)}"
+                j_text = [_fmt(j) for j in js]
+                fh.write("".join(f"{tag},{t},{j_text[m]}\n" for t, m in zip(t_text, mirror)))
         os.replace(tmp, out)
     except BaseException:
         os.unlink(tmp)

@@ -6,8 +6,8 @@ propagation carries no time-discretization error beyond roundoff.  Two
 routes sample the objective.
 
   * propagate_batch forms full propagators at real amplitude (propagate,
-    the witness walk at every amplitude, and scan's
-    landscape._sample_lines where steps are long): H0 + x V is real
+    the witness walk at every amplitude, and scan's sampler,
+    landscape._sample_lines, on blocks whose steps are long): H0 + x V is real
     symmetric, so the steps of a whole stack of controls come from one
     float64 eigendecomposition and two real matrix products, and each
     U_T = S_M ... S_1 is a pairwise tree product (_tree_product) that keeps
@@ -22,11 +22,11 @@ routes sample the objective.
     are zero, so a Taylor term costs three passes over the columns (the V
     product, a per-column scale and the sum into psi).  The
     Taylor cross-check samples it where the step is not Hermitian, and
-    scan's line sampler at real t wherever every segment step of its wide
-    stack needs one substep, where it is several times cheaper than an
-    eigendecomposition per step.  Its substeps come from one plan,
-    _taylor_substeps(sys, values, z), which that sampler's route guard reads
-    too.  It shares nothing with the forms.
+    scan's sampler at real t on each block of probes whose every segment
+    step needs one substep, where it is several times cheaper than an
+    eigendecomposition per step.  Its substeps come from one plan per
+    block, _taylor_substeps(sys, values, z), which that sampler's route
+    guard reads too.  It shares nothing with the forms.
 
 The ladder's parity P = diag(1, -1, 1, ...) (P H0 P = H0, P V P = -V) holds
 exactly on both routes, so U_T(-f) = P U_T(f) P and J(-f) = J(f) hold bit
@@ -35,16 +35,18 @@ for bit; scan relies on it to sample only t >= 0.
 Both certificate layers take every probe direction in one stacked pass.
 propagate and dyson_forms accept one control, or a sequence of controls on
 one grid, like objective: one control in gives one result, a sequence gives
-one result with a leading direction axis.  They, landscape.taylor_fit,
-the witness and cli's scan read controls through one intake, _as_stack,
-which checks the grid once and returns the (D, M) float64 array of values;
-the segment width is T / M.  _column_at is an array kernel: it takes that
-(D, M) array, from its caller's one _as_stack call, with (D, K) amplitudes.
-In dyson_forms and _column_at a stack runs through one segment loop, with
-the directions as extra columns of each segment's products, so the loop's
-Python overhead is paid once per stack instead of once per direction.  Stacks go through in
-blocks sized by direction_block, which keeps the working set near
-BLOCK_MATRICES N x N matrices however many directions come in.
+one result with a leading direction axis.  They and landscape's
+taylor_fit, witness_search and _sample_lines (scan's sampler) read
+controls through one intake, _as_stack, which checks the grid once and
+returns the (D, M) float64 array of values; the segment width is T / M.
+_column_at is an array kernel: it takes that (D, M) array, from its
+caller's one _as_stack call, with (D, K) amplitudes.  In dyson_forms and
+_column_at a stack runs through one segment loop, with the directions as
+extra columns of each segment's products, so the loop's Python overhead is
+paid once per stack instead of once per direction.  Each of these callers
+sizes its own blocks (block_controls or direction_block), which keep the
+working set near BLOCK_MATRICES N x N matrices however many directions
+come in.
 
 The chronological forms of order n are
 
@@ -387,7 +389,10 @@ def _taylor_substeps(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> tupl
     """Norm bounds and substep counts of _column_at's segment steps, one plan per stack.
 
     values is a (D, M) stack of control values and z the (D, K) amplitudes,
-    row d those of control d.  With the stack-wide peak
+    row d those of control d.  The stack is one block of its caller
+    (taylor_fit's contours, _sample_lines' probe lines), so a column's
+    substeps, and with them its last bits, depend on the other directions
+    of its block.  With the stack-wide peak
     p_j = max_d max_k |z_dk f_dj| on segment j,
     theta_j = dt (|omega| + p_j ||V||_2), dt = T / M, bounds the norm of
     every column's exponent dt (H0 - b I + z f_j V), as
@@ -396,8 +401,8 @@ def _taylor_substeps(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> tupl
     theta that is not finite (an overflowed z f) gives a count that is not
     finite instead of raising; an integer count converts to float exactly.
     The work of _column_at grows with theta, unlike an eigendecomposition's,
-    so landscape._sample_lines takes the column route only where this plan
-    gives a single substep everywhere.
+    so landscape._sample_lines takes the column route for a block only
+    where this plan gives a single substep everywhere.
     """
     dt = sys.horizon / values.shape[1]
     peaks = np.max(np.abs(values) * np.max(np.abs(z), axis=1)[:, None], axis=0)

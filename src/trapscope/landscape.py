@@ -162,21 +162,37 @@ def _log_line_scale(sys: SystemSpec, values: np.ndarray) -> np.ndarray:
     return logs
 
 
-def _sample_lines(inst: ProblemInstance, values: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """J(z_dk f_d) for the rows f_d of a (D, M) stack of control values at real (D, K) z.
+def _sample_lines(inst: ProblemInstance, probes, t):
+    """Yield J(t_k f_d) at the K points t_k >= 0 along each probe f_d, one row per probe in order.
 
-    Scan samples through it, and nothing else does.  Where the plan
-    _taylor_substeps(sys, values, z) gives every step one Taylor substep,
-    one _column_at pass gives the |N> columns; otherwise (more substeps, or
-    a plan that is not finite) propagate_batch, whose eigendecomposition
-    costs the same at any amplitude, and which refuses non-finite controls.
+    Scan samples through it, and nothing else does.  probes are controls
+    on one grid, read by one _as_stack call, and t is a 1-D sequence of
+    real t >= 0.  The probes run in blocks of direction_block(K N, N), each
+    computed only once the rows before it are yielded, so memory is flat
+    in the number of probes and grows linearly with K.  Where the block's
+    plan _taylor_substeps gives every step one Taylor substep, one
+    _column_at pass gives the |N> columns; otherwise (more substeps, or a
+    plan that is not finite) propagate_batch, whose eigendecomposition
+    costs the same at any amplitude, and which refuses non-finite
+    controls.  The plan is block-wide, so a row's route and last bits
+    depend on the probes that share its block.
     """
     sys = inst.system
-    if np.max(_taylor_substeps(sys, values, z)[1]) == 1.0:
-        columns = _column_at(sys, values, z).reshape(-1, sys.levels, 1)
-    else:
-        columns = propagate_batch(sys, (z[:, :, None] * values[:, None, :]).reshape(-1, values.shape[1]))
-    return objective(columns, inst).reshape(z.shape)
+    values, _ = _as_stack(sys, probes)
+    t = np.asarray(t, dtype=np.float64)
+    rows = direction_block(t.size * sys.levels, sys.levels)
+    for lo in range(0, len(values), rows):
+        block = values[lo : lo + rows]
+        z = np.broadcast_to(t, (len(block), t.size))
+        # Only the block's J outlives this step, so no column or propagator
+        # stays alive while the caller handles the rows.
+        if np.max(_taylor_substeps(sys, block, z)[1]) == 1.0:
+            js = objective(_column_at(sys, block, z).reshape(-1, sys.levels, 1), inst)
+        else:
+            js = objective(
+                propagate_batch(sys, (z[:, :, None] * block[:, None, :]).reshape(-1, values.shape[1])), inst
+            )
+        yield from js.reshape(z.shape)
 
 
 @dataclass(frozen=True)

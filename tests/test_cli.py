@@ -9,7 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from trapscope import dynamics
+from trapscope import dynamics, landscape
 from trapscope.cli import RunConfig, build_problem, main, parse_config
 from trapscope.dynamics import objective, propagate
 from trapscope.errors import ConfigError
@@ -247,6 +247,28 @@ def test_certify_summary_names_the_witness_outcome(tmp_path, capsys, budget, lin
     assert line in capsys.readouterr().out.splitlines()
 
 
+def test_certify_summary_shows_the_half_that_failed(tmp_path, capsys):
+    # With lambda scaled by 1e8 the analytic c_1 still reads exactly 0, and
+    # stationarity fails on its fitted half, whose threshold is absolute in
+    # J's units (max |c_1| about 3e-8 against 1e-8).  The summary line carries
+    # that half as the check's float extras, formatted from the report's own.
+    with open(os.path.join(ROOT, "examples", "n4.cfg"), encoding="utf-8") as fh:
+        text = fh.read()
+    cfg = tmp_path / "n4.cfg"
+    cfg.write_text(text.replace("lambda = 1, 0.3, -1, 0\n", "lambda = 1e8, 3e7, -1e8, 0\n"))
+    out = tmp_path / "r.json"
+    assert main(["certify", str(cfg), "--out", str(out)]) == 2
+    check = {c["name"]: c for c in json.loads(out.read_text())["checks"]}["stationarity"]
+    extras = check["extras"]
+    assert not check["passed"] and check["measured"] <= check["threshold"]
+    assert extras["max_fitted_c1"] > extras["fitted_c1_threshold"]
+    line = (
+        f"  [FAIL] stationarity: measured {check['measured']:.6g} vs threshold {check['threshold']:.6g}"
+        f" max_fitted_c1 {extras['max_fitted_c1']:.6g} fitted_c1_threshold {extras['fitted_c1_threshold']:.6g}"
+    )
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_certify_reports_are_deterministic(tmp_path):
     cfg = write_config(tmp_path / "n3.cfg", directions="4", witness_budget="10")
     outs = []
@@ -469,6 +491,52 @@ def test_scan_rows_probe_the_certificate_directions(tmp_path):
                     assert abs(float(j) - eigh) <= 1e-13
                 else:
                     assert float(j) == eigh
+
+
+def test_scan_blocks_take_their_own_routes(tmp_path, monkeypatch):
+    # n4's 8 directions at 201 points t >= 0 run as blocks of 5 + 3, and at
+    # tmax 2.2 one block's plan needs more than one Taylor substep somewhere
+    # while the other's does not: one block goes through _column_at, the other
+    # through propagate_batch.  Each row equals its own route's result bit for
+    # bit: the column block's rows that _column_at call, the other rows
+    # objective(propagate(t f)) one control at a time.
+    calls = {"column": [], "eigh": 0}
+    column_at, propagate_batch = landscape._column_at, landscape.propagate_batch
+
+    def counted_column_at(sys_, values, z):
+        psi = column_at(sys_, values, z)
+        calls["column"].append((values, z, psi))
+        return psi
+
+    def counted_propagate_batch(sys_, values):
+        calls["eigh"] += 1
+        return propagate_batch(sys_, values)
+
+    monkeypatch.setattr(landscape, "_column_at", counted_column_at)
+    monkeypatch.setattr(landscape, "propagate_batch", counted_propagate_batch)
+    cfg_path = os.path.join(ROOT, "examples", "n4.cfg")
+    out = tmp_path / "scan.csv"
+    assert main(["scan", cfg_path, "--out", str(out), "--points", "401", "--tmax", "2.2"]) == 0
+    assert len(calls["column"]) >= 1 and calls["eigh"] >= 1
+    cfg = parse_config(cfg_path)
+    inst = build_problem(cfg)
+    probes = probe_directions(cfg.certificate, inst.system.horizon)
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    by_probe = [rows[d * 401 : (d + 1) * 401] for d in range(len(probes))]
+    column_rows = {}
+    for values, z, psi in calls["column"]:
+        js = objective(psi.reshape(-1, 4, 1), inst).reshape(z.shape)
+        for row, ts, j in zip(values, z, js):
+            index = next(d for d, f in enumerate(probes) if np.array_equal(f.values, row))
+            column_rows[index] = dict(zip(ts.tolist(), j))
+    assert 0 < len(column_rows) < len(probes)
+    for index, direction in enumerate(by_probe):
+        assert {int(r[0]) for r in direction} == {cfg.certificate.seed + index}
+        for _, _, t_text, j in direction:
+            if index in column_rows:
+                assert float(j) == column_rows[index][abs(float(t_text))]
+            else:
+                assert float(j) == objective(propagate(inst.system, probes[index].scaled(float(t_text))), inst)
 
 
 @pytest.mark.parametrize("overrides", [{"a": "1e6"}, {"tmax": "1e3"}])
