@@ -7,7 +7,7 @@ routes sample the objective.
 
   * propagate_batch forms full propagators at real amplitude (propagate,
     the witness walk at every amplitude, and scan's sampler,
-    landscape._sample_lines, on blocks whose steps are long): H0 + x V is real
+    landscape._sample_lines, on probes whose steps are long): H0 + x V is real
     symmetric, so the steps of a whole stack of controls come from one
     float64 eigendecomposition and two real matrix products, and each
     U_T = S_M ... S_1 is a pairwise tree product (_tree_product) that keeps
@@ -20,13 +20,14 @@ routes sample the objective.
     level-major, so V acts on all of them by one real matrix product, and
     H0 - b I = diag(omega, 0, ..., 0) only adds to level 1: its rows 2..N
     are zero, so a Taylor term costs three passes over the columns (the V
-    product, a per-column scale and the sum into psi).  The
-    Taylor cross-check samples it where the step is not Hermitian, and
-    scan's sampler at real t on each block of probes whose every segment
-    step needs one substep, where it is several times cheaper than an
-    eigendecomposition per step.  Its substeps come from one plan per
-    block, _taylor_substeps(sys, values, z), which that sampler's route
-    guard reads too.  It shares nothing with the forms.
+    product, a per-column scale and the sum into psi).  Each substep stops
+    at the smallest Taylor degree whose backward error is within the unit
+    roundoff (_taylor_degree).  The Taylor cross-check samples it where the
+    step is not Hermitian, and scan's sampler at real t on each probe whose
+    every segment step needs one substep, where it is several times cheaper
+    than an eigendecomposition per step.  Its substeps come from one plan
+    per call, _taylor_substeps(sys, values, z), which that sampler's route
+    guard reads for each probe alone.  It shares nothing with the forms.
 
 The ladder's parity P = diag(1, -1, 1, ...) (P H0 P = H0, P V P = -V) holds
 exactly on both routes, so U_T(-f) = P U_T(f) P and J(-f) = J(f) hold bit
@@ -44,9 +45,9 @@ caller's one _as_stack call, with (D, K) amplitudes.  In dyson_forms and
 _column_at a stack runs through one segment loop, with the directions as
 extra columns of each segment's products, so the loop's Python overhead is
 paid once per stack instead of once per direction.  Each of these callers
-sizes its own blocks (block_controls or direction_block), which keep the
-working set near BLOCK_MATRICES N x N matrices however many directions
-come in.
+sizes its own blocks (block_controls, direction_block or column_block),
+which keep the working set near that of BLOCK_MATRICES N x N matrices
+however many directions come in.
 
 The chronological forms of order n are
 
@@ -91,6 +92,7 @@ routes against each other and against a plain midpoint tensor quadrature.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -295,6 +297,22 @@ def _taylor_terms(theta: float) -> int:
     return terms
 
 
+# theta_m for m = 1..14: the largest ||A|| at which the degree-m Taylor
+# polynomial of exp(A) is exp(A + E) with ||E|| <= 2^-53 ||A|| (Al-Mohy &
+# Higham, SIAM J. Sci. Comput. 33, 2011, Table 3.1, double precision).
+# _taylor_substeps keeps every substep's norm <= 0.5, below theta_14.
+_TAYLOR_THETA = (
+    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2,
+    5.00e-2, 8.96e-2, 0.144, 0.214, 0.300, 0.400, 0.514,
+)
+
+
+def _taylor_degree(theta: float) -> int:
+    """Taylor degree of _column_at's substeps of norm <= theta: the smallest m
+    with theta <= theta_m, whose backward error is within the unit roundoff."""
+    return bisect.bisect_left(_TAYLOR_THETA, theta) + 1
+
+
 def _exp_series(b0: np.ndarray, b1: np.ndarray, order: int) -> np.ndarray:
     """Coefficients X_0..X_order of exp(b0 + x b1) as a power series in x.
 
@@ -385,24 +403,43 @@ def direction_block(entries: int, levels: int) -> int:
     return block_controls(-(-entries // (levels * levels)))
 
 
+def column_block(levels: int, points: int) -> int:
+    """Controls per _column_at call, each at `points` amplitudes, at least one.
+
+    Sized so that the call's column buffers (psi, term and vt: 3 complex,
+    six float64, per level of each column) hold no more bytes than one
+    propagate_batch block holds at its peak.  That peak is six float64
+    N x N arrays per segment matrix (Q, Q^T, the complex step and one
+    real product with its factor) plus two length-N vectors (eigenvalues
+    and phases): BLOCK_MATRICES (6 N^2 + 2 N) float64s, 467 kB at N = 6,
+    where tracemalloc reads 475 kB (123 kB against 132 kB at N = 3, 3.21 MB
+    against 3.23 MB at N = 16).  So a call holds up to
+    BLOCK_MATRICES (3 N + 1) / 3 columns: 1621 at N = 6.
+    """
+    return max(1, BLOCK_MATRICES * (3 * levels + 1) // (3 * points))
+
+
 def _taylor_substeps(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Norm bounds and substep counts of _column_at's segment steps, one plan per stack.
 
     values is a (D, M) stack of control values and z the (D, K) amplitudes,
-    row d those of control d.  The stack is one block of its caller
-    (taylor_fit's contours, _sample_lines' probe lines), so a column's
-    substeps, and with them its last bits, depend on the other directions
-    of its block.  With the stack-wide peak
+    row d those of control d.  The stack is one _column_at call of its
+    caller (a block of taylor_fit's contours, or the column-route probes of
+    a block of _sample_lines), so a column's substeps and Taylor degree,
+    and with them its last bits, depend on the other directions of that
+    call.  With the stack-wide peak
     p_j = max_d max_k |z_dk f_dj| on segment j,
     theta_j = dt (|omega| + p_j ||V||_2), dt = T / M, bounds the norm of
     every column's exponent dt (H0 - b I + z f_j V), as
     H0 - b I = diag(omega, 0, ..., 0), and the step runs in ceil(2 theta_j)
-    substeps of norm <= 0.5, at least one.  The counts are floats, so a
+    substeps of norm <= 0.5, at least one, each of Taylor degree
+    _taylor_degree(theta_j / substeps) <= 14.  The counts are floats, so a
     theta that is not finite (an overflowed z f) gives a count that is not
     finite instead of raising; an integer count converts to float exactly.
     The work of _column_at grows with theta, unlike an eigendecomposition's,
-    so landscape._sample_lines takes the column route for a block only
-    where this plan gives a single substep everywhere.
+    so landscape._sample_lines takes the column route for a probe only
+    where this plan, on that probe's row alone, gives a single substep
+    everywhere.
     """
     dt = sys.horizon / values.shape[1]
     peaks = np.max(np.abs(values) * np.max(np.abs(z), axis=1)[:, None], axis=0)
@@ -420,17 +457,22 @@ def _column_at(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.ndarray
 
     Applies each step exp(-i dt (H0 - b I + z f_j V)) to psi by its Taylor
     series on the vector (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011),
-    in the substeps of norm <= 0.5 that _taylor_substeps plans for the
-    whole stack.  The shift -b I is a global phase.  All R = D K columns
-    advance in one pass, held level-major as one (N, R) array.  Term m of a
-    substep is h/m (H0 - b I + zf V) applied to term m - 1, h = -i dt /
-    substeps: V is model's real matrix, so V term is one real (N, N) x
-    (N, 2R) product on the float view, scaled per column by (h/m) zf.
-    H0 - b I is diag(omega, 0, ..., 0) with omega = sys.omega, so only
-    level 1 adds (h/m) omega times its own entry; on levels 2..N that
-    product would be an exact zero, and it is skipped.  The new term takes the old one's buffer for the next V
-    product, so a term costs three passes over the columns (the product,
-    the scale and psi += term) and allocates nothing of size N R.  Each
+    in the substeps of norm <= theta / substeps <= 0.5 that
+    _taylor_substeps plans for the whole stack, each truncated at
+    _taylor_degree(theta / substeps): the smallest degree m whose theta_m
+    (that paper's double-precision table) covers the substep, so the
+    truncated series is the exact exponential of an exponent perturbed by
+    at most the unit roundoff, relative to its norm.  The shift -b I is a global phase.  All
+    R = D K columns advance in one pass, held level-major as one (N, R)
+    array.  Term m of a substep is h/m (H0 - b I + zf V) applied to term
+    m - 1, h = -i dt / substeps: V is model's real matrix, so V term is one
+    real (N, N) x (N, 2R) product on the float view, scaled per column by
+    (h/m) zf.  H0 - b I is diag(omega, 0, ..., 0) with omega = sys.omega,
+    so only level 1 adds (h/m) omega times its own entry; on levels 2..N
+    that product would be an exact zero, and it is skipped.  The new term
+    takes the old one's buffer for the next V product, so a term costs
+    three passes over the columns (the product, the scale and
+    psi += term) and allocates nothing of size N R.  Each
     column of V has at most two nonzeros, so every entry of V psi sums the
     same two products whatever order or thread count the BLAS uses.  The
     result is transposed back to a C-contiguous (D, K, N) array, whose
@@ -455,7 +497,7 @@ def _column_at(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.ndarray
     for fj, theta, substeps in zip(values.T, *_taylor_substeps(sys, values, z)):
         h = -1j * dt / substeps
         zf = (z * fj[:, None]).reshape(-1)
-        factors = [(h / m, h / m * omega) for m in range(1, _taylor_terms(theta / substeps) + 1)]
+        factors = [(h / m, h / m * omega) for m in range(1, _taylor_degree(theta / substeps) + 1)]
         for _ in range(int(substeps)):
             term[...] = psi
             for hm, hm_omega in factors:

@@ -51,7 +51,7 @@ from .dynamics import (
     _column_at,
     _taylor_substeps,
     block_controls,
-    direction_block,
+    column_block,
     dyson_forms,
     objective,
     propagate_batch,
@@ -167,32 +167,41 @@ def _sample_lines(inst: ProblemInstance, probes, t):
 
     Scan samples through it, and nothing else does.  probes are controls
     on one grid, read by one _as_stack call, and t is a 1-D sequence of
-    real t >= 0.  The probes run in blocks of direction_block(K N, N), each
-    computed only once the rows before it are yielded, so memory is flat
-    in the number of probes and grows linearly with K.  Where the block's
-    plan _taylor_substeps gives every step one Taylor substep, one
-    _column_at pass gives the |N> columns; otherwise (more substeps, or a
-    plan that is not finite) propagate_batch, whose eigendecomposition
-    costs the same at any amplitude, and which refuses non-finite
-    controls.  The plan is block-wide, so a row's route and last bits
-    depend on the probes that share its block.
+    real t >= 0.  Each probe takes its route from its own plan,
+    _taylor_substeps on its row and t: the column route where every one
+    of its segment steps needs one Taylor substep, otherwise (more
+    substeps, or a plan that is not finite) propagate_batch, whose
+    eigendecomposition costs the same at any amplitude, and which refuses
+    non-finite controls.  The probes run in blocks of column_block(N, K),
+    whose column buffers hold no more than one propagate_batch block at its
+    peak, each computed only once the rows before it are yielded, so memory
+    is flat in the number of probes and grows linearly with K.  A block's
+    column-route probes go through one _column_at call, whose plan is
+    stack-wide: their last bits depend on the column-route probes that
+    share their block, and the rows of the other route on nothing else.
     """
     sys = inst.system
     values, _ = _as_stack(sys, probes)
     t = np.asarray(t, dtype=np.float64)
-    rows = direction_block(t.size * sys.levels, sys.levels)
+    column = np.array([np.max(_taylor_substeps(sys, row[None], t[None])[1]) == 1.0 for row in values])
+    rows = column_block(sys.levels, t.size)
     for lo in range(0, len(values), rows):
-        block = values[lo : lo + rows]
-        z = np.broadcast_to(t, (len(block), t.size))
-        # Only the block's J outlives this step, so no column or propagator
-        # stays alive while the caller handles the rows.
-        if np.max(_taylor_substeps(sys, block, z)[1]) == 1.0:
-            js = objective(_column_at(sys, block, z).reshape(-1, sys.levels, 1), inst)
-        else:
-            js = objective(
-                propagate_batch(sys, (z[:, :, None] * block[:, None, :]).reshape(-1, values.shape[1])), inst
-            )
-        yield from js.reshape(z.shape)
+        block, on = values[lo : lo + rows], column[lo : lo + rows]
+        # Only the block's J outlives this step, so no column, control or
+        # propagator stays alive while the caller handles the rows; and no J
+        # array exists before the block's routes have run, while the caller
+        # still holds the last block's rows.
+        column_rows = eigh_rows = iter(())
+        if on.any():
+            z = np.broadcast_to(t, (np.count_nonzero(on), t.size))
+            columns = _column_at(sys, block[on], z).reshape(-1, sys.levels, 1)
+            column_rows = iter(objective(columns, inst).reshape(z.shape))
+            del columns
+        if not on.all():
+            controls = (t[None, :, None] * block[~on][:, None, :]).reshape(-1, values.shape[1])
+            eigh_rows = iter(objective(propagate_batch(sys, controls), inst).reshape(-1, t.size))
+            del controls
+        yield from (next(column_rows) if c else next(eigh_rows) for c in on.tolist())
 
 
 @dataclass(frozen=True)
@@ -260,7 +269,7 @@ def taylor_fit(inst: ProblemInstance, controls) -> TaylorFit:
     lam = np.asarray(inst.observable.eigenvalues)
     orders = np.arange(1, max_order + 1)
     coeffs = np.zeros((len(values), max_order))
-    rows = direction_block(points * sys.levels, sys.levels)
+    rows = column_block(sys.levels, points)
     for lo in range(0, len(live), rows):
         block = live[lo : lo + rows]
         z = radius[block, None] * unit
@@ -399,14 +408,16 @@ def witness_search(inst: ProblemInstance, probes, budget: int) -> WitnessResult:
     midpoints from the top down.  Each block forms its controls from the
     walk indices as Python ints, so no walk-sized array exists and memory
     does not grow with the budget.  The first `budget` controls are scored
-    by full propagators, propagate_batch in blocks of block_controls(M), one
-    route at every amplitude: each J equals objective(propagate(t f))
-    bit for bit, whichever controls share its block.  The first with
-    J > _witness_threshold(inst) is returned as its probe index and
-    amplitude, or on a miss the best, with success False.  There is no local
-    refinement: ascent from near zero is pulled onto the zero control's
-    plateau (Pechen & Tannor, PRL 106, 120402, 2011).  A miss is an outcome, not an error:
-    the minimal horizon with good controls is unknown.  A zero probe has no
+    by full propagators, propagate_batch in blocks of 1, 2, 4, ... controls
+    up to block_controls(M), so a walk that hits on its first control
+    propagates that one alone; one route at every amplitude: each J equals
+    objective(propagate(t f)) bit for bit, whichever controls share its
+    block.  The first with J > _witness_threshold(inst) is returned as its
+    probe index and amplitude, or on a miss the best, with success False.
+    There is no local refinement: ascent from near zero is pulled onto the
+    zero control's plateau (Pechen & Tannor, PRL 106, 120402, 2011).  A
+    miss is an outcome, not an error: the minimal horizon with good
+    controls is unknown.  A zero probe has no
     scale: DomainError, as are amplitudes outside float64's normal range
     (checked from _log_line_scale before any is formed) and a budget that is
     not an integer >= 1 (numpy integers pass).
@@ -434,8 +445,8 @@ def witness_search(inst: ProblemInstance, probes, budget: int) -> WitnessResult:
 
     threshold = _witness_threshold(inst)
     best, best_j, evals = 0, -math.inf, budget
-    rows = block_controls(segments)
-    for start in range(0, budget, rows):
+    start, rows, most = 0, 1, block_controls(segments)
+    while start < budget:
         probe, amplitude = map(np.array, zip(*map(walked, range(start, min(start + rows, budget)))))
         js = objective(propagate_batch(sys, amplitude[:, None] * values[probe]), inst)
         hits = np.flatnonzero(js > threshold)
@@ -446,6 +457,7 @@ def witness_search(inst: ProblemInstance, probes, budget: int) -> WitnessResult:
         if hits.size:
             evals = best + 1
             break
+        start, rows = start + rows, min(2 * rows, most)
     probe, t = walked(best)
     return WitnessResult(best_j, best_j > threshold, evals, probe, float(t))
 

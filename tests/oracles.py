@@ -25,8 +25,8 @@ import numpy as np
 from trapscope.controls import PiecewiseControl, integral
 from trapscope.dynamics import (
     _check_horizon,
+    _taylor_degree,
     _taylor_substeps,
-    _taylor_terms,
     dyson_forms,
     propagate,
 )
@@ -352,7 +352,7 @@ def column_reference(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.n
     for fj, theta, substeps in zip(values.T, *_taylor_substeps(sys, values, z)):
         h = -1j * dt / substeps
         zf = (z * fj[:, None]).reshape(-1)
-        terms = _taylor_terms(theta / substeps)
+        terms = _taylor_degree(theta / substeps)
         for _ in range(int(substeps)):
             term[...] = psi
             for m in range(1, terms + 1):
@@ -365,14 +365,15 @@ def column_reference(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.n
     return np.ascontiguousarray(psi.T).reshape(*z.shape, sys.levels)
 
 
-def column_reference_ld(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.ndarray:
+def column_reference_ld(sys: SystemSpec, values: np.ndarray, z: np.ndarray, degree=_taylor_degree) -> np.ndarray:
     """The |N> column of dynamics._column_at in clongdouble, to measure float64's error.
 
-    The same arguments and substep plan (_taylor_substeps and _taylor_terms,
-    computed in float64), but every number the loop touches is extended
-    precision, and each term is the naive h/m (H0 - b I + zf V) term.  numpy
-    has no BLAS for clongdouble, so V, which is tridiagonal, is applied
-    through its two off-diagonals: three times faster than its dense
+    The same arguments and substep plan (_taylor_substeps, and the Taylor
+    degree that degree(theta / substeps) gives, by default _column_at's own
+    _taylor_degree, computed in float64), but every number the loop touches
+    is extended precision, and each term is the naive h/m (H0 - b I + zf V)
+    term.  numpy has no BLAS for clongdouble, so V, which is tridiagonal, is
+    applied through its two off-diagonals: three times faster than its dense
     matmul, and the same sums, as V's other entries are zero.  The result
     is a (D, K, N) clongdouble array.  Where longdouble is no finer than
     float64 (MSVC, some ARM builds) the oracle measures nothing, so it
@@ -391,7 +392,7 @@ def column_reference_ld(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> n
     for fj, theta, substeps in zip(values.T, *_taylor_substeps(sys, values, z)):
         h = -1j * dt / np.longdouble(substeps)
         zf = (z_ld * fj.astype(np.longdouble)[:, None]).reshape(-1)
-        terms = _taylor_terms(theta / substeps)
+        terms = degree(theta / substeps)
         for _ in range(int(substeps)):
             term = psi.copy()
             for m in range(1, terms + 1):

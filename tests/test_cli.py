@@ -457,8 +457,8 @@ def test_scan_rows_probe_the_certificate_directions(tmp_path):
     # Both offset signs appear among the odd rows with four directions; each
     # row is checked at its own t, t < 0 rows included (they repeat their
     # mirror's J), on a dyadic and a non-dyadic grid.  At M = 64 every
-    # segment step takes one Taylor substep, so the rows come from the
-    # stacked |N> column of each direction block: they must equal that
+    # segment step of every probe takes one Taylor substep, so the rows come
+    # from the stacked |N> column of the direction block: they must equal that
     # _column_at call bit for bit and the independent eigenvalue route
     # objective(propagate(t f)) to 1e-13.  At M = 16 the steps are too long
     # for one substep, and the rows must equal objective(propagate(t f)) bit
@@ -477,8 +477,9 @@ def test_scan_rows_probe_the_certificate_directions(tmp_path):
             z = np.array([float(t) for _, _, t, _ in rows[int(points) // 2 : int(points)]])
             zs = np.broadcast_to(z, (4, z.size))
             values, _ = dynamics._as_stack(sys_, probes)
-            assert (max(dynamics._taylor_substeps(sys_, values, zs)[1]) == 1) == column_route
-            block = dynamics.direction_block(z.size * sys_.levels, sys_.levels)
+            for row in values:  # each probe's own plan picks its route
+                assert (max(dynamics._taylor_substeps(sys_, row[None], z[None])[1]) == 1) == column_route
+            block = dynamics.column_block(sys_.levels, z.size)
             assert block >= 4  # one _column_at call holds all four directions
             psi = dynamics._column_at(sys_, values, zs)
             direct = objective(psi.reshape(-1, sys_.levels, 1), inst).reshape(4, z.size)
@@ -493,14 +494,11 @@ def test_scan_rows_probe_the_certificate_directions(tmp_path):
                     assert float(j) == eigh
 
 
-def test_scan_blocks_take_their_own_routes(tmp_path, monkeypatch):
-    # n4's 8 directions at 201 points t >= 0 run as blocks of 5 + 3, and at
-    # tmax 2.2 one block's plan needs more than one Taylor substep somewhere
-    # while the other's does not: one block goes through _column_at, the other
-    # through propagate_batch.  Each row equals its own route's result bit for
-    # bit: the column block's rows that _column_at call, the other rows
-    # objective(propagate(t f)) one control at a time.
-    calls = {"column": [], "eigh": 0}
+def _count_scan_routes(monkeypatch):
+    """Wrap landscape's _column_at and propagate_batch: the returned record
+    lists each _column_at call as (values, z, psi) and each propagate_batch
+    call's controls."""
+    calls = {"column": [], "eigh": []}
     column_at, propagate_batch = landscape._column_at, landscape.propagate_batch
 
     def counted_column_at(sys_, values, z):
@@ -509,34 +507,72 @@ def test_scan_blocks_take_their_own_routes(tmp_path, monkeypatch):
         return psi
 
     def counted_propagate_batch(sys_, values):
-        calls["eigh"] += 1
+        calls["eigh"].append(values)
         return propagate_batch(sys_, values)
 
     monkeypatch.setattr(landscape, "_column_at", counted_column_at)
     monkeypatch.setattr(landscape, "propagate_batch", counted_propagate_batch)
+    return calls
+
+
+def test_scan_probes_take_their_own_routes(tmp_path, monkeypatch):
+    # n4's 8 directions at 201 points t >= 0 and tmax 2.2 run as blocks of
+    # 5 + 3.  Only direction 3's own plan needs more than one Taylor substep
+    # somewhere, so the first block mixes routes: a block-wide plan would
+    # send all five to the eigenvalue route.  Each probe's route is its own
+    # plan's: the column route exactly where _taylor_substeps on its row
+    # alone gives one substep on every segment.  Each row equals its own
+    # route's result bit for bit: a column-route row that of the _column_at
+    # call that carried it, the other rows objective(propagate(t f)) one
+    # control at a time.
+    calls = _count_scan_routes(monkeypatch)
     cfg_path = os.path.join(ROOT, "examples", "n4.cfg")
     out = tmp_path / "scan.csv"
     assert main(["scan", cfg_path, "--out", str(out), "--points", "401", "--tmax", "2.2"]) == 0
-    assert len(calls["column"]) >= 1 and calls["eigh"] >= 1
     cfg = parse_config(cfg_path)
     inst = build_problem(cfg)
-    probes = probe_directions(cfg.certificate, inst.system.horizon)
+    sys_ = inst.system
+    probes = probe_directions(cfg.certificate, sys_.horizon)
+    values, _ = dynamics._as_stack(sys_, probes)
+    ts = np.linspace(0.0, 2.2, 201)
+    own_plan = {
+        d for d, row in enumerate(values) if max(dynamics._taylor_substeps(sys_, row[None], ts[None])[1]) == 1
+    }
+    assert dynamics.column_block(sys_.levels, 201) == 5 and own_plan == {0, 1, 2, 4, 5, 6, 7}
     rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
     by_probe = [rows[d * 401 : (d + 1) * 401] for d in range(len(probes))]
     column_rows = {}
-    for values, z, psi in calls["column"]:
+    for block, z, psi in calls["column"]:
         js = objective(psi.reshape(-1, 4, 1), inst).reshape(z.shape)
-        for row, ts, j in zip(values, z, js):
+        for row, t, j in zip(block, z, js):
             index = next(d for d, f in enumerate(probes) if np.array_equal(f.values, row))
-            column_rows[index] = dict(zip(ts.tolist(), j))
-    assert 0 < len(column_rows) < len(probes)
+            column_rows[index] = dict(zip(t.tolist(), j))
+    assert set(column_rows) == own_plan
+    assert sum(len(c) for c in calls["eigh"]) == (len(probes) - len(own_plan)) * 201
     for index, direction in enumerate(by_probe):
         assert {int(r[0]) for r in direction} == {cfg.certificate.seed + index}
         for _, _, t_text, j in direction:
             if index in column_rows:
                 assert float(j) == column_rows[index][abs(float(t_text))]
             else:
-                assert float(j) == objective(propagate(inst.system, probes[index].scaled(float(t_text))), inst)
+                assert float(j) == objective(propagate(sys_, probes[index].scaled(float(t_text))), inst)
+
+
+def test_scan_n6_runs_its_column_route_in_one_call(tmp_path, monkeypatch):
+    # The benchmark's scan-n6 instance (N = 6, M = 64, 8 directions, 201
+    # points t >= 0 up to 1): every probe takes the column route, and the 8 x
+    # 201 = 1608 columns fit one block, column_block(6, 201) = 8 directions,
+    # so the whole scan is one _column_at call and no propagate_batch call.
+    calls = _count_scan_routes(monkeypatch)
+    cfg = write_config(
+        tmp_path / "n6.cfg", N="6", v="1, 1, 1, 1, 1", **{"lambda": "1, 0.5, 0.3, 0.1, -1, 0"}, M="64", directions="8"
+    )
+    out = tmp_path / "scan.csv"
+    assert main(["scan", cfg, "--out", str(out), "--points", "401", "--tmax", "1.0"]) == 0
+    assert dynamics.column_block(6, 201) == 8
+    assert len(calls["column"]) == 1 and calls["eigh"] == []
+    assert calls["column"][0][2].shape == (8, 201, 6)
+    assert len(out.read_text().splitlines()) == 1 + 8 * 401
 
 
 @pytest.mark.parametrize("overrides", [{"a": "1e6"}, {"tmax": "1e3"}])

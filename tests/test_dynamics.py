@@ -220,6 +220,24 @@ def test_column_at_returns_c_contiguous_level_minor_arrays():
     assert stack.shape == (3, 12, 4) and stack.flags.c_contiguous
 
 
+def test_taylor_degree_is_the_smallest_backward_error_degree():
+    # _column_at's substeps take the smallest degree m whose theta_m covers
+    # their norm: m at theta_m itself, m + 1 just above it.  Substeps have
+    # norm <= 0.5, which the table's last entry covers at degree 14; the
+    # contour of the certificate (0.185) and scan-n6 (0.316) take 11 and 13
+    # terms, where the old 1e-18 stop took 13 and 15.
+    table = dynamics._TAYLOR_THETA
+    assert len(table) == 14 and list(table) == sorted(table)
+    for m, theta in enumerate(table, start=1):
+        assert dynamics._taylor_degree(theta) == m
+        assert dynamics._taylor_degree(math.nextafter(theta, 0.0)) == m
+        if m > 1:
+            assert dynamics._taylor_degree(math.nextafter(table[m - 2], 1.0)) == m
+    assert dynamics._taylor_degree(0.0) == 1 and dynamics._taylor_degree(0.5) == 14
+    for theta, old, new in ((0.316, 15, 13), (0.185, 13, 11), (0.1, 11, 10)):
+        assert (dynamics._taylor_terms(theta), dynamics._taylor_degree(theta)) == (old, new)
+
+
 @pytest.mark.parametrize("levels", [3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("a, b", [(1.0, 0.0), (50.0, 0.4), (-3.0, 2.0)])
 def test_column_at_matches_the_plain_taylor_loop_bit_for_bit(levels, a, b):

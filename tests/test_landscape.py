@@ -481,6 +481,53 @@ def test_longdouble_column_oracle_measures_the_contour_error():
     assert np.max(float64_top_error(12, 2.0)) >= 1e3
 
 
+def contour_j(inst, psi):
+    """J(z_k) = sum_l lambda_l psi_l(z_k) conj(psi_l(conj z_k)) on contour columns psi."""
+    lam = np.asarray(inst.observable.eigenvalues).astype(psi.real.dtype)
+    return np.sum(lam * psi * np.conj(psi[:, ::-1]), axis=-1)
+
+
+@pytest.mark.parametrize("levels, top_bound", [(4, 1e-14), (6, 5e-14), (8, 1e-10)])
+def test_column_degree_adds_no_visible_truncation_on_the_contour(levels, top_bound):
+    # _column_at stops each substep at the backward-error degree
+    # _taylor_degree, two terms before the old 1e-18 stop _taylor_terms.
+    # Against the longdouble column at _taylor_terms' degree, whose own
+    # truncation is below float64's roundoff, float64 J on the certificate's
+    # contour (uniform ladder, 8 probes, radius r_0 = 2 / (||V||_2 int|f|),
+    # K = 2N + 16) stays within 1e-14 (measured 2.1-2.8e-15, as at the old
+    # degree), and the sampled c_{2N-2} of the mean-zero probes within
+    # top_bound relative (measured 1.2e-15, 5.8e-15 and 7.4e-12 at N = 4, 6,
+    # 8; 1.2e-15, 2.4e-15 and 9.2e-12 at the old degree).
+    inst = ladder_instance(levels)
+    sys = inst.system
+    values, _ = dynamics._as_stack(sys, probe_directions(CertificateConfig(), TWO_PI))
+    points = 2 * levels + landscape.CONTOUR_EXTRA_POINTS
+    z = (2.0 / _line_scale(sys, values))[:, None] * np.exp(2j * np.pi * (np.arange(points) + 0.5) / points)
+    psi = dynamics._column_at(sys, values, z)
+    psi_ld = column_reference_ld(sys, values, z, degree=dynamics._taylor_terms)
+    assert np.max(np.abs(contour_j(inst, psi) - contour_j(inst, psi_ld))) <= 1e-14
+    c64 = contour_top_coefficient(inst, psi, z)[::2]
+    c_ld = contour_top_coefficient(inst, psi_ld, z.astype(np.clongdouble))[::2]
+    assert np.max(np.abs(c64 - c_ld) / np.abs(c_ld)) <= top_bound
+
+
+def test_column_degree_adds_no_visible_truncation_on_the_scan_line():
+    # scan-n6's line: the uniform N = 6 ladder's 8 probes at the 201 points
+    # t = 0 .. 1 of `--points 401 --tmax 1`, one Taylor substep of norm up
+    # to 0.316 per segment, 13 terms where _taylor_terms took 15.  J stays
+    # within 1e-14 of the longdouble column at the old degree (measured
+    # 1.9e-15).
+    inst = ladder_instance(6)
+    sys = inst.system
+    values, _ = dynamics._as_stack(sys, probe_directions(CertificateConfig(), TWO_PI))
+    z = np.broadcast_to(np.linspace(0.0, 1.0, 401)[200:], (8, 201))
+    theta, substeps = dynamics._taylor_substeps(sys, values, z)
+    assert np.all(substeps == 1.0) and dynamics._taylor_degree(np.max(theta)) == 13
+    psi = dynamics._column_at(sys, values, z)
+    psi_ld = column_reference_ld(sys, values, z, degree=dynamics._taylor_terms)
+    assert np.max(np.abs(contour_j(inst, psi) - contour_j(inst, psi_ld))) <= 1e-14
+
+
 # ---------------------------------------------------------------- lie rank
 
 
@@ -654,13 +701,15 @@ def check_serial_walk(inst, probes, budget, steps=None):
     [(50, 16, 160, 8), (62, 16, 160, 13), (16, 16, 160, 71), (6, 16, 160, None), (41, 64, 5, 5), (9, 256, 40, 29)],
 )
 def test_witness_blocks_match_serial_walk(index, segments, budget, first_hit):
-    # Six probes, so the blocks of block_controls(M) controls (16 on 16
-    # segments, 4 on 64) end in the middle of an amplitude's six.  The first
-    # hits fall mid-block (8, 13) and in the fifth block (71); instance 6
-    # misses all 160 and returns its best.  Instance 41 hits at the last of
-    # 5 controls, in a second block, so a budget of 4 walks the same
-    # controls one short of the hit, and misses.  On 256 segments a block
-    # holds one control, and instance 9 hits in its 29th.
+    # Six probes, so the blocks of 1, 2, 4, ... controls, up to
+    # block_controls(M) (16 on 16 segments, 4 on 64), end in the middle of
+    # an amplitude's six.  The first hits fall at the start (8) and in the
+    # middle (13) of the fourth block, controls 8..15, and in the eighth
+    # (71); instance 6 misses all 160 and returns its best.  Instance 41
+    # hits at the last of 5 controls, in the third block, cut to controls
+    # 4..5 by the budget, so a budget of 4 walks the same controls one short
+    # of the hit, and misses.  On 256 segments a block holds one control,
+    # and instance 9 hits in its 29th.
     inst, seed = _RANDOM[index]
     probes = probe_directions(CertificateConfig(directions=6, seed=seed, segments=segments), inst.system.horizon)
     assert block_controls(segments) == {16: 16, 64: 4, 256: 1}[segments]
@@ -671,6 +720,39 @@ def test_witness_blocks_match_serial_walk(index, segments, budget, first_hit):
     if first_hit == budget:
         miss = check_serial_walk(inst, probes, budget - 1)
         assert not miss.success and miss.evaluations == budget - 1
+
+
+@pytest.mark.parametrize(
+    "index, segments, budget, rows",
+    [(50, 16, 160, 15), (62, 16, 160, 15), (16, 16, 160, 79), (6, 16, 160, 160), (41, 64, 5, 5), (9, 256, 40, 29)],
+)
+def test_witness_blocks_start_at_one_control(monkeypatch, index, segments, budget, rows):
+    # The walk's blocks hold 1, 2, 4, ... controls up to block_controls(M),
+    # so it propagates only through the end of the block that holds its
+    # first hit (or all `budget` controls on a miss): 15 rows for the hits
+    # at 8 and 13 (blocks 1 + 2 + 4 + 8), 79 for the hit at 71, 5 and 29
+    # where the budget or one-control blocks end the walk.  The results are
+    # the serial walk's, as propagate_batch rows do not depend on their
+    # block.  At the certificate's defaults on examples/n4.cfg the walk
+    # hits on its first control, and propagates that one control alone.
+    propagated = []
+    batch = landscape.propagate_batch
+
+    def counted(sys, values):
+        propagated.append(len(values))
+        return batch(sys, values)
+
+    monkeypatch.setattr(landscape, "propagate_batch", counted)
+    inst, seed = _RANDOM[index]
+    probes = probe_directions(CertificateConfig(directions=6, seed=seed, segments=segments), inst.system.horizon)
+    check_serial_walk(inst, probes, budget)
+    cap = block_controls(segments)
+    assert sum(propagated) == rows
+    assert propagated[:-1] == [min(2**k, cap) for k in range(len(propagated) - 1)]
+    propagated.clear()
+    n4 = n4_instance()
+    res = witness_search(n4, probe_directions(CertificateConfig(), n4.system.horizon), 500)
+    assert res.success and res.evaluations == 1 and propagated == [1]
 
 
 def test_witness_scores_every_control_by_full_propagators(monkeypatch):
