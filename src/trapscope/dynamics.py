@@ -1,15 +1,17 @@
 """Controlled dynamics, the objective, and chronological iterated-integral forms.
 
-The propagator solves i dU/dt = (H0 + f(t) V) U with U(0) = I.  Because f is
+Every kernel here reads model's drift H0 - b I = diag(omega, 0, ..., 0) in
+place of H0 (model states why: b is a global phase), so the propagator
+solves i dU/dt = (H0 - b I + f(t) V) U with U(0) = I.  Because f is
 piecewise constant, each segment is advanced by one exact exponential, so
 propagation carries no time-discretization error beyond roundoff.  Two
 routes sample the objective.
 
   * propagate_batch forms full propagators at real amplitude (propagate,
     the witness walk at every amplitude, and scan's sampler,
-    landscape._sample_lines, on probes whose steps are long): H0 + x V is real
-    symmetric, so the steps of a whole stack of controls come from one
-    float64 eigendecomposition and two real matrix products, and each
+    landscape._sample_lines, on probes whose steps are long): H0 - b I + x V
+    is real symmetric, so the steps of a whole stack of controls come from
+    one float64 eigendecomposition and two real matrix products, and each
     U_T = S_M ... S_1 is a pairwise tree product (_tree_product) that keeps
     only its current level.  Controls pass through in blocks of
     BLOCK_MATRICES segment matrices, which keeps peak memory flat in the
@@ -29,9 +31,9 @@ routes sample the objective.
     per call, _taylor_substeps(sys, values, z), which that sampler's route
     guard reads for each probe alone.  It shares nothing with the forms.
 
-The ladder's parity P = diag(1, -1, 1, ...) (P H0 P = H0, P V P = -V) holds
-exactly on both routes, so U_T(-f) = P U_T(f) P and J(-f) = J(f) hold bit
-for bit; scan relies on it to sample only t >= 0.
+The ladder's parity P = diag(1, -1, 1, ...) (P fixes H0 - b I, P V P = -V)
+holds exactly on both routes, so U_T(-f) = P U_T(f) P and J(-f) = J(f) hold
+bit for bit; scan relies on it to sample only t >= 0.
 
 Both certificate layers take every probe direction in one stacked pass.
 propagate and dyson_forms accept one control, or a sequence of controls on
@@ -54,16 +56,17 @@ The chronological forms of order n are
     A^n_l(f) = int_{T >= t_1 >= ... >= t_n >= 0} f(t_1)...f(t_n)
                <l| V_{t_1} ... V_{t_n} |N> dt_n ... dt_1,
 
-with V_t = e^{i t H0} V e^{-i t H0} and A^0_l = delta_{lN}.  They are the
-interaction-picture Taylor data of the propagator:
+with V_t = e^{i t H0} V e^{-i t H0}, which H0 - b I gives as well, and
+A^0_l = delta_{lN}.  They are the interaction-picture Taylor data of the
+propagator, on H0 - b I as on H0:
 
-    e^{i T H0} U_T = sum_n (-i)^n A^n(T).
+    e^{i T (H0 - b I)} U_T = sum_n (-i)^n A^n(T).
 
 Because f is piecewise constant, the propagator of the scaled control x f is
-a product of segment steps S(x f_j), S(x) = exp(-i dt (H0 + x V)) =
+a product of segment steps S(x f_j), S(x) = exp(-i dt (H0 - b I + x V)) =
 sum_k x^k C_k, so the forms are a finite computation:
 
-    A^n = i^n e^{i T H0} [S(x f_M) ... S(x f_1)]_n |N>,
+    A^n = i^n e^{i T (H0 - b I)} [S(x f_M) ... S(x f_1)]_n |N>,
 
 where [.]_n is the coefficient of x^n.  dyson_forms is the forms kernel: it
 takes that coefficient by a truncated Cauchy product of the stack
@@ -102,13 +105,13 @@ import numpy as np
 
 from .controls import PiecewiseControl, _check_grid
 from .errors import DomainError, GridMismatch, NotUnitary, SeriesCheckFailed, count
-from .model import ProblemInstance, SystemSpec, _v_norm, energies, h0_matrix, v_matrix
+from .model import ProblemInstance, SystemSpec, _v_norm, drift_matrix, v_matrix
 
 
 # Segment matrices per block of propagate_batch.  The working set (the
-# stacked H0 + x V, its eigenvectors, the steps and one tree level) is a few
-# times this many N x N matrices however many controls come in, so peak RSS
-# does not grow with the batch; one unblocked scan direction (401 controls of
+# stacked H0 - b I + x V, its eigenvectors, the steps and one tree level) is
+# a few times this many N x N matrices however many controls come in, so peak
+# RSS does not grow with the batch; one unblocked scan direction (401 controls of
 # 64 segments) raised it by a third.
 BLOCK_MATRICES = 256
 
@@ -122,21 +125,23 @@ def block_controls(segments: int) -> int:
 
 
 def _segment_steps(sys: SystemSpec, values: np.ndarray, dt: float) -> np.ndarray:
-    """Segment steps S(x) = exp(-i dt (H0 + x V)) for finite values of shape (..., M).
+    """Segment steps S(x) = exp(-i dt (H0 - b I + x V)) for finite values of shape (..., M).
 
-    H0 + x V is real symmetric, so each step is Q diag(e^{-i dt w}) Q^T from
-    one float64 eigendecomposition over the stack, formed in real arithmetic:
+    The drift H0 - b I is model's drift_matrix, and H0 - b I + x V is real
+    symmetric, so each step is Q diag(e^{-i dt w}) Q^T from one float64
+    eigendecomposition over the stack, formed in real arithmetic:
     Re S = (Q cos(dt w)) Q^T and Im S = -(Q sin(dt w)) Q^T.  The result has
     shape (..., M, N, N); the steps of a control on M segments take dt = T / M.
 
-    The ladder's parity P = diag(1, -1, 1, ...) fixes H0 and flips V, so
-    H0 - |x| V = P (H0 + |x| V) P.  Only H0 + |x| V is decomposed, and for
-    x < 0 the rows of Q take the signs of P.  Sign flips are exact and leave
-    every sum in its order, so S(-x) = P S(x) P, and with it
-    U_T(-f) = P U_T(f) P and J(-f) = J(f), hold bit for bit on any LAPACK.
+    The ladder's parity P = diag(1, -1, 1, ...) fixes the drift and flips V,
+    so H0 - b I - |x| V = P (H0 - b I + |x| V) P.  Only H0 - b I + |x| V is
+    decomposed, and for x < 0 the rows of Q take the signs of P.  Sign flips
+    are exact and leave every sum in its order, so S(-x) = P S(x) P, and
+    with it U_T(-f) = P U_T(f) P and J(-f) = J(f), hold bit for bit on any
+    LAPACK.
     """
     parity = (-1.0) ** np.arange(sys.levels)
-    w, q = np.linalg.eigh(h0_matrix(sys) + np.abs(values)[..., None, None] * v_matrix(sys))
+    w, q = np.linalg.eigh(drift_matrix(sys) + np.abs(values)[..., None, None] * v_matrix(sys))
     q = np.where((values < 0)[..., None, None], parity[:, None] * q, q)
     qt = np.ascontiguousarray(q.swapaxes(-1, -2))  # a strided Q^T makes matmul about 1.4x slower
     phase = dt * w[..., None, :]
@@ -166,11 +171,13 @@ def propagate_batch(sys: SystemSpec, values) -> np.ndarray:
     """Final-time propagators U_T[b] for the B controls values[b] (shape (B, M)).
 
     Each control is piecewise constant on M equal segments of [0, T], T the
-    system horizon.  Every segment step comes from _segment_steps and
-    U_T = S_M ... S_1 comes from _tree_product.  Controls go through in
-    blocks of BLOCK_MATRICES segment matrices, and every row is computed the
-    same way whatever its block, so a row equals the B = 1 result for that
-    control bit for bit.
+    system horizon.  U_T is the propagator of H0 - b I + f V, which is
+    e^{i b T} times that of H0 + f V.  The scalar is left on: multiplying
+    it out would move the last bits of |U|^2, and no J sees it.  Every
+    segment step comes from _segment_steps and U_T = S_M ... S_1 comes from
+    _tree_product.  Controls go through in blocks of BLOCK_MATRICES segment
+    matrices, and every row is computed the same way whatever its block, so
+    a row equals the B = 1 result for that control bit for bit.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] < 1:
@@ -215,6 +222,7 @@ def _as_stack(sys: SystemSpec, controls) -> tuple[np.ndarray, bool]:
 def propagate(sys: SystemSpec, f) -> np.ndarray:
     """Final-time propagator U_T for the control f: the B = 1 case of
     propagate_batch, after checking that f lives on the system horizon.
+    Like it, U_T is that of H0 - b I + f V, e^{i b T} times that of H0 + f V.
     A sequence of controls on one grid gives their stack (D, N, N)."""
     values, single = _as_stack(sys, f)
     u = propagate_batch(sys, values)
@@ -352,14 +360,15 @@ _SERIES_CHECK_TOL = 1e-12
 def _segment_series(sys: SystemSpec, dt: float, n_max: int) -> np.ndarray:
     """Coefficients C_0..C_{n_max} of the segment step, as a read-only stack.
 
-    S(x) = exp(-i dt (H0 + x V)) = sum_k x^k C_k, and the result has shape
-    (n_max+1, N, N) with C_k in slot k.  The coefficients are checked once
-    against the propagation core's own steps (_segment_steps, the eigenvalue
-    route): C_0 against S(0) = exp(-i dt H0) and sum_k x^k C_k against S(x)
-    at one probe x.  Couplings so weak that some C_k would underflow raise
+    S(x) = exp(-i dt (H0 - b I + x V)) = sum_k x^k C_k, on model's drift
+    H0 - b I, and the result has shape (n_max+1, N, N) with C_k in slot k.
+    The coefficients are checked once against the propagation core's own
+    steps (_segment_steps, the eigenvalue route): C_0 against
+    S(0) = exp(-i dt (H0 - b I)) and sum_k x^k C_k against S(x) at one
+    probe x.  Couplings so weak that some C_k would underflow raise
     DomainError instead: float64 cannot resolve those forms.
     """
-    h0 = h0_matrix(sys)
+    drift = drift_matrix(sys)
     v = v_matrix(sys)
     # The natural size of C_k is s^k / k!, s = ||dt V||_2; it is log-concave in
     # k and 1 at k = 0, so its smallest value on 0..n_max is that of k = n_max.
@@ -370,7 +379,7 @@ def _segment_series(sys: SystemSpec, dt: float, n_max: int) -> np.ndarray:
             f"series coefficient C_{n_max} of natural size ||dt V||_2^{n_max} / {n_max}! "
             f"= 1e{log_size / math.log(10.0):.1f} would underflow in float64: not resolvable"
         )
-    coeffs = _exp_series(-1j * dt * h0, -1j * dt * v, n_max)
+    coeffs = _exp_series(-1j * dt * drift, -1j * dt * v, n_max)
 
     # Probe at |x| s = r, where dropping the terms past x^n_max costs less
     # than r^(n_max+1) e^r / (n_max+1)! <= 1e-15, as ||C_k|| <= s^k / k!.
@@ -448,7 +457,7 @@ def _taylor_substeps(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> tupl
 
 
 def _column_at(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """e^{i b T} U_T(z f_d)|N> at complex amplitudes z for each control f_d of a stack.
+    """U_T(z f_d)|N> at complex amplitudes z for each control f_d of a stack.
 
     values is the (D, M) float64 array of control values that _as_stack
     returns, and z the (D, K) complex amplitudes, row d those of control d;
@@ -462,14 +471,14 @@ def _column_at(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.ndarray
     _taylor_degree(theta / substeps): the smallest degree m whose theta_m
     (that paper's double-precision table) covers the substep, so the
     truncated series is the exact exponential of an exponent perturbed by
-    at most the unit roundoff, relative to its norm.  The shift -b I is a global phase.  All
-    R = D K columns advance in one pass, held level-major as one (N, R)
-    array.  Term m of a substep is h/m (H0 - b I + zf V) applied to term
-    m - 1, h = -i dt / substeps: V is model's real matrix, so V term is one
-    real (N, N) x (N, 2R) product on the float view, scaled per column by
-    (h/m) zf.  H0 - b I is diag(omega, 0, ..., 0) with omega = sys.omega,
-    so only level 1 adds (h/m) omega times its own entry; on levels 2..N
-    that product would be an exact zero, and it is skipped.  The new term
+    at most the unit roundoff, relative to its norm.  All R = D K columns
+    advance in one pass, held level-major as one (N, R) array.  Term m of a
+    substep is h/m (H0 - b I + zf V) applied to term m - 1,
+    h = -i dt / substeps: V is model's real matrix, so V term is one real
+    (N, N) x (N, 2R) product on the float view, scaled per column by
+    (h/m) zf.  The drift H0 - b I is diag(omega, 0, ..., 0) with
+    omega = sys.omega, so only level 1 adds (h/m) omega times its own entry;
+    on levels 2..N that product would be an exact zero, and it is skipped.  The new term
     takes the old one's buffer for the next V product, so a term costs
     three passes over the columns (the product, the scale and
     psi += term) and allocates nothing of size N R.  Each
@@ -511,7 +520,7 @@ def _column_at(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.ndarray
 
 
 def dyson_forms(sys: SystemSpec, controls, n_max: int) -> DysonForms:
-    """Chronological forms of order 0..n_max at the final time: A^n = i^n e^{i T H0} P_n.
+    """Chronological forms of order 0..n_max at the final time: A^n = i^n e^{i T (H0 - b I)} P_n.
 
     P_n is the coefficient of x^n in U_T(x f)|N>.  As U_T(x f) =
     S(x f_M) ... S(x f_1), each segment applies the truncated Cauchy product
@@ -551,7 +560,7 @@ def dyson_forms(sys: SystemSpec, controls, n_max: int) -> DysonForms:
             product = coeff_row @ gathered.reshape(n_max + 1, (n_max + 1) * n, d)
             series[:-1] = product.reshape(n_max + 1, n, d)
         table[lo : lo + d] = series[:-1].transpose(2, 0, 1)
-    table *= 1j ** (order % 4)[:, None] * np.exp(1j * sys.horizon * energies(sys))
+    table *= 1j ** (order % 4)[:, None] * np.exp(1j * sys.horizon * np.diagonal(drift_matrix(sys)))
     table[..., 0, :] = 0.0  # A^0_l = delta_{lN} by definition, not up to roundoff
     table[..., 0, n - 1] = 1.0
     table = table[0] if single else table

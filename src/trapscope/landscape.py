@@ -65,7 +65,7 @@ from .errors import (
     TrapscopeError,
     count,
 )
-from .model import ProblemInstance, SystemSpec, _v_norm, h0_matrix, v_matrix
+from .model import ProblemInstance, SystemSpec, _v_norm, drift_matrix, v_matrix
 
 # Mean-zero probe directions have L2 norm PROBE_AMPLITUDE sqrt(T); odd-index
 # probes add a constant +-PROBE_OFFSET_FRACTION * PROBE_AMPLITUDE, so their
@@ -362,12 +362,13 @@ def lie_rank_matrices(h_a, h_b) -> LieAlgebraResult:
 
 
 def lie_rank(sys: SystemSpec) -> LieAlgebraResult:
-    """Rank test for the controlled pair: algebra generated by iH0 and iV.
+    """Rank test for the controlled pair: algebra generated by i(H0 - b I) and iV.
 
-    The closure runs on the real symmetric H0 and V exactly as model hands
-    them out.
+    It differs from the algebra of iH0 and iV only by the identity
+    direction, which saturation quotients out.  The closure runs on the real
+    symmetric drift and V exactly as model hands them out.
     """
-    return lie_rank_matrices(h0_matrix(sys), v_matrix(sys))
+    return lie_rank_matrices(drift_matrix(sys), v_matrix(sys))
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,14 @@ The controlled pair is a ladder system on N levels:
     H0 = diag(a, b, b, ..., b)          (strongly degenerate free part)
     V  = tridiagonal, V[k,k+1] = V[k+1,k] = v_k, all v_k real and nonzero
 
-with a != b.  Only the gap omega = a - b enters the interaction-picture
-dynamics.  Both generators are real symmetric, and this module is the one
-place that materializes them: h0_matrix and v_matrix hand them out as
-float64 arrays, and _v_norm gives ||V||_2.  Level indices are 1-based in
-every public interface; internal arrays are 0-based.
+with a != b.  The offset b is a global phase: the propagators of H0 + f V
+and of the drift H0 - b I = diag(omega, 0, ..., 0) differ by the scalar
+e^{-i b T}, so only the gap omega = a - b enters J, the forms and the Lie
+rank, and every numerical kernel runs on the drift.  Both generators are
+real symmetric, and this module is the one place that materializes them:
+drift_matrix and v_matrix hand them out as float64 arrays, and _v_norm
+gives ||V||_2.  Level indices are 1-based in every public interface;
+internal arrays are 0-based.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ class SystemSpec:
 
     @property
     def omega(self) -> float:
-        """Energy gap a - b, the only frequency in the interaction picture."""
+        """Energy gap a - b, the only energy the numerics read: the drift's level-1 entry."""
         return self.a - self.b
 
 
@@ -78,16 +81,14 @@ def build_system(levels: int, a: float, b: float, couplings, horizon: float) -> 
     return SystemSpec(levels=levels, a=a, b=b, couplings=v, horizon=horizon)
 
 
-def energies(sys: SystemSpec) -> np.ndarray:
-    """Free energies (E_1, ..., E_N) = (a, b, ..., b)."""
-    e = np.full(sys.levels, sys.b, dtype=np.float64)
-    e[0] = sys.a
-    return e
+def drift_matrix(sys: SystemSpec) -> np.ndarray:
+    """Materialize the drift H0 - b I = diag(omega, 0, ..., 0) as a float64 matrix.
 
-
-def h0_matrix(sys: SystemSpec) -> np.ndarray:
-    """Materialize H0 = diag(a, b, ..., b), real symmetric, as a float64 matrix."""
-    return np.diag(energies(sys))
+    Where b = 0 it is H0 itself.
+    """
+    m = np.zeros((sys.levels, sys.levels), dtype=np.float64)
+    m[0, 0] = sys.omega
+    return m
 
 
 def v_matrix(sys: SystemSpec) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Nothing here runs in a certificate.  These are the slow or narrow routes
 whose agreement with the package is the evidence that its analytic forms are
-right: a complex-Hermitian eigendecomposition and the unitary exponential
-built on it, element-wise interaction-picture matrices, the closed forms of
+right: the drift H0 - b I, built from a and b apart from model's, a
+complex-Hermitian eigendecomposition and the unitary exponential built on
+it, element-wise interaction-picture matrices, the closed forms of
 the low orders, a brute-force enumeration and a plain midpoint quadrature of
 the max-kernel integral for A^{N-1}_1, the resummation of the forms against
 the propagator, a plain Taylor-action loop for the |N> column and its
@@ -38,8 +39,6 @@ from trapscope.model import (
     build_instance,
     build_observable,
     build_system,
-    energies,
-    h0_matrix,
     v_matrix,
 )
 
@@ -108,6 +107,14 @@ def spectral_norm_hermitian(h) -> float:
 
 # ---------------------------------------------------------------- model
 
+
+def drift(sys: SystemSpec) -> np.ndarray:
+    """H0 - b I = diag(a - b, 0, ..., 0), built here from a and b, not taken from model."""
+    h = np.zeros((sys.levels, sys.levels))
+    h[0, 0] = sys.a - sys.b
+    return h
+
+
 def interaction_element(sys: SystemSpec, l: int, k: int, t: float) -> complex:
     """Matrix element <l| V_t |k> of V_t = e^{i t H0} V e^{-i t H0}.
 
@@ -126,8 +133,8 @@ def interaction_element(sys: SystemSpec, l: int, k: int, t: float) -> complex:
 
 
 def interaction_matrix(sys: SystemSpec, t: float) -> np.ndarray:
-    """Full V_t = e^{i t H0} V e^{-i t H0} via elementwise phases."""
-    ph = np.exp(1j * t * energies(sys))
+    """Full V_t = e^{i t H0} V e^{-i t H0} via elementwise phases, from H0 - b I."""
+    ph = np.exp(1j * t * np.diagonal(drift(sys)))
     return ph[:, None] * v_matrix(sys) * ph.conj()[None, :]
 
 
@@ -316,15 +323,16 @@ def _kernel_midpoint_A1N(sys: SystemSpec, f: PiecewiseControl, subdiv: int = 1) 
 def dyson_resum_defect(sys: SystemSpec, f: PiecewiseControl, n_max: int) -> float:
     """Distance between the resummed forms and the |N> column of the true propagator.
 
-    Compares sum_{n<=n_max} (-i)^n A^n(T) against (e^{i T H0} U_T)|N>, in
-    the 2-norm.  The forms are exact, so up to roundoff the distance is the
-    truncation remainder of the series, whose leading term is of size
+    Compares sum_{n<=n_max} (-i)^n A^n(T) against (e^{i T (H0 - b I)} U_T)|N>
+    in the 2-norm, with U_T = propagate(sys, f), the propagator of
+    H0 - b I + f V.  The forms are exact, so up to roundoff the distance is
+    the truncation remainder of the series, whose leading term is of size
     (||V||_2 int|f|)^{n_max+1}/(n_max+1)!; it vanishes rapidly for small
     controls.
     """
     forms = dyson_forms(sys, f, n_max).table
     resum = sum((-1j) ** k * forms[k] for k in range(n_max + 1))
-    u_int = expm_mih(h0_matrix(sys), -sys.horizon) @ propagate(sys, f)
+    u_int = expm_mih(drift(sys), -sys.horizon) @ propagate(sys, f)
     return float(np.linalg.norm(resum - u_int[:, -1]))
 
 
@@ -344,7 +352,7 @@ def column_reference(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.n
     """
     z = np.asarray(z, dtype=np.complex128)
     dt = sys.horizon / values.shape[1]
-    e = (energies(sys) - sys.b).astype(np.complex128)[:, None]
+    e = np.diagonal(drift(sys)).astype(np.complex128)[:, None]
     v = v_matrix(sys)
     psi = np.zeros((sys.levels, z.size), dtype=np.complex128)
     psi[-1] = 1.0
@@ -372,9 +380,10 @@ def column_reference_ld(sys: SystemSpec, values: np.ndarray, z: np.ndarray, degr
     degree that degree(theta / substeps) gives, by default _column_at's own
     _taylor_degree, computed in float64), but every number the loop touches
     is extended precision, and each term is the naive h/m (H0 - b I + zf V)
-    term.  numpy has no BLAS for clongdouble, so V, which is tridiagonal, is
-    applied through its two off-diagonals: three times faster than its dense
-    matmul, and the same sums, as V's other entries are zero.  The result
+    term, its gap a - b rounded once in float64 like _column_at's.  numpy
+    has no BLAS for clongdouble, so V, which is tridiagonal, is applied
+    through its two off-diagonals: three times faster than its dense matmul,
+    and the same sums, as V's other entries are zero.  The result
     is a (D, K, N) clongdouble array.  Where longdouble is no finer than
     float64 (MSVC, some ARM builds) the oracle measures nothing, so it
     fails instead of skipping.
@@ -385,7 +394,7 @@ def column_reference_ld(sys: SystemSpec, values: np.ndarray, z: np.ndarray, degr
     z_ld = z.astype(np.clongdouble)
     dt = np.longdouble(sys.horizon) / values.shape[1]
     e = np.zeros((sys.levels, 1), dtype=np.longdouble)
-    e[0] = np.longdouble(sys.a) - np.longdouble(sys.b)
+    e[0] = drift(sys)[0, 0]
     v = np.array(sys.couplings, dtype=np.longdouble)[:, None]
     psi = np.zeros((sys.levels, z.size), dtype=np.clongdouble)
     psi[-1] = 1

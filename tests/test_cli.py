@@ -590,6 +590,30 @@ def test_scan_long_steps_finish_on_the_eigenvalue_route(tmp_path, overrides):
     assert all(-1.0 <= float(j) <= 1.0 for _, _, _, j in rows)
 
 
+def test_scan_and_differential_are_invariant_under_an_energy_shift(tmp_path, capsys):
+    # (a, b) -> (a + 2^20, b + 2^20) keeps the gap exactly, and b is a global
+    # phase: both of scan's routes (n4 at tmax 2.2 takes both) and the forms
+    # read the drift H0 - b I, so the output bytes do not move.
+    with open(os.path.join(ROOT, "examples", "n4.cfg"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "\na = 1\nb = 0\n" in text
+    control = tmp_path / "f.ctl"
+    control.write_text("T 6.283185307179586\nM 4\n1\n0.5\n-0.5\n-1\n")
+    scans, printed = [], []
+    for c in (0, 2**20):
+        cfg = tmp_path / f"n4-{c}.cfg"
+        cfg.write_text(text.replace("\na = 1\nb = 0\n", f"\na = {1 + c}\nb = {c}\n"))
+        out = tmp_path / f"scan-{c}.csv"
+        assert main(["scan", str(cfg), "--out", str(out), "--points", "401", "--tmax", "2.2"]) == 0
+        scans.append(out.read_bytes())
+        capsys.readouterr()
+        for order in (2, 6):
+            assert main(["differential", str(cfg), "--control", str(control), "--order", str(order)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert scans[0] == scans[1]
+    assert printed[0] == printed[1]
+
+
 @pytest.mark.parametrize("points", [2, 10, 11, 401])
 @pytest.mark.parametrize("tmax", [0.3, 0.7, 1.0, 2.5])
 def test_scan_grid_is_exactly_antisymmetric(tmp_path, points, tmax):

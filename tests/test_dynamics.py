@@ -16,7 +16,7 @@ from trapscope.dynamics import (
 )
 from trapscope.errors import DomainError, GridMismatch, NotUnitary, SeriesCheckFailed
 from trapscope.landscape import taylor_fit
-from trapscope.model import _v_norm, build_instance, build_observable, build_system, energies, v_matrix
+from trapscope.model import _v_norm, build_instance, build_observable, build_system, v_matrix
 
 from oracles import (
     TWO_PI,
@@ -25,6 +25,7 @@ from oracles import (
     closed_form_AlN,
     column_reference,
     constant,
+    drift,
     dyson_resum_defect,
     expm_mih,
     kernel_bruteforce_A1N,
@@ -99,8 +100,9 @@ def test_propagate_batch_matches_sequential_product():
 @pytest.mark.parametrize("levels", range(3, 9))
 @pytest.mark.parametrize("a, b", [(1.0, 0.0), (-0.4, 0.9)])
 def test_parity_mirrors_the_propagator_bit_for_bit(levels, a, b):
-    # P = diag(1, -1, 1, ...) fixes H0 and flips V, so U_T(-f) = P U_T(f) P
-    # and J(-f) = J(f) exactly; each step is still exp(-i dt (H0 + x V)).
+    # P = diag(1, -1, 1, ...) fixes H0 - b I and flips V, so U_T(-f) =
+    # P U_T(f) P and J(-f) = J(f) exactly; each step is still
+    # exp(-i dt (H0 - b I + x V)).
     rng = np.random.default_rng(100 * levels + int(a > b))
     couplings = rng.uniform(0.5, 1.5, levels - 1) * rng.choice([-1.0, 1.0], levels - 1)
     parity = (-1.0) ** np.arange(levels)
@@ -117,7 +119,7 @@ def test_parity_mirrors_the_propagator_bit_for_bit(levels, a, b):
         xs = np.concatenate([values[0], -values[0]])
         for x, step in zip(xs, dynamics._segment_steps(sys, xs, dt)):
             assert unitarity_defect(step) <= 1e-14
-            assert np.max(np.abs(step - expm_mih(np.diag(energies(sys)) + x * v_matrix(sys), dt))) <= 1e-13
+            assert np.max(np.abs(step - expm_mih(drift(sys) + x * v_matrix(sys), dt))) <= 1e-13
 
 
 def test_propagate_batch_zero_row_scores_exactly_zero():
@@ -152,15 +154,15 @@ def test_block_controls_rejects_nonpositive_segments(segments):
 
 
 def test_column_at_real_points_equals_propagated_column():
-    # the contour's own Taylor-action route, at real amplitudes (up to its
-    # global phase e^{i b T}); x = 3 needs several substeps per segment
+    # the contour's own Taylor-action route, at real amplitudes, both on
+    # H0 - b I; x = 3 needs several substeps per segment
     sys = build_system(4, 1.3, 0.4, (1.0, 0.7, 1.5), TWO_PI)
     f = random_direction(17, 16, TWO_PI, amplitude=1.0)
     xs = np.array([-1.5, 0.0, 0.3, 3.0])
     column = dynamics._column_at(sys, dynamics._as_stack(sys, [f])[0], xs[None])[0]
     for x, psi in zip(xs, column):
         u = propagate(sys, f.scaled(x))
-        assert np.max(np.abs(np.exp(-1j * sys.b * TWO_PI) * psi - u[:, -1])) <= 1e-13
+        assert np.max(np.abs(psi - u[:, -1])) <= 1e-13
 
 
 def test_column_at_stack_at_real_points_equals_propagated_columns():
@@ -174,17 +176,17 @@ def test_column_at_stack_at_real_points_equals_propagated_columns():
     for f, row, psis in zip(fs, xs, column):
         for x, psi in zip(row, psis):
             u = propagate(sys, f.scaled(x))
-            assert np.max(np.abs(np.exp(-1j * sys.b * TWO_PI) * psi - u[:, -1])) <= 1e-13
+            assert np.max(np.abs(psi - u[:, -1])) <= 1e-13
 
 
 def _column_by_eig(sys, f, z):
-    # e^{i b T} U_T(z f)|N> as a product of dense segment exponentials, each
-    # from np.linalg.eig of the non-Hermitian exponent -i dt (H0 - b I + z f_j V)
-    h0 = np.diag(energies(sys) - sys.b)
+    # U_T(z f)|N> as a product of dense segment exponentials, each from
+    # np.linalg.eig of the non-Hermitian exponent -i dt (H0 - b I + z f_j V)
+    h = drift(sys)
     psi = np.zeros(sys.levels, dtype=np.complex128)
     psi[-1] = 1.0
     for fj in f.values:
-        w, x = np.linalg.eig(-1j * f.dt * (h0 + z * fj * v_matrix(sys)))
+        w, x = np.linalg.eig(-1j * f.dt * (h + z * fj * v_matrix(sys)))
         psi = x @ (np.exp(w) * np.linalg.solve(x, psi))
     return psi
 
@@ -624,6 +626,20 @@ def test_resum_defect_small_control_under_remainder_bound():
         bound = (vnorm * int_abs) ** 9 / math.factorial(9) + 1e-10
         assert defect < 1e-10
         assert defect <= bound
+
+
+@pytest.mark.parametrize("shift", [0.0, 2.0**20])
+def test_resum_defect_off_zero_energy_offset(shift):
+    # b != 0, and the same pair shifted by 2^20: the forms and propagate both
+    # run on H0 - b I, so the offset is a global phase that neither sees
+    sys = build_system(3, 1.3 + shift, 0.4 + shift, (1.0, 1.0), TWO_PI)
+    vnorm = spectral_norm_hermitian(v_matrix(sys))
+    for seed in range(3):
+        f = random_direction(seed, 64, TWO_PI, amplitude=0.1)
+        int_abs = f.dt * float(np.sum(np.abs(f.as_array())))
+        defect = dyson_resum_defect(sys, f, n_max=8)
+        assert defect < 1e-10
+        assert defect <= (vnorm * int_abs) ** 9 / math.factorial(9) + 1e-10
 
 
 def test_resum_defect_decreases_with_order():

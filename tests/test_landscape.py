@@ -37,12 +37,13 @@ from trapscope.landscape import (
     trap_certificate,
     witness_search,
 )
-from trapscope.model import _v_norm, build_instance, build_observable, build_system, h0_matrix, v_matrix
+from trapscope.model import _v_norm, build_instance, build_observable, build_system, v_matrix
 
 from oracles import (
     TWO_PI,
     column_reference_ld,
     constant,
+    drift,
     ladder,
     ladder_instance,
     lie_rank_reference,
@@ -607,7 +608,7 @@ def test_lie_rank_matches_the_complex_closure():
     assert len(systems) == 171
     for sys_ in systems:
         res = lie_rank(sys_)
-        ref = lie_rank_reference(1j * h0_matrix(sys_), 1j * v_matrix(sys_))
+        ref = lie_rank_reference(1j * drift(sys_), 1j * v_matrix(sys_))
         got = (res.dimension, res.saturated, res.depth_reached)
         assert got == (ref.dimension, ref.saturated, ref.depth_reached), sys_
         assert res.dimension <= sys_.levels**2
@@ -1051,6 +1052,23 @@ def test_certificate_report_serializes():
         "controllable",
         "witness_found",
     }
+
+
+@pytest.mark.parametrize("inst", [n4_instance(), ladder_instance(8)], ids=["n4", "ladder-8"])
+def test_certificate_is_invariant_under_an_energy_shift(inst):
+    # (a, b) -> (a + c, b + c) with exact sums keeps the gap, and the offset
+    # b is a global phase: every kernel reads the drift H0 - b I.  So the
+    # report is the unshifted one but for the instance's a and b, every
+    # float (the witness's j_value too) bit for bit.
+    sys_ = inst.system
+    base = json.dumps(trap_certificate(inst).as_dict(), sort_keys=True)
+    for c in (2.0**10, 2.0**20, 2.0**30):
+        shifted = build_system(sys_.levels, sys_.a + c, sys_.b + c, sys_.couplings, sys_.horizon)
+        assert shifted.omega == sys_.omega
+        report = trap_certificate(build_instance(shifted, inst.observable)).as_dict()
+        assert (report["instance"]["a"], report["instance"]["b"]) == (sys_.a + c, sys_.b + c)
+        report["instance"].update(a=sys_.a, b=sys_.b)
+        assert json.dumps(report, sort_keys=True) == base
 
 
 def direction_row(mean_zero, c2=-1.0, d2_predicted=-1.0, fitted=0.0, analytic=None):

@@ -14,11 +14,11 @@ from trapscope.model import (
     build_instance,
     build_observable,
     build_system,
-    h0_matrix,
+    drift_matrix,
     v_matrix,
 )
 
-from oracles import expm_mih, hermiticity_defect, interaction_element, interaction_matrix, v_power_element
+from oracles import drift, expm_mih, hermiticity_defect, interaction_element, interaction_matrix, v_power_element
 
 
 def reference_system():
@@ -27,7 +27,7 @@ def reference_system():
 
 def test_build_system_reference_matrices():
     sys = reference_system()
-    assert np.array_equal(h0_matrix(sys), np.diag([1.0, 0.0, 0.0]))
+    assert np.array_equal(drift_matrix(sys), np.diag([1.0, 0.0, 0.0]))
     expected_v = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
     assert np.array_equal(v_matrix(sys), expected_v)
     assert sys.omega == 1.0
@@ -38,6 +38,9 @@ def test_build_system_four_levels():
     v = v_matrix(sys)
     assert v[2, 3] == 3.0 and v[3, 2] == 3.0
     assert sys.omega == 3.0
+    # the drift is H0 - b I: the offset b = -1 is a global phase and leaves it
+    assert np.array_equal(drift_matrix(sys), np.diag([3.0, 0.0, 0.0, 0.0]))
+    assert np.array_equal(drift_matrix(sys), drift(sys))
 
 
 def test_build_system_rejects_bad_input():
@@ -65,10 +68,10 @@ def test_build_system_rejects_bad_input():
 
 def test_materialized_matrices_exactly_hermitian():
     sys = build_system(5, 0.7, -0.2, (0.3, -1.1, 2.0, 0.25), 3.0)
-    for m in (h0_matrix(sys), v_matrix(sys)):
+    for m in (drift_matrix(sys), v_matrix(sys)):
         assert m.dtype == np.float64
         assert np.array_equal(m, m.T)
-    assert hermiticity_defect(h0_matrix(sys)) == 0.0
+    assert hermiticity_defect(drift_matrix(sys)) == 0.0
     assert hermiticity_defect(v_matrix(sys)) == 0.0
 
 
@@ -123,12 +126,12 @@ def test_interaction_element_phase_on_level_one():
 def test_interaction_element_matches_bruteforce_product():
     rng = np.random.default_rng(10)
     sys = build_system(4, 1.3, -0.4, (0.9, -1.2, 0.5), 2.0)
-    h0 = h0_matrix(sys)
+    h = drift(sys)
     v = v_matrix(sys)
     for _ in range(100):
         t = rng.uniform(-10, 10)
         l, k = rng.integers(1, 5, size=2)
-        brute = expm_mih(h0, -t) @ v @ expm_mih(h0, t)
+        brute = expm_mih(h, -t) @ v @ expm_mih(h, t)
         assert abs(interaction_element(sys, int(l), int(k), t) - brute[l - 1, k - 1]) <= 1e-12
         assert np.max(np.abs(interaction_matrix(sys, t) - brute)) <= 1e-12
 
