@@ -41,6 +41,9 @@ from .model import ProblemInstance, build_instance, build_observable, build_syst
 
 REPORT_SCHEMA = "trapscope/4"
 
+# Scan rows formatted into one string per write.
+_WRITE_ROWS = 4096
+
 
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
@@ -237,7 +240,12 @@ def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0,
             for i, js in enumerate(sampled):
                 tag = f"{probe_seed(budget.seed, i)},{int(probe_offset(i) == 0.0)}"
                 j_text = [_fmt(j) for j in js]
-                fh.write("".join(f"{tag},{t},{j_text[m]}\n" for t, m in zip(t_text, mirror)))
+                # One string per _WRITE_ROWS rows: joining all of a probe's
+                # rows at once holds each row's text twice (join lists its
+                # items first), which set scan's peak memory at large points.
+                for lo in range(0, points, _WRITE_ROWS):
+                    rows = zip(t_text[lo : lo + _WRITE_ROWS], mirror[lo : lo + _WRITE_ROWS])
+                    fh.write("".join(f"{tag},{t},{j_text[m]}\n" for t, m in rows))
         os.replace(tmp, out)
     except BaseException:
         os.unlink(tmp)

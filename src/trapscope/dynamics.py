@@ -19,10 +19,10 @@ routes sample the objective.
     a single call agree bit for bit.
   * _column_at advances only the |N> column, by the Taylor action of each
     step, at any complex amplitude.  The columns of a whole stack are held
-    level-major, so V acts on all of them by one real matrix product, and
-    H0 - b I = diag(omega, 0, ..., 0) only adds to level 1: its rows 2..N
-    are zero, so a Taylor term costs three passes over the columns (the V
-    product, a per-column scale and the sum into psi).  Each substep stops
+    level-major, and the drift H0 - b I = diag(omega, 0, ..., 0) is one
+    more column of V's real matrix, so a Taylor term is one full-shape
+    complex scale, one real matrix product on the float view and the sum
+    into psi, over chunks of columns that stay in cache.  Each substep stops
     at the smallest Taylor degree whose backward error is within the unit
     roundoff (_taylor_degree).  The Taylor cross-check samples it where the
     step is not Hermitian, and scan's sampler at real t on each probe whose
@@ -415,15 +415,20 @@ def direction_block(entries: int, levels: int) -> int:
 def column_block(levels: int, points: int) -> int:
     """Controls per _column_at call, each at `points` amplitudes, at least one.
 
-    Sized so that the call's column buffers (psi, term and vt: 3 complex,
-    six float64, per level of each column) hold no more bytes than one
-    propagate_batch block holds at its peak.  That peak is six float64
-    N x N arrays per segment matrix (Q, Q^T, the complex step and one
-    real product with its factor) plus two length-N vectors (eigenvalues
-    and phases): BLOCK_MATRICES (6 N^2 + 2 N) float64s, 467 kB at N = 6,
-    where tracemalloc reads 475 kB (123 kB against 132 kB at N = 3, 3.21 MB
-    against 3.23 MB at N = 16).  So a call holds up to
-    BLOCK_MATRICES (3 N + 1) / 3 columns: 1621 at N = 6.
+    Sized so that a call holds at most BLOCK_MATRICES (3 N + 1) / 3 columns,
+    1621 at N = 6.  One propagate_batch block peaks at six float64 N x N
+    arrays per segment matrix (Q, Q^T, the complex step and one real
+    product with its factor) plus two length-N vectors (eigenvalues and
+    phases): BLOCK_MATRICES (6 N^2 + 2 N) float64s, 467 kB at N = 6, where
+    tracemalloc reads 475 kB (123 kB against 132 kB at N = 3, 3.21 MB
+    against 3.23 MB at N = 16).  _column_at holds 4 N + 1 complex numbers
+    per column in its loop (psi, term, the scale and the product's
+    argument), and a call of one chunk writes its result into the term's
+    buffer; past one chunk the loop holds one chunk and the result N per
+    column, which is less.  So a full call holds at most (4 N + 1) / (3 N)
+    times that block: 1.39 at N = 6, 4/3 as N grows.  scan-n6's 1608
+    columns count 643 kB, where tracemalloc reads 740 kB, its complex copy
+    of z (26 kB) included.
     """
     return max(1, BLOCK_MATRICES * (3 * levels + 1) // (3 * points))
 
@@ -456,6 +461,16 @@ def _taylor_substeps(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> tupl
     return theta, np.maximum(1.0, np.ceil(2.0 * theta))
 
 
+# The largest size in bytes of _column_at's loop buffers (psi, term, the
+# scale and the product's argument: 4 N + 1 complex numbers per column) for
+# one chunk of columns, so that a chunk stays in a core's 2 MB L2 cache
+# (2-vCPU Xeon).
+# There, one pass over a probe of 10001 columns at N = 8 took 356 ms and
+# chunks of this size 176 ms; a probe of 100001 columns at N = 3 took
+# 1.67 s and 0.73 s.
+_COLUMN_CHUNK_BYTES = 2**20
+
+
 def _column_at(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.ndarray:
     """U_T(z f_d)|N> at complex amplitudes z for each control f_d of a stack.
 
@@ -471,52 +486,76 @@ def _column_at(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.ndarray
     _taylor_degree(theta / substeps): the smallest degree m whose theta_m
     (that paper's double-precision table) covers the substep, so the
     truncated series is the exact exponential of an exponent perturbed by
-    at most the unit roundoff, relative to its norm.  All R = D K columns
-    advance in one pass, held level-major as one (N, R) array.  Term m of a
-    substep is h/m (H0 - b I + zf V) applied to term m - 1,
-    h = -i dt / substeps: V is model's real matrix, so V term is one real
-    (N, N) x (N, 2R) product on the float view, scaled per column by
-    (h/m) zf.  The drift H0 - b I is diag(omega, 0, ..., 0) with
-    omega = sys.omega, so only level 1 adds (h/m) omega times its own entry;
-    on levels 2..N that product would be an exact zero, and it is skipped.  The new term
-    takes the old one's buffer for the next V product, so a term costs
-    three passes over the columns (the product, the scale and
-    psi += term) and allocates nothing of size N R.  Each
-    column of V has at most two nonzeros, so every entry of V psi sums the
-    same two products whatever order or thread count the BLAS uses.  The
-    result is transposed back to a C-contiguous (D, K, N) array, whose
-    layout fixes the summation order of the callers' reductions over
-    levels.  Neither eigh (the step is not Hermitian) nor the forms' C_k are
-    used, so the sampled objective checks the forms independently.  At real
-    z, negating z only flips the signs of psi's odd entries (psi(-z) =
-    psi(z) P, P the ladder's parity), exactly, so |psi| and J at -z equal
-    those at z bit for bit.
+    at most the unit roundoff, relative to its norm.  The R = D K columns
+    are held level-major, as (N, R) arrays, so the drift and V act on all
+    of them at once.  Term m of a substep is
+
+        term_m = step_m (hzf term_{m-1}; h term_{m-1}[0]),
+        step_m = [V | omega e_1] / m,
+
+    with h = -i dt / substeps, omega = sys.omega and hzf = h z f_j on every
+    level: the drift H0 - b I = diag(omega, 0, ..., 0) is the last column
+    of the real (N, N+1) matrix step_m, so a term is one full-shape complex
+    scale, one row scale, one real (N, N+1) x (N+1, 2R) product on the
+    float view of its argument, and psi += term, into buffers made once
+    per chunk: psi, term, hzf and the argument, 4 N + 1 complex numbers per
+    column.  Each row of step_m has at most two nonzeros (V's
+    off-diagonals, and on row 1 v_1/m and omega/m), so every entry of the
+    product sums the same two products whatever order or thread count the
+    BLAS uses.  The columns advance in equal chunks whose loop buffers fit
+    _COLUMN_CHUNK_BYTES (scan-n6's 1608 columns are one chunk); the plan is
+    the whole stack's and no column's arithmetic reads another's, so a
+    chunk computes each column as one pass over all R would.  The result
+    is a C-contiguous (D, K, N) array, whose layout fixes the summation
+    order of the callers' reductions over levels; a call of one chunk
+    writes it into the last term's buffer, so it holds no more.
+    Neither eigh (the step is not Hermitian) nor the forms' C_k are used,
+    so the sampled objective checks the forms independently.  At real z,
+    negating z negates hzf and leaves level 1 alone, so it only flips the
+    signs of psi's odd entries (psi(-z) = psi(z) P, P the ladder's
+    parity), exactly, and |psi| and J at -z equal those at z bit for bit.
     """
-    z = np.asarray(z, dtype=np.complex128)
+    z = np.ascontiguousarray(z, dtype=np.complex128)  # a broadcast z converts to Fortran order
+    n = sys.levels
     dt = sys.horizon / values.shape[1]
-    omega = sys.omega
-    v = v_matrix(sys)
-    psi = np.zeros((sys.levels, z.size), dtype=np.complex128)
-    psi[-1] = 1.0
-    # Every term reuses these buffers: fresh temporaries this large go back to
-    # the OS and are faulted in again on every term.
-    term, vt = np.empty_like(psi), np.empty_like(psi)
-    term_f, vt_f = term.view(np.float64), vt.view(np.float64)
-    scale = np.empty(z.size, dtype=np.complex128)
-    for fj, theta, substeps in zip(values.T, *_taylor_substeps(sys, values, z)):
-        h = -1j * dt / substeps
-        zf = (z * fj[:, None]).reshape(-1)
-        factors = [(h / m, h / m * omega) for m in range(1, _taylor_degree(theta / substeps) + 1)]
-        for _ in range(int(substeps)):
-            term[...] = psi
-            for hm, hm_omega in factors:
-                np.matmul(v, term_f, out=vt_f)
-                np.multiply(hm, zf, out=scale)
-                np.multiply(scale, vt, out=vt)
-                vt[0] += hm_omega * term[0]
-                term, vt, term_f, vt_f = vt, term, vt_f, term_f
-                psi += term
-    return np.ascontiguousarray(psi.T).reshape(*z.shape, sys.levels)
+    # [V | omega e_1] / m for every degree: with the drift as its last column,
+    # step_m @ (hzf term; h term[0]) is term m of a substep.
+    step = np.concatenate([v_matrix(sys), drift_matrix(sys)[:, :1]], axis=1)
+    steps = [step / m for m in range(1, len(_TAYLOR_THETA) + 1)]
+    plan = list(zip(values.T, *_taylor_substeps(sys, values, z)))
+    chunks = max(1, -(-z.size * (4 * n + 1) * 16 // _COLUMN_CHUNK_BYTES))  # 16 bytes a complex
+    width = -(-z.size // chunks)
+    out = None if chunks == 1 else np.empty((z.size, n), dtype=np.complex128)
+    for lo in range(0, z.size, width):
+        zc = z.reshape(-1)[lo : lo + width]  # a view, as z is C-contiguous
+        row = np.arange(lo, lo + zc.size) // z.shape[-1]  # the control of each column
+        # Every term reuses these buffers: fresh temporaries this large go back
+        # to the OS and are faulted in again on every term.
+        psi = np.zeros((n, zc.size), dtype=np.complex128)
+        psi[-1] = 1.0
+        term, hzf = np.empty_like(psi), np.empty_like(psi)
+        arg = np.empty((n + 1, zc.size), dtype=np.complex128)
+        term_f, arg_f = term.view(np.float64), arg.view(np.float64)
+        for fj, theta, substeps in plan:
+            h = -1j * dt / substeps
+            # Full shape, not a row broadcast over the levels, which takes
+            # numpy's complex multiply off its SIMD loop.
+            np.multiply(zc, fj[row], out=hzf[0])
+            np.multiply(h, hzf[0], out=hzf[0])
+            hzf[1:] = hzf[0]
+            degree = _taylor_degree(theta / substeps)
+            for _ in range(int(substeps)):
+                term[...] = psi
+                for step_m in steps[:degree]:
+                    np.multiply(hzf, term, out=arg[:n])
+                    np.multiply(h, term[0], out=arg[n])
+                    np.matmul(step_m, arg_f, out=term_f)
+                    psi += term
+        if out is None:  # one chunk: the result takes the last term's buffer
+            out = term.reshape(zc.size, n)
+        out[lo : lo + zc.size] = psi.T
+        del psi, term, hzf, arg, term_f, arg_f  # before the next chunk's buffers
+    return out.reshape(*z.shape, n)
 
 
 def dyson_forms(sys: SystemSpec, controls, n_max: int) -> DysonForms:

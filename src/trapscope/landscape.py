@@ -173,12 +173,13 @@ def _sample_lines(inst: ProblemInstance, probes, t):
     substeps, or a plan that is not finite) propagate_batch, whose
     eigendecomposition costs the same at any amplitude, and which refuses
     non-finite controls.  The probes run in blocks of column_block(N, K),
-    whose column buffers hold no more than one propagate_batch block at its
-    peak, each computed only once the rows before it are yielded, so memory
-    is flat in the number of probes and grows linearly with K.  A block's
-    column-route probes go through one _column_at call, whose plan is
-    stack-wide: their last bits depend on the column-route probes that
-    share their block, and the rows of the other route on nothing else.
+    whose columns hold at most (4 N + 1) / (3 N) times one propagate_batch
+    block at its peak, each computed only once the rows before it are
+    yielded, so memory is flat in the number of probes and grows linearly
+    with K.  A block's column-route probes go through one _column_at call,
+    whose plan is stack-wide: their last bits depend on the column-route
+    probes that share their block, and the rows of the other route on
+    nothing else.
     """
     sys = inst.system
     values, _ = _as_stack(sys, probes)

@@ -342,35 +342,31 @@ def dyson_resum_defect(sys: SystemSpec, f: PiecewiseControl, n_max: int) -> floa
 def column_reference(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The |N> column at complex amplitudes by the plain Taylor-action loop.
 
-    The same arguments, substep plan and result as dynamics._column_at, but
-    every Taylor term scales all N levels by h/m (H0 - b I) and adds the V
-    term, as if H0 - b I had no zero rows.  On rows 2..N that scale is an
-    exact zero times the term, and on row 1 the same two rounded products
-    are added in the other order, so _column_at must agree bit for bit.  A
-    zero inside a term may differ in sign, but psi starts at +0 and a sum
-    that is zero rounds to +0, so no sign reaches psi.
+    The same arguments, substep plan and result as dynamics._column_at, and
+    the same arithmetic per term: the real (N, N+1) matrix [V | omega e_1] / m,
+    its last column the first column of this module's drift, times the
+    float view of (hzf term; h term[0]), where hzf is h z f_j on every
+    level.  Every term is built on fresh arrays in one pass over all
+    columns, with no buffer reused and no result written in place, so
+    _column_at's buffers and chunks must agree with it bit for bit.
     """
     z = np.asarray(z, dtype=np.complex128)
+    n = sys.levels
     dt = sys.horizon / values.shape[1]
-    e = np.diagonal(drift(sys)).astype(np.complex128)[:, None]
-    v = v_matrix(sys)
-    psi = np.zeros((sys.levels, z.size), dtype=np.complex128)
+    step = np.concatenate([v_matrix(sys), drift(sys)[:, :1]], axis=1)
+    psi = np.zeros((n, z.size), dtype=np.complex128)
     psi[-1] = 1.0
-    term, vt = np.empty_like(psi), np.empty_like(psi)
     for fj, theta, substeps in zip(values.T, *_taylor_substeps(sys, values, z)):
         h = -1j * dt / substeps
-        zf = (z * fj[:, None]).reshape(-1)
+        hzf = np.tile(h * (z * fj[:, None]).reshape(1, -1), (n, 1))
         terms = _taylor_degree(theta / substeps)
         for _ in range(int(substeps)):
-            term[...] = psi
+            term = psi.copy()
             for m in range(1, terms + 1):
-                hm = h / m
-                np.matmul(v, term.view(np.float64), out=vt.view(np.float64))
-                np.multiply(hm * zf, vt, out=vt)
-                np.multiply(hm * e, term, out=term)
-                term += vt
-                psi += term
-    return np.ascontiguousarray(psi.T).reshape(*z.shape, sys.levels)
+                arg = np.concatenate([hzf * term, h * term[:1]])
+                term = ((step / m) @ arg.view(np.float64)).view(np.complex128)
+                psi = psi + term
+    return np.ascontiguousarray(psi.T).reshape(*z.shape, n)
 
 
 def column_reference_ld(sys: SystemSpec, values: np.ndarray, z: np.ndarray, degree=_taylor_degree) -> np.ndarray:

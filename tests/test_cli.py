@@ -9,7 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from trapscope import dynamics, landscape
+from trapscope import cli, dynamics, landscape
 from trapscope.cli import RunConfig, build_problem, main, parse_config
 from trapscope.dynamics import objective, propagate
 from trapscope.errors import ConfigError
@@ -408,6 +408,19 @@ def test_scan_row_count_and_determinism(tmp_path):
     umask = os.umask(0)
     os.umask(umask)
     assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("rows", [1, 3, 11])
+def test_scan_writes_the_same_bytes_in_any_write_size(tmp_path, monkeypatch, rows):
+    # cmd_scan formats each probe's rows _WRITE_ROWS at a time; slices of 1,
+    # 3 (the last one short) or all 11 rows give the file of one slice.
+    cfg = write_config(tmp_path / "c.cfg")
+    out = tmp_path / "scan.csv"
+    assert main(["scan", cfg, "--out", str(out), "--points", "11"]) == 0
+    whole = out.read_bytes()
+    monkeypatch.setattr(cli, "_WRITE_ROWS", rows)
+    assert main(["scan", cfg, "--out", str(out), "--points", "11"]) == 0
+    assert out.read_bytes() == whole
 
 
 def test_scan_leaves_the_process_umask_alone(tmp_path, monkeypatch):

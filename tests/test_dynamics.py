@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from trapscope.dynamics import (
     unitarity_defect,
 )
 from trapscope.errors import DomainError, GridMismatch, NotUnitary, SeriesCheckFailed
-from trapscope.landscape import taylor_fit
+from trapscope.landscape import CertificateConfig, probe_directions, taylor_fit
 from trapscope.model import _v_norm, build_instance, build_observable, build_system, v_matrix
 
 from oracles import (
@@ -243,11 +244,11 @@ def test_taylor_degree_is_the_smallest_backward_error_degree():
 @pytest.mark.parametrize("levels", [3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("a, b", [(1.0, 0.0), (50.0, 0.4), (-3.0, 2.0)])
 def test_column_at_matches_the_plain_taylor_loop_bit_for_bit(levels, a, b):
-    # _column_at skips the exact zeros that H0 - b I = diag(omega, 0, ..., 0)
-    # puts on levels 2..N of every Taylor term and swaps its buffers instead
-    # of adding them; column_reference is the loop that does neither.  The
-    # two agree bit for bit at real amplitudes of both signs and at complex
-    # ones, with several substeps per segment step.
+    # _column_at forms every Taylor term in buffers it reuses, with the drift
+    # as the last column of its step matrix; column_reference forms the same
+    # terms on fresh arrays.  The two agree bit for bit at real amplitudes
+    # of both signs and at complex ones, with several substeps per segment
+    # step.
     sys = build_system(levels, a, b, np.linspace(0.7, 1.5, levels - 1), 1.0)
     values = dynamics._as_stack(sys, [random_direction(seed, 8, 1.0, amplitude=1.0) for seed in (31, 32, 33)])[0]
     real = np.array([[-3.0, -0.4, 0.0, 0.7, 3.0], [2.5, -2.5, 0.1, -1.0, 1.5], [0.3, -0.3, 3.0, -3.0, 0.0]])
@@ -256,6 +257,48 @@ def test_column_at_matches_the_plain_taylor_loop_bit_for_bit(levels, a, b):
         assert np.max(dynamics._taylor_substeps(sys, values, z)[1]) >= 2
         column = dynamics._column_at(sys, values, z)
         assert column.tobytes() == column_reference(sys, values, z).tobytes()
+
+
+def test_column_at_in_chunks_matches_the_plain_taylor_loop_bit_for_bit():
+    # Past _COLUMN_CHUNK_BYTES of loop buffers the columns advance in equal
+    # chunks, here 3 of 4668 and 5 of 4938 columns, whose edges cut through
+    # a control's row; every column keeps the bits of column_reference's
+    # one pass over all of them.
+    sys = build_system(3, 1.3, 0.4, (0.7, 1.5), 1.0)
+    values = dynamics._as_stack(sys, [random_direction(seed, 8, 1.0, amplitude=1.0) for seed in (41, 42)])[0]
+    for points, chunks in ((7001, 3), (12345, 5)):
+        line = np.linspace(-3.0, 3.0, points)
+        for z in (np.stack([line, -line]), np.stack([line, line[::-1]]) * np.exp(0.3j)):
+            assert -(-z.size * 13 * 16 // dynamics._COLUMN_CHUNK_BYTES) == chunks
+            assert np.max(dynamics._taylor_substeps(sys, values, z)[1]) >= 2
+            column = dynamics._column_at(sys, values, z)
+            assert column.tobytes() == column_reference(sys, values, z).tobytes()
+
+
+@pytest.mark.parametrize("levels, count, points, chunks", [(6, 8, 201, 1), (3, 1, 100001, 20)])
+def test_column_at_memory_is_its_buffer_count(levels, count, points, chunks):
+    # On scan-n6's block (N = 6, 8 directions of 64 segments, 201 real
+    # points t in [0, 1], one substep per step) the call is one chunk: it
+    # holds 4 N + 1 complex numbers per column in its loop and its complex
+    # copy of z, and the result takes the term's buffer.  Past one chunk
+    # the loop buffers stop growing: n3 at 100001 points holds one chunk's
+    # buffers, and per column its result and the copy of z, N + 1 numbers.
+    # tracemalloc's peak stays within 1.2x of the count.
+    sys = build_system(levels, 1.0, 0.0, (1.0,) * (levels - 1), TWO_PI)
+    values = dynamics._as_stack(sys, probe_directions(CertificateConfig(), TWO_PI)[:count])[0]
+    z = np.broadcast_to(np.linspace(0.0, 1.0, points), (count, points))
+    assert np.max(dynamics._taylor_substeps(sys, values, z)[1]) == 1
+    assert -(-z.size * (4 * levels + 1) * 16 // dynamics._COLUMN_CHUNK_BYTES) == chunks
+    dynamics._column_at(sys, values[:, :8], z[:, :2])  # caches off the books
+    tracemalloc.start()
+    try:
+        dynamics._column_at(sys, values, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_column = 1 if chunks == 1 else levels + 1
+    held = (4 * levels + 1) * 16 * -(-z.size // chunks) + per_column * 16 * z.size
+    assert peak <= 1.2 * held
 
 
 @pytest.mark.parametrize("levels", [3, 6, 9])

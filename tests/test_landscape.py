@@ -495,10 +495,10 @@ def test_column_degree_adds_no_visible_truncation_on_the_contour(levels, top_bou
     # Against the longdouble column at _taylor_terms' degree, whose own
     # truncation is below float64's roundoff, float64 J on the certificate's
     # contour (uniform ladder, 8 probes, radius r_0 = 2 / (||V||_2 int|f|),
-    # K = 2N + 16) stays within 1e-14 (measured 2.1-2.8e-15, as at the old
-    # degree), and the sampled c_{2N-2} of the mean-zero probes within
-    # top_bound relative (measured 1.2e-15, 5.8e-15 and 7.4e-12 at N = 4, 6,
-    # 8; 1.2e-15, 2.4e-15 and 9.2e-12 at the old degree).
+    # K = 2N + 16) stays within 1e-14 (measured 2.0-2.6e-15), and the sampled
+    # c_{2N-2} of the mean-zero probes within top_bound relative (measured
+    # 1.1e-15, 6.0e-15 and 1.7e-11 at N = 4, 6, 8; 1.2e-15, 2.4e-15 and
+    # 9.2e-12 at the old degree).
     inst = ladder_instance(levels)
     sys = inst.system
     values, _ = dynamics._as_stack(sys, probe_directions(CertificateConfig(), TWO_PI))
