@@ -22,6 +22,8 @@ import sys as _sys
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
+import numpy as np
+
 from .controls import read_control_file
 # objective and propagate are not called here; bench/launch.py rebinds both by name.
 from .dynamics import dyson_forms, objective, propagate  # noqa: F401
@@ -216,22 +218,25 @@ def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0,
     if not 0.0 < tmax < math.inf:
         raise ConfigError(f"tmax must be positive and finite, got {tmax}")
     budget = cfg.certificate
-    # Exactly antisymmetric: ts[points - 1 - k] == -ts[k] bit for bit.
-    ts = [tmax * (2 * k - (points - 1)) / (points - 1) for k in range(points)]
     half = points // 2
+
+    def grid(k):
+        # t_k at row indices k, with grid(points - 1 - k) == -grid(k) bit for
+        # bit; the sampler refuses a grid that overflows, so no warning here.
+        with np.errstate(over="ignore"):
+            return tmax * (2 * k - (points - 1)) / (points - 1)
+
     # The ladder's parity makes J(-t f) == J(t f) bit for bit on both routes
     # (see the dynamics module docstring), so only t >= 0 is sampled and each
     # t < 0 row repeats its mirror's J.
-    sampled = _sample_lines(inst, probe_directions(budget, inst.system.horizon), ts[half:])
-    t_text = [_fmt(t) for t in ts]
-    mirror = [max(k, points - 1 - k) - half for k in range(points)]
+    sampled = _sample_lines(inst, probe_directions(budget, inst.system.horizon), grid(np.arange(half, points)))
     # The rows go to a temporary file beside out, which replaces out only once
     # every probe is written: a scan that fails keeps any earlier file at out
-    # and leaves no partial one.  Each probe's rows are written as
-    # _sample_lines yields them, so memory stays flat in the number of
-    # probes; it grows linearly with points.  The file is created new under a
-    # random name with mode 0666, which the kernel reduces by the umask, as
-    # open() would.
+    # and leaves no partial one.  Each probe's rows are formatted from its J
+    # row as they are written, _WRITE_ROWS at a time, so memory is flat in
+    # the number of probes and in points but for that row.  The file is
+    # created new under a random name with mode 0666, which the kernel
+    # reduces by the umask, as open() would.
     tmp = os.path.join(os.path.dirname(os.path.abspath(out)), f".scan-{os.urandom(8).hex()}.csv")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
@@ -239,13 +244,12 @@ def cmd_scan(cfg: RunConfig, inst: ProblemInstance, out: str, tmax: float = 1.0,
             fh.write("seed,mean_zero,t,J\n")
             for i, js in enumerate(sampled):
                 tag = f"{probe_seed(budget.seed, i)},{int(probe_offset(i) == 0.0)}"
-                j_text = [_fmt(j) for j in js]
-                # One string per _WRITE_ROWS rows: joining all of a probe's
-                # rows at once holds each row's text twice (join lists its
-                # items first), which set scan's peak memory at large points.
                 for lo in range(0, points, _WRITE_ROWS):
-                    rows = zip(t_text[lo : lo + _WRITE_ROWS], mirror[lo : lo + _WRITE_ROWS])
-                    fh.write("".join(f"{tag},{t},{j_text[m]}\n" for t, m in rows))
+                    k = np.arange(lo, min(lo + _WRITE_ROWS, points))
+                    mirror = np.maximum(k, points - 1 - k) - half
+                    rows = np.column_stack([grid(k), js[mirror]]).ravel().tolist()
+                    # _fmt's format, applied to the whole slice by one % operation.
+                    fh.write((f"{tag},%.17g,%.17g\n" * k.size) % tuple(rows))
         os.replace(tmp, out)
     except BaseException:
         os.unlink(tmp)

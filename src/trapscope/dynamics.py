@@ -18,18 +18,18 @@ routes sample the objective.
     number of controls.  propagate is its B = 1 case, so a batched row and
     a single call agree bit for bit.
   * _column_at advances only the |N> column, by the Taylor action of each
-    step, at any complex amplitude.  The columns of a whole stack are held
+    step, at any complex amplitude.  The columns of one call are held
     level-major, and the drift H0 - b I = diag(omega, 0, ..., 0) is one
     more column of V's real matrix, so a Taylor term is one full-shape
     complex scale, one real matrix product on the float view and the sum
-    into psi, over chunks of columns that stay in cache.  Each substep stops
-    at the smallest Taylor degree whose backward error is within the unit
+    into psi, in one pass over the columns.  Each substep stops at the
+    smallest Taylor degree whose backward error is within the unit
     roundoff (_taylor_degree).  The Taylor cross-check samples it where the
     step is not Hermitian, and scan's sampler at real t on each probe whose
     every segment step needs one substep, where it is several times cheaper
-    than an eigendecomposition per step.  Its substeps come from one plan
-    per call, _taylor_substeps(sys, values, z), which that sampler's route
-    guard reads for each probe alone.  It shares nothing with the forms.
+    than an eigendecomposition per step.  Its caller passes the plan,
+    _taylor_substeps(sys, values, z), which that sampler also reads per
+    probe to choose its route.  It shares nothing with the forms.
 
 The ladder's parity P = diag(1, -1, 1, ...) (P fixes H0 - b I, P V P = -V)
 holds exactly on both routes, so U_T(-f) = P U_T(f) P and J(-f) = J(f) hold
@@ -43,13 +43,13 @@ taylor_fit, witness_search and _sample_lines (scan's sampler) read
 controls through one intake, _as_stack, which checks the grid once and
 returns the (D, M) float64 array of values; the segment width is T / M.
 _column_at is an array kernel: it takes that (D, M) array, from its
-caller's one _as_stack call, with (D, K) amplitudes.  In dyson_forms and
-_column_at a stack runs through one segment loop, with the directions as
-extra columns of each segment's products, so the loop's Python overhead is
-paid once per stack instead of once per direction.  Each of these callers
-sizes its own blocks (block_controls, direction_block or column_block),
-which keep the working set near that of BLOCK_MATRICES N x N matrices
-however many directions come in.
+caller's one _as_stack call, with (D, K) amplitudes and a plan.  In
+dyson_forms and _column_at a stack runs through one segment loop, with the
+directions as extra columns of each segment's products, so the loop's
+Python overhead is paid once per stack instead of once per direction.
+Blocks of BLOCK_MATRICES N x N matrices (block_controls, direction_block)
+and of the column route's one budget (column_block) keep the working set
+flat however many directions or points come in.
 
 The chronological forms of order n are
 
@@ -412,36 +412,16 @@ def direction_block(entries: int, levels: int) -> int:
     return block_controls(-(-entries // (levels * levels)))
 
 
-def column_block(levels: int, points: int) -> int:
-    """Controls per _column_at call, each at `points` amplitudes, at least one.
-
-    Sized so that a call holds at most BLOCK_MATRICES (3 N + 1) / 3 columns,
-    1621 at N = 6.  One propagate_batch block peaks at six float64 N x N
-    arrays per segment matrix (Q, Q^T, the complex step and one real
-    product with its factor) plus two length-N vectors (eigenvalues and
-    phases): BLOCK_MATRICES (6 N^2 + 2 N) float64s, 467 kB at N = 6, where
-    tracemalloc reads 475 kB (123 kB against 132 kB at N = 3, 3.21 MB
-    against 3.23 MB at N = 16).  _column_at holds 4 N + 1 complex numbers
-    per column in its loop (psi, term, the scale and the product's
-    argument), and a call of one chunk writes its result into the term's
-    buffer; past one chunk the loop holds one chunk and the result N per
-    column, which is less.  So a full call holds at most (4 N + 1) / (3 N)
-    times that block: 1.39 at N = 6, 4/3 as N grows.  scan-n6's 1608
-    columns count 643 kB, where tracemalloc reads 740 kB, its complex copy
-    of z (26 kB) included.
-    """
-    return max(1, BLOCK_MATRICES * (3 * levels + 1) // (3 * points))
-
-
 def _taylor_substeps(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Norm bounds and substep counts of _column_at's segment steps, one plan per stack.
 
     values is a (D, M) stack of control values and z the (D, K) amplitudes,
-    row d those of control d.  The stack is one _column_at call of its
-    caller (a block of taylor_fit's contours, or the column-route probes of
-    a block of _sample_lines), so a column's substeps and Taylor degree,
-    and with them its last bits, depend on the other directions of that
-    call.  With the stack-wide peak
+    row d those of control d.  taylor_fit passes each block's plan to
+    _column_at, and landscape._sample_lines the elementwise max of its
+    column-route probes' own plans, which is this function on them bit for
+    bit, as every step below is monotone.  So a column's substeps, Taylor
+    degree and last bits depend on the other rows of its plan's stack.
+    With the stack-wide peak
     p_j = max_d max_k |z_dk f_dj| on segment j,
     theta_j = dt (|omega| + p_j ||V||_2), dt = T / M, bounds the norm of
     every column's exponent dt (H0 - b I + z f_j V), as
@@ -461,34 +441,44 @@ def _taylor_substeps(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> tupl
     return theta, np.maximum(1.0, np.ceil(2.0 * theta))
 
 
-# The largest size in bytes of _column_at's loop buffers (psi, term, the
-# scale and the product's argument: 4 N + 1 complex numbers per column) for
-# one chunk of columns, so that a chunk stays in a core's 2 MB L2 cache
-# (2-vCPU Xeon).
-# There, one pass over a probe of 10001 columns at N = 8 took 356 ms and
-# chunks of this size 176 ms; a probe of 100001 columns at N = 3 took
-# 1.67 s and 0.73 s.
+# The column route's one budget: the largest size in bytes of one
+# _column_at call's loop buffers (psi, term, the scale and the product's
+# argument: 4 N + 1 complex numbers per column), so that they stay in a
+# core's 2 MB L2 cache (2-vCPU Xeon).  There, one pass over a probe of
+# 10001 columns at N = 8 took 356 ms and passes of this size 176 ms; a
+# probe of 100001 columns at N = 3 took 1.67 s and 0.73 s.
 _COLUMN_CHUNK_BYTES = 2**20
 
 
-def _column_at(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.ndarray:
+def column_block(levels: int, points: int) -> int:
+    """Rows of `points` columns whose _column_at buffers fit _COLUMN_CHUNK_BYTES, at least one.
+
+    At 4 N + 1 complex numbers a column, that is 229 of n3's 22-point
+    contours, 13 of scan-n6's 201-point rows, or 5041 single columns at
+    N = 3: the blocks of taylor_fit and landscape._sample_lines, which
+    slices a row that alone is longer.
+    """
+    return max(1, _COLUMN_CHUNK_BYTES // (16 * (4 * levels + 1) * points))
+
+
+def _column_at(sys: SystemSpec, values: np.ndarray, z: np.ndarray, plan) -> np.ndarray:
     """U_T(z f_d)|N> at complex amplitudes z for each control f_d of a stack.
 
     values is the (D, M) float64 array of control values that _as_stack
-    returns, and z the (D, K) complex amplitudes, row d those of control d;
-    the result has shape (D, K, N).  Grids are not checked here: the caller
-    validated them when it converted its controls.
+    returns, z the (D, K) complex amplitudes, row d those of control d, and
+    plan the (theta, substeps) of _taylor_substeps on a stack that holds
+    these columns; the result has shape (D, K, N).  Grids are not checked
+    here: the caller validated them when it converted its controls.
 
     Applies each step exp(-i dt (H0 - b I + z f_j V)) to psi by its Taylor
     series on the vector (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011),
-    in the substeps of norm <= theta / substeps <= 0.5 that
-    _taylor_substeps plans for the whole stack, each truncated at
-    _taylor_degree(theta / substeps): the smallest degree m whose theta_m
-    (that paper's double-precision table) covers the substep, so the
-    truncated series is the exact exponential of an exponent perturbed by
-    at most the unit roundoff, relative to its norm.  The R = D K columns
-    are held level-major, as (N, R) arrays, so the drift and V act on all
-    of them at once.  Term m of a substep is
+    in the plan's substeps of norm <= theta / substeps <= 0.5, each
+    truncated at _taylor_degree(theta / substeps): the smallest degree m
+    whose theta_m (that paper's double-precision table) covers the substep,
+    so the truncated series is the exact exponential of an exponent
+    perturbed by at most the unit roundoff, relative to its norm.  The
+    R = D K columns are held level-major, as (N, R) arrays, so the drift
+    and V act on all of them at once.  Term m of a substep is
 
         term_m = step_m (hzf term_{m-1}; h term_{m-1}[0]),
         step_m = [V | omega e_1] / m,
@@ -498,17 +488,16 @@ def _column_at(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.ndarray
     of the real (N, N+1) matrix step_m, so a term is one full-shape complex
     scale, one row scale, one real (N, N+1) x (N+1, 2R) product on the
     float view of its argument, and psi += term, into buffers made once
-    per chunk: psi, term, hzf and the argument, 4 N + 1 complex numbers per
+    per call: psi, term, hzf and the argument, 4 N + 1 complex numbers per
     column.  Each row of step_m has at most two nonzeros (V's
     off-diagonals, and on row 1 v_1/m and omega/m), so every entry of the
     product sums the same two products whatever order or thread count the
-    BLAS uses.  The columns advance in equal chunks whose loop buffers fit
-    _COLUMN_CHUNK_BYTES (scan-n6's 1608 columns are one chunk); the plan is
-    the whole stack's and no column's arithmetic reads another's, so a
-    chunk computes each column as one pass over all R would.  The result
-    is a C-contiguous (D, K, N) array, whose layout fixes the summation
-    order of the callers' reductions over levels; a call of one chunk
-    writes it into the last term's buffer, so it holds no more.
+    BLAS uses.  No column's arithmetic reads another's, so a column's bits
+    depend only on its amplitude, its control and the plan: a caller that
+    splits a row into slices under one plan gets the bits of one call.
+    The result is a C-contiguous (D, K, N) array, whose layout fixes the
+    summation order of the callers' reductions over levels, written into
+    the last term's buffer.
     Neither eigh (the step is not Hermitian) nor the forms' C_k are used,
     so the sampled objective checks the forms independently.  At real z,
     negating z negates hzf and leaves level 1 alone, so it only flips the
@@ -522,39 +511,31 @@ def _column_at(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.ndarray
     # step_m @ (hzf term; h term[0]) is term m of a substep.
     step = np.concatenate([v_matrix(sys), drift_matrix(sys)[:, :1]], axis=1)
     steps = [step / m for m in range(1, len(_TAYLOR_THETA) + 1)]
-    plan = list(zip(values.T, *_taylor_substeps(sys, values, z)))
-    chunks = max(1, -(-z.size * (4 * n + 1) * 16 // _COLUMN_CHUNK_BYTES))  # 16 bytes a complex
-    width = -(-z.size // chunks)
-    out = None if chunks == 1 else np.empty((z.size, n), dtype=np.complex128)
-    for lo in range(0, z.size, width):
-        zc = z.reshape(-1)[lo : lo + width]  # a view, as z is C-contiguous
-        row = np.arange(lo, lo + zc.size) // z.shape[-1]  # the control of each column
-        # Every term reuses these buffers: fresh temporaries this large go back
-        # to the OS and are faulted in again on every term.
-        psi = np.zeros((n, zc.size), dtype=np.complex128)
-        psi[-1] = 1.0
-        term, hzf = np.empty_like(psi), np.empty_like(psi)
-        arg = np.empty((n + 1, zc.size), dtype=np.complex128)
-        term_f, arg_f = term.view(np.float64), arg.view(np.float64)
-        for fj, theta, substeps in plan:
-            h = -1j * dt / substeps
-            # Full shape, not a row broadcast over the levels, which takes
-            # numpy's complex multiply off its SIMD loop.
-            np.multiply(zc, fj[row], out=hzf[0])
-            np.multiply(h, hzf[0], out=hzf[0])
-            hzf[1:] = hzf[0]
-            degree = _taylor_degree(theta / substeps)
-            for _ in range(int(substeps)):
-                term[...] = psi
-                for step_m in steps[:degree]:
-                    np.multiply(hzf, term, out=arg[:n])
-                    np.multiply(h, term[0], out=arg[n])
-                    np.matmul(step_m, arg_f, out=term_f)
-                    psi += term
-        if out is None:  # one chunk: the result takes the last term's buffer
-            out = term.reshape(zc.size, n)
-        out[lo : lo + zc.size] = psi.T
-        del psi, term, hzf, arg, term_f, arg_f  # before the next chunk's buffers
+    # Every term reuses these buffers: fresh temporaries this large go back
+    # to the OS and are faulted in again on every term.
+    psi = np.zeros((n, z.size), dtype=np.complex128)
+    psi[-1] = 1.0
+    term, hzf = np.empty_like(psi), np.empty_like(psi)
+    arg = np.empty((n + 1, z.size), dtype=np.complex128)
+    term_f, arg_f = term.view(np.float64), arg.view(np.float64)
+    for fj, theta, substeps in zip(values.T, *plan):
+        h = -1j * dt / substeps
+        # Full shape, not a row broadcast over the levels, which takes
+        # numpy's complex multiply off its SIMD loop.
+        np.multiply(z, fj[:, None], out=hzf[0].reshape(z.shape))
+        np.multiply(h, hzf[0], out=hzf[0])
+        hzf[1:] = hzf[0]
+        degree = _taylor_degree(theta / substeps)
+        for _ in range(int(substeps)):
+            prev = psi  # term 0 of the substep
+            for step_m in steps[:degree]:
+                np.multiply(hzf, prev, out=arg[:n])
+                np.multiply(h, prev[0], out=arg[n])
+                np.matmul(step_m, arg_f, out=term_f)
+                psi += term
+                prev = term
+    out = term.reshape(z.size, n)
+    out[...] = psi.T
     return out.reshape(*z.shape, n)
 
 

@@ -167,42 +167,50 @@ def _sample_lines(inst: ProblemInstance, probes, t):
 
     Scan samples through it, and nothing else does.  probes are controls
     on one grid, read by one _as_stack call, and t is a 1-D sequence of
-    real t >= 0.  Each probe takes its route from its own plan,
-    _taylor_substeps on its row and t: the column route where every one
-    of its segment steps needs one Taylor substep, otherwise (more
-    substeps, or a plan that is not finite) propagate_batch, whose
+    real t >= 0.  Each probe's plan, _taylor_substeps on its row and t, is
+    computed once, and picks the probe's route: the column route where
+    every one of its segment steps needs one Taylor substep, otherwise
+    (more substeps, or a plan that is not finite) propagate_batch, whose
     eigendecomposition costs the same at any amplitude, and which refuses
-    non-finite controls.  The probes run in blocks of column_block(N, K),
-    whose columns hold at most (4 N + 1) / (3 N) times one propagate_batch
-    block at its peak, each computed only once the rows before it are
-    yielded, so memory is flat in the number of probes and grows linearly
-    with K.  A block's column-route probes go through one _column_at call,
-    whose plan is stack-wide: their last bits depend on the column-route
-    probes that share their block, and the rows of the other route on
-    nothing else.
+    non-finite controls.  The probes run in blocks of column_block(N, K);
+    a probe whose row alone is longer than that budget runs in equal
+    slices of its row, on either route.  A block's column-route probes go
+    through one _column_at call per slice, under the elementwise max of
+    their plans, which is _taylor_substeps on them: their last bits depend
+    on the column-route probes that share their block, never on the
+    slices, and the rows of the other route on nothing else.  Each slice's
+    J goes straight into the block's J rows, so only those outlive a slice
+    and memory is flat in the number of probes and in K but for one float
+    per point.
     """
     sys = inst.system
     values, _ = _as_stack(sys, probes)
     t = np.asarray(t, dtype=np.float64)
-    column = np.array([np.max(_taylor_substeps(sys, row[None], t[None])[1]) == 1.0 for row in values])
     rows = column_block(sys.levels, t.size)
+    width = -(-t.size // -(-t.size // column_block(sys.levels, 1)))  # equal slices of one budget
     for lo in range(0, len(values), rows):
-        block, on = values[lo : lo + rows], column[lo : lo + rows]
-        # Only the block's J outlives this step, so no column, control or
-        # propagator stays alive while the caller handles the rows; and no J
-        # array exists before the block's routes have run, while the caller
-        # still holds the last block's rows.
-        column_rows = eigh_rows = iter(())
-        if on.any():
-            z = np.broadcast_to(t, (np.count_nonzero(on), t.size))
-            columns = _column_at(sys, block[on], z).reshape(-1, sys.levels, 1)
-            column_rows = iter(objective(columns, inst).reshape(z.shape))
-            del columns
-        if not on.all():
-            controls = (t[None, :, None] * block[~on][:, None, :]).reshape(-1, values.shape[1])
-            eigh_rows = iter(objective(propagate_batch(sys, controls), inst).reshape(-1, t.size))
-            del controls
-        yield from (next(column_rows) if c else next(eigh_rows) for c in on.tolist())
+        block = values[lo : lo + rows]
+        # Each probe's own plan picks its route; the block's is their max on
+        # the column route (theta > 0, substeps >= 1), one plan at a time.
+        on = np.zeros(len(block), dtype=bool)
+        plan = np.zeros((2, values.shape[1]))
+        for d, row in enumerate(block):
+            own = np.array(_taylor_substeps(sys, row[None], t[None]))
+            on[d] = np.max(own[1]) == 1.0
+            if on[d]:
+                np.maximum(plan, own, out=plan)
+        js = np.empty((len(block), t.size))
+        for s in range(0, t.size, width):
+            # Only J outlives a slice; the eigenvalue route holds one probe's controls.
+            ts = t[s : s + width]
+            if on.any():
+                z = np.broadcast_to(ts, (np.count_nonzero(on), ts.size))
+                psi = _column_at(sys, block[on], z, plan).reshape(-1, sys.levels, 1)
+                js[on, s : s + width] = objective(psi, inst).reshape(z.shape)
+                del psi
+            for d in np.flatnonzero(~on):
+                js[d, s : s + width] = objective(propagate_batch(sys, ts[:, None] * block[d]), inst)
+        yield from js
 
 
 @dataclass(frozen=True)
@@ -274,7 +282,7 @@ def taylor_fit(inst: ProblemInstance, controls) -> TaylorFit:
     for lo in range(0, len(live), rows):
         block = live[lo : lo + rows]
         z = radius[block, None] * unit
-        psi = _column_at(sys, values[block], z)
+        psi = _column_at(sys, values[block], z, _taylor_substeps(sys, values[block], z))
         j = np.sum(lam * psi * np.conj(psi[:, ::-1]), axis=-1)
         coeffs[block] = np.mean(j[:, None, :] * z[:, None, :] ** -orders[:, None], axis=-1).real
     coeffs.setflags(write=False)

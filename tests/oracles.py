@@ -348,7 +348,8 @@ def column_reference(sys: SystemSpec, values: np.ndarray, z: np.ndarray) -> np.n
     float view of (hzf term; h term[0]), where hzf is h z f_j on every
     level.  Every term is built on fresh arrays in one pass over all
     columns, with no buffer reused and no result written in place, so
-    _column_at's buffers and chunks must agree with it bit for bit.
+    _column_at's buffers, and any slicing of its callers, must agree with
+    it bit for bit.
     """
     z = np.asarray(z, dtype=np.complex128)
     n = sys.levels

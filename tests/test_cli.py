@@ -494,7 +494,7 @@ def test_scan_rows_probe_the_certificate_directions(tmp_path):
                 assert (max(dynamics._taylor_substeps(sys_, row[None], z[None])[1]) == 1) == column_route
             block = dynamics.column_block(sys_.levels, z.size)
             assert block >= 4  # one _column_at call holds all four directions
-            psi = dynamics._column_at(sys_, values, zs)
+            psi = dynamics._column_at(sys_, values, zs, dynamics._taylor_substeps(sys_, values, zs))
             direct = objective(psi.reshape(-1, sys_.levels, 1), inst).reshape(4, z.size)
             for seed, mz, t, j in rows:
                 index = int(seed) - cfg.certificate.seed
@@ -509,14 +509,14 @@ def test_scan_rows_probe_the_certificate_directions(tmp_path):
 
 def _count_scan_routes(monkeypatch):
     """Wrap landscape's _column_at and propagate_batch: the returned record
-    lists each _column_at call as (values, z, psi) and each propagate_batch
-    call's controls."""
+    lists each _column_at call as (values, z, psi, plan) and each
+    propagate_batch call's controls."""
     calls = {"column": [], "eigh": []}
     column_at, propagate_batch = landscape._column_at, landscape.propagate_batch
 
-    def counted_column_at(sys_, values, z):
-        psi = column_at(sys_, values, z)
-        calls["column"].append((values, z, psi))
+    def counted_column_at(sys_, values, z, plan):
+        psi = column_at(sys_, values, z, plan)
+        calls["column"].append((values, z, psi, plan))
         return psi
 
     def counted_propagate_batch(sys_, values):
@@ -529,10 +529,10 @@ def _count_scan_routes(monkeypatch):
 
 
 def test_scan_probes_take_their_own_routes(tmp_path, monkeypatch):
-    # n4's 8 directions at 201 points t >= 0 and tmax 2.2 run as blocks of
-    # 5 + 3.  Only direction 3's own plan needs more than one Taylor substep
-    # somewhere, so the first block mixes routes: a block-wide plan would
-    # send all five to the eigenvalue route.  Each probe's route is its own
+    # n4's 8 directions at 201 points t >= 0 and tmax 2.2 run as one block
+    # of 8.  Only direction 3's own plan needs more than one Taylor substep
+    # somewhere, so the block mixes routes: a block-wide plan would send
+    # all eight to the eigenvalue route.  Each probe's route is its own
     # plan's: the column route exactly where _taylor_substeps on its row
     # alone gives one substep on every segment.  Each row equals its own
     # route's result bit for bit: a column-route row that of the _column_at
@@ -551,11 +551,11 @@ def test_scan_probes_take_their_own_routes(tmp_path, monkeypatch):
     own_plan = {
         d for d, row in enumerate(values) if max(dynamics._taylor_substeps(sys_, row[None], ts[None])[1]) == 1
     }
-    assert dynamics.column_block(sys_.levels, 201) == 5 and own_plan == {0, 1, 2, 4, 5, 6, 7}
+    assert dynamics.column_block(sys_.levels, 201) == 19 and own_plan == {0, 1, 2, 4, 5, 6, 7}
     rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
     by_probe = [rows[d * 401 : (d + 1) * 401] for d in range(len(probes))]
     column_rows = {}
-    for block, z, psi in calls["column"]:
+    for block, z, psi, _ in calls["column"]:
         js = objective(psi.reshape(-1, 4, 1), inst).reshape(z.shape)
         for row, t, j in zip(block, z, js):
             index = next(d for d, f in enumerate(probes) if np.array_equal(f.values, row))
@@ -574,7 +574,7 @@ def test_scan_probes_take_their_own_routes(tmp_path, monkeypatch):
 def test_scan_n6_runs_its_column_route_in_one_call(tmp_path, monkeypatch):
     # The benchmark's scan-n6 instance (N = 6, M = 64, 8 directions, 201
     # points t >= 0 up to 1): every probe takes the column route, and the 8 x
-    # 201 = 1608 columns fit one block, column_block(6, 201) = 8 directions,
+    # 201 = 1608 columns fit one block, column_block(6, 201) = 13 directions,
     # so the whole scan is one _column_at call and no propagate_batch call.
     calls = _count_scan_routes(monkeypatch)
     cfg = write_config(
@@ -582,10 +582,36 @@ def test_scan_n6_runs_its_column_route_in_one_call(tmp_path, monkeypatch):
     )
     out = tmp_path / "scan.csv"
     assert main(["scan", cfg, "--out", str(out), "--points", "401", "--tmax", "1.0"]) == 0
-    assert dynamics.column_block(6, 201) == 8
+    assert dynamics.column_block(6, 201) == 13
     assert len(calls["column"]) == 1 and calls["eigh"] == []
     assert calls["column"][0][2].shape == (8, 201, 6)
     assert len(out.read_text().splitlines()) == 1 + 8 * 401
+
+
+@pytest.mark.parametrize("instance, tmax", [("scan-n6", "1.0"), ("n4", "2.2")])
+def test_scan_block_plan_is_taylor_substeps_on_the_block(tmp_path, monkeypatch, instance, tmax):
+    # _sample_lines computes each probe's plan once, on its row alone, and
+    # hands a block's _column_at call the elementwise max of its
+    # column-route probes' plans.  Every step of _taylor_substeps is
+    # monotone in the peak, so that max is _taylor_substeps on the block's
+    # column-route rows bit for bit: on scan-n6 (8 probes, one block) and on
+    # n4 at --tmax 2.2 (7 of 8 probes on the column route, one block).  The
+    # probes' own plans differ, so the max is not any single probe's plan.
+    calls = _count_scan_routes(monkeypatch)
+    if instance == "n4":
+        cfg_path = os.path.join(ROOT, "examples", "n4.cfg")
+    else:
+        cfg_path = write_config(
+            tmp_path / "n6.cfg", N="6", v="1, 1, 1, 1, 1", **{"lambda": "1, 0.5, 0.3, 0.1, -1, 0"}, M="64", directions="8"
+        )
+    assert main(["scan", cfg_path, "--out", str(tmp_path / "scan.csv"), "--points", "401", "--tmax", tmax]) == 0
+    sys_ = parse_config(cfg_path).instance.system
+    assert len(calls["column"]) == 1
+    values, z, _, plan = calls["column"][0]
+    assert len(values) == {"scan-n6": 8, "n4": 7}[instance]
+    own = [np.array(dynamics._taylor_substeps(sys_, row[None], z[:1])) for row in values]
+    assert all(np.any(p != own[0]) for p in own[1:])
+    assert np.array(plan).tobytes() == np.array(dynamics._taylor_substeps(sys_, values, z)).tobytes()
 
 
 @pytest.mark.parametrize("overrides", [{"a": "1e6"}, {"tmax": "1e3"}])

@@ -160,7 +160,8 @@ def test_column_at_real_points_equals_propagated_column():
     sys = build_system(4, 1.3, 0.4, (1.0, 0.7, 1.5), TWO_PI)
     f = random_direction(17, 16, TWO_PI, amplitude=1.0)
     xs = np.array([-1.5, 0.0, 0.3, 3.0])
-    column = dynamics._column_at(sys, dynamics._as_stack(sys, [f])[0], xs[None])[0]
+    values = dynamics._as_stack(sys, [f])[0]
+    column = dynamics._column_at(sys, values, xs[None], dynamics._taylor_substeps(sys, values, xs[None]))[0]
     for x, psi in zip(xs, column):
         u = propagate(sys, f.scaled(x))
         assert np.max(np.abs(psi - u[:, -1])) <= 1e-13
@@ -172,7 +173,8 @@ def test_column_at_stack_at_real_points_equals_propagated_columns():
     sys = build_system(4, 1.3, 0.4, (1.0, 0.7, 1.5), TWO_PI)
     fs = [random_direction(seed, 16, TWO_PI, amplitude=1.0) for seed in (17, 18, 19)]
     xs = np.array([[-1.5, 0.0, 0.3, 3.0], [0.1, 0.2, -0.2, 0.5], [2.0, -2.5, 1.0, 0.0]])
-    column = dynamics._column_at(sys, dynamics._as_stack(sys, fs)[0], xs)
+    values = dynamics._as_stack(sys, fs)[0]
+    column = dynamics._column_at(sys, values, xs, dynamics._taylor_substeps(sys, values, xs))
     assert column.shape == (3, 4, 4)
     for f, row, psis in zip(fs, xs, column):
         for x, psi in zip(row, psis):
@@ -203,9 +205,9 @@ def test_column_at_complex_contour_equals_dense_segment_exponentials(levels):
     unit = np.exp(2j * np.pi * (np.arange(12) + 0.5) / 12)
     for radii, one_substep in (((0.2, 0.3), True), ((0.5, 3.0), False)):
         z = np.array(radii)[:, None] * unit
-        substeps = max(dynamics._taylor_substeps(sys, values, z)[1])
-        assert (substeps == 1) if one_substep else (substeps >= 2)
-        column = dynamics._column_at(sys, values, z)
+        plan = dynamics._taylor_substeps(sys, values, z)
+        assert (max(plan[1]) == 1) if one_substep else (max(plan[1]) >= 2)
+        column = dynamics._column_at(sys, values, z, plan)
         for f, row, psis in zip(fs, z, column):
             for zk, psi in zip(row, psis):
                 ref = _column_by_eig(sys, f, zk)
@@ -219,7 +221,8 @@ def test_column_at_returns_c_contiguous_level_minor_arrays():
     sys = ladder(4)
     fs = [random_direction(seed, 16, TWO_PI, amplitude=0.7) for seed in (5, 6, 7)]
     z = 0.4 * np.exp(1j * np.linspace(0.1, 6.0, 12))
-    stack = dynamics._column_at(sys, dynamics._as_stack(sys, fs)[0], np.tile(z, (3, 1)))
+    values, zs = dynamics._as_stack(sys, fs)[0], np.tile(z, (3, 1))
+    stack = dynamics._column_at(sys, values, zs, dynamics._taylor_substeps(sys, values, zs))
     assert stack.shape == (3, 12, 4) and stack.flags.c_contiguous
 
 
@@ -254,51 +257,32 @@ def test_column_at_matches_the_plain_taylor_loop_bit_for_bit(levels, a, b):
     real = np.array([[-3.0, -0.4, 0.0, 0.7, 3.0], [2.5, -2.5, 0.1, -1.0, 1.5], [0.3, -0.3, 3.0, -3.0, 0.0]])
     unit = np.exp(2j * np.pi * (np.arange(6) + 0.5) / 6)
     for z in (real, np.array([[3.0], [1.0], [2.0]]) * unit):
-        assert np.max(dynamics._taylor_substeps(sys, values, z)[1]) >= 2
-        column = dynamics._column_at(sys, values, z)
+        plan = dynamics._taylor_substeps(sys, values, z)
+        assert np.max(plan[1]) >= 2
+        column = dynamics._column_at(sys, values, z, plan)
         assert column.tobytes() == column_reference(sys, values, z).tobytes()
 
 
-def test_column_at_in_chunks_matches_the_plain_taylor_loop_bit_for_bit():
-    # Past _COLUMN_CHUNK_BYTES of loop buffers the columns advance in equal
-    # chunks, here 3 of 4668 and 5 of 4938 columns, whose edges cut through
-    # a control's row; every column keeps the bits of column_reference's
-    # one pass over all of them.
-    sys = build_system(3, 1.3, 0.4, (0.7, 1.5), 1.0)
-    values = dynamics._as_stack(sys, [random_direction(seed, 8, 1.0, amplitude=1.0) for seed in (41, 42)])[0]
-    for points, chunks in ((7001, 3), (12345, 5)):
-        line = np.linspace(-3.0, 3.0, points)
-        for z in (np.stack([line, -line]), np.stack([line, line[::-1]]) * np.exp(0.3j)):
-            assert -(-z.size * 13 * 16 // dynamics._COLUMN_CHUNK_BYTES) == chunks
-            assert np.max(dynamics._taylor_substeps(sys, values, z)[1]) >= 2
-            column = dynamics._column_at(sys, values, z)
-            assert column.tobytes() == column_reference(sys, values, z).tobytes()
-
-
-@pytest.mark.parametrize("levels, count, points, chunks", [(6, 8, 201, 1), (3, 1, 100001, 20)])
-def test_column_at_memory_is_its_buffer_count(levels, count, points, chunks):
+def test_column_at_memory_is_its_buffer_count():
     # On scan-n6's block (N = 6, 8 directions of 64 segments, 201 real
-    # points t in [0, 1], one substep per step) the call is one chunk: it
-    # holds 4 N + 1 complex numbers per column in its loop and its complex
-    # copy of z, and the result takes the term's buffer.  Past one chunk
-    # the loop buffers stop growing: n3 at 100001 points holds one chunk's
-    # buffers, and per column its result and the copy of z, N + 1 numbers.
-    # tracemalloc's peak stays within 1.2x of the count.
-    sys = build_system(levels, 1.0, 0.0, (1.0,) * (levels - 1), TWO_PI)
-    values = dynamics._as_stack(sys, probe_directions(CertificateConfig(), TWO_PI)[:count])[0]
-    z = np.broadcast_to(np.linspace(0.0, 1.0, points), (count, points))
-    assert np.max(dynamics._taylor_substeps(sys, values, z)[1]) == 1
-    assert -(-z.size * (4 * levels + 1) * 16 // dynamics._COLUMN_CHUNK_BYTES) == chunks
-    dynamics._column_at(sys, values[:, :8], z[:, :2])  # caches off the books
+    # points t in [0, 1], one substep per step, 1608 columns within
+    # _COLUMN_CHUNK_BYTES) the call holds 4 N + 1 complex numbers per column
+    # in its loop and its complex copy of z, and the result takes the last
+    # term's buffer.  tracemalloc's peak stays within 1.2x of the count.
+    sys = build_system(6, 1.0, 0.0, (1.0,) * 5, TWO_PI)
+    values = dynamics._as_stack(sys, probe_directions(CertificateConfig(), TWO_PI))[0]
+    z = np.broadcast_to(np.linspace(0.0, 1.0, 201), (8, 201))
+    plan = dynamics._taylor_substeps(sys, values, z)
+    assert np.max(plan[1]) == 1 and dynamics.column_block(6, 201) >= 8
+    small = values[:, :8], z[:, :2]
+    dynamics._column_at(sys, *small, dynamics._taylor_substeps(sys, *small))  # caches off the books
     tracemalloc.start()
     try:
-        dynamics._column_at(sys, values, z)
+        dynamics._column_at(sys, values, z, plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    per_column = 1 if chunks == 1 else levels + 1
-    held = (4 * levels + 1) * 16 * -(-z.size // chunks) + per_column * 16 * z.size
-    assert peak <= 1.2 * held
+    assert peak <= 1.2 * (4 * 6 + 2) * 16 * z.size
 
 
 @pytest.mark.parametrize("levels", [3, 6, 9])
@@ -311,8 +295,9 @@ def test_column_at_objective_is_even_in_real_amplitude(levels, a, b):
     fs = [random_direction(seed, 64, TWO_PI, amplitude=0.5).shifted(0.3 * (seed % 2)) for seed in (3, 4)]
     xs = np.tile(np.linspace(0.0, 1.0, 9), (2, 1))
     values = dynamics._as_stack(sys, fs)[0]
-    plus = dynamics._column_at(sys, values, xs)
-    minus = dynamics._column_at(sys, values, -xs)
+    plan = dynamics._taylor_substeps(sys, values, xs)
+    plus = dynamics._column_at(sys, values, xs, plan)
+    minus = dynamics._column_at(sys, values, -xs, plan)
     assert np.array_equal(np.abs(plus), np.abs(minus))
     assert np.array_equal(
         objective(plus.reshape(-1, levels, 1), inst), objective(minus.reshape(-1, levels, 1), inst)

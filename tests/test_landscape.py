@@ -25,6 +25,7 @@ from trapscope.errors import ConfigError, DomainError, GridMismatch, Insufficien
 from trapscope.landscape import (
     CertificateConfig,
     _line_scale,
+    _sample_lines,
     differential,
     lie_rank,
     lie_rank_matrices,
@@ -41,6 +42,7 @@ from trapscope.model import _v_norm, build_instance, build_observable, build_sys
 
 from oracles import (
     TWO_PI,
+    column_reference,
     column_reference_ld,
     constant,
     drift,
@@ -466,7 +468,8 @@ def float64_top_error(levels, radius_scale):
     points = 4 * (2 * levels - 2)
     radius = radius_scale / _line_scale(sys, values)
     z = radius[:, None] * np.exp(2j * np.pi * (np.arange(points) + 0.5) / points)
-    c64 = contour_top_coefficient(inst, dynamics._column_at(sys, values, z), z)
+    psi = dynamics._column_at(sys, values, z, dynamics._taylor_substeps(sys, values, z))
+    c64 = contour_top_coefficient(inst, psi, z)
     c_ld = contour_top_coefficient(inst, column_reference_ld(sys, values, z), z.astype(np.clongdouble))
     return (np.abs(c64 - c_ld) / np.abs(c_ld)).astype(float)
 
@@ -504,7 +507,7 @@ def test_column_degree_adds_no_visible_truncation_on_the_contour(levels, top_bou
     values, _ = dynamics._as_stack(sys, probe_directions(CertificateConfig(), TWO_PI))
     points = 2 * levels + landscape.CONTOUR_EXTRA_POINTS
     z = (2.0 / _line_scale(sys, values))[:, None] * np.exp(2j * np.pi * (np.arange(points) + 0.5) / points)
-    psi = dynamics._column_at(sys, values, z)
+    psi = dynamics._column_at(sys, values, z, dynamics._taylor_substeps(sys, values, z))
     psi_ld = column_reference_ld(sys, values, z, degree=dynamics._taylor_terms)
     assert np.max(np.abs(contour_j(inst, psi) - contour_j(inst, psi_ld))) <= 1e-14
     c64 = contour_top_coefficient(inst, psi, z)[::2]
@@ -522,11 +525,76 @@ def test_column_degree_adds_no_visible_truncation_on_the_scan_line():
     sys = inst.system
     values, _ = dynamics._as_stack(sys, probe_directions(CertificateConfig(), TWO_PI))
     z = np.broadcast_to(np.linspace(0.0, 1.0, 401)[200:], (8, 201))
-    theta, substeps = dynamics._taylor_substeps(sys, values, z)
+    theta, substeps = plan = dynamics._taylor_substeps(sys, values, z)
     assert np.all(substeps == 1.0) and dynamics._taylor_degree(np.max(theta)) == 13
-    psi = dynamics._column_at(sys, values, z)
+    psi = dynamics._column_at(sys, values, z, plan)
     psi_ld = column_reference_ld(sys, values, z, degree=dynamics._taylor_terms)
     assert np.max(np.abs(contour_j(inst, psi) - contour_j(inst, psi_ld))) <= 1e-14
+
+
+def test_sample_lines_in_slices_matches_one_column_at_call_bit_for_bit(monkeypatch):
+    # A probe whose row alone is longer than the column budget runs in
+    # equal slices of it, here 2 of 3501 and 3 of 4115 points, each edge
+    # cutting through the row.  Every slice runs under the probe's own
+    # whole-row plan, so the slices' columns equal one unsliced _column_at
+    # call with that plan, and column_reference, bit for bit, and so does
+    # the probe's J row.  The first slice's own plan would take fewer
+    # Taylor terms on some segment, which moves the last bits of its
+    # columns.
+    sys = build_system(3, 1.3, 0.4, (0.7, 1.5), 1.0)
+    inst = build_instance(sys, build_observable((1.0, -1.0, 0.0)))
+    probes = [random_direction(seed, 8, 1.0, amplitude=1.0) for seed in (41, 42)]
+    values = dynamics._as_stack(sys, probes)[0]
+    slices_seen = []
+    column_at = landscape._column_at
+
+    def recorded(sys_, block, z, plan):
+        psi = column_at(sys_, block, z, plan)
+        slices_seen.append(psi.copy())
+        return psi
+
+    monkeypatch.setattr(landscape, "_column_at", recorded)
+    for points, slices in ((7001, 2), (12345, 3)):
+        t = np.linspace(0.0, 1.5, points)
+        assert -(-points // dynamics.column_block(3, 1)) == slices
+        slices_seen.clear()
+        rows = list(_sample_lines(inst, probes, t))
+        assert len(slices_seen) == 2 * slices
+        for d, (row, js) in enumerate(zip(values, rows)):
+            plan = dynamics._taylor_substeps(sys, row[None], t[None])
+            first = dynamics._taylor_substeps(sys, row[None], t[None, : -(-points // slices)])[0]
+            assert np.max(plan[1]) == 1.0
+            assert any(dynamics._taylor_degree(a) < dynamics._taylor_degree(b) for a, b in zip(first, plan[0]))
+            psi = dynamics._column_at(sys, row[None], t[None], plan)
+            assert np.concatenate(slices_seen[d * slices : (d + 1) * slices], axis=1).tobytes() == psi.tobytes()
+            assert psi.tobytes() == column_reference(sys, row[None], t[None]).tobytes()
+            assert js.tobytes() == objective(psi.reshape(-1, 3, 1), inst).tobytes()
+
+
+def test_sample_lines_memory_is_one_slice_and_the_j_row():
+    # n3's scan at --points 200001 samples each probe at 100001 points
+    # t >= 0, in 20 slices of 5001 on the column route.  A slice holds its
+    # 4 N + 1 loop buffers and its complex copy of z per column, and only the
+    # probe's J row outlives the slices: tracemalloc's peak stays within
+    # 1.1x of that count (measured 1.05x; one slice's columns kept into the
+    # next read 1.17x, and one pass over the row 12x).
+    inst = n3_instance()
+    sys = inst.system
+    probes = probe_directions(CertificateConfig(directions=2), TWO_PI)[1:]
+    t = np.linspace(0.0, 1.0, 100001)
+    values = dynamics._as_stack(sys, probes)[0]
+    assert np.max(dynamics._taylor_substeps(sys, values, t[None])[1]) == 1.0
+    width = -(-t.size // -(-t.size // dynamics.column_block(3, 1)))
+    assert width == 5001
+    list(_sample_lines(inst, probes, t[:8]))  # caches off the books
+    tracemalloc.start()
+    try:
+        for _ in _sample_lines(inst, probes, t):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * ((4 * 3 + 2) * 16 * width + 8 * t.size)
 
 
 # ---------------------------------------------------------------- lie rank
@@ -1069,6 +1137,52 @@ def test_certificate_is_invariant_under_an_energy_shift(inst):
         assert (report["instance"]["a"], report["instance"]["b"]) == (sys_.a + c, sys_.b + c)
         report["instance"].update(a=sys_.a, b=sys_.b)
         assert json.dumps(report, sort_keys=True) == base
+
+
+def _exact_copies(inst):
+    """The copies of inst that are exact in float64 but for ||V||_2's SVD:
+    two coupling sign patterns, each the gauge D V D with D = diag(+-1),
+    which fixes H0, O and |N>, and the time rescales (a, b, v) / c, T c for
+    c = 4^+-1, which leave every probe's values as they are."""
+    sys_ = inst.system
+    v = np.array(sys_.couplings)
+    copies = {
+        "alternate": (sys_.a, sys_.b, v * (-1.0) ** np.arange(1, v.size + 1), sys_.horizon),
+        "flip": (sys_.a, sys_.b, -v, sys_.horizon),
+        **{f"time x {c}": (sys_.a / c, sys_.b / c, v / c, sys_.horizon * c) for c in (4.0, 0.25)},
+    }
+    for name, (a, b, couplings, horizon) in copies.items():
+        yield name, build_instance(build_system(sys_.levels, a, b, tuple(couplings.tolist()), horizon), inst.observable)
+
+
+@pytest.mark.parametrize(
+    "inst, seed",
+    [(n4_instance(), None), (ladder_instance(8), None), *(_RANDOM[i] for i in (0, 14, 109))],
+    ids=["n4", "ladder-8", "random-0", "random-14", "random-109"],
+)
+def test_certificate_verdict_is_invariant_under_exact_copies(inst, seed):
+    # Every copy gives the same verdict, failed stage and per-check
+    # outcomes.  The time rescales also give every direction row's
+    # differentials and fit_coefficients bit for bit.  The sign patterns
+    # give them bit for bit wherever ||V||_2 keeps its bits, as it scales
+    # every contour radius: LAPACK's SVD of a gauged V may move in its last
+    # bit (flip on ladder-8 and random-0, alternate on random-109).
+    # Measured/threshold ratios are not compared: the flatness thresholds
+    # read the probe's norm, which a time rescale does not keep.
+    cfg = CertificateConfig() if seed is None else CertificateConfig(seed=seed)
+    base = trap_certificate(inst, cfg).as_dict()
+
+    def outcome(report):
+        return report["passed"], report["failed_stage"], [(c["name"], c["passed"]) for c in report["checks"]]
+
+    def rows(report):
+        return [(r["differentials"], r["fit_coefficients"]) for r in report["directions"]]
+
+    for name, copy in _exact_copies(inst):
+        report = trap_certificate(copy, cfg).as_dict()
+        assert outcome(report) == outcome(base), name
+        if name.startswith("time") or _v_norm(copy.system) == _v_norm(inst.system):
+            assert rows(report) == rows(base), name
 
 
 def direction_row(mean_zero, c2=-1.0, d2_predicted=-1.0, fitted=0.0, analytic=None):
